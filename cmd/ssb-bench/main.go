@@ -15,13 +15,12 @@
 //	                   ns/op + decoded-bytes-avoided on the RLE-heavy
 //	                   flight 1 queries                          (PERFORMANCE.md)
 //	-figure segstore   segment store: cold vs warm + budget sweep (PERFORMANCE.md)
-//	-figure serve      serving layer: throughput/latency vs client
-//	                   count at two pool budgets                 (PERFORMANCE.md)
-//	-figure ingest     query latency under concurrent insert streams
-//	                   + compaction throughput                   (PERFORMANCE.md)
-//	-figure all        everything (except segstore and serve, which need
-//	                   -data *.seg or generate their own temporary segment
-//	                   file)
+//	-figure all        everything (except kernels and segstore; segstore
+//	                   needs -data *.seg or generates its own temporary
+//	                   segment file)
+//
+// Serving throughput and latency under ingest are measured out of process,
+// over real HTTP, by the repository benchmark (BENCHMARK.json, benchmark/).
 //
 // Reported numbers are total simulated seconds: measured CPU time plus the
 // I/O the run performed priced at the paper's 180 MB/s striped-disk model.
@@ -29,22 +28,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/rowexec"
-	"repro/internal/server"
 	"repro/internal/ssb"
 )
 
@@ -66,7 +59,7 @@ var (
 
 // segServable marks the figures a segment-store -data file can serve: only
 // the compressed column engines run without the raw dataset.
-var segServable = map[string]bool{"fused": true, "kernels": true, "segstore": true, "serve": true, "ingest": true}
+var segServable = map[string]bool{"fused": true, "kernels": true, "segstore": true}
 
 func main() {
 	flag.Parse()
@@ -130,10 +123,6 @@ func main() {
 			runKernels(db)
 		case "segstore":
 			runSegstore(db)
-		case "serve":
-			runServe(db)
-		case "ingest":
-			runIngest(db)
 		case "all":
 			runFigure(db, "5", "Figure 5: baseline comparison", figure5Rows(db))
 			runFigure(db, "6", "Figure 6: row-store physical designs", figure6Rows(db))
@@ -590,138 +579,6 @@ func budgetLabel(b int64) string {
 	return fmt.Sprintf("%.1fMB", float64(b)/1e6)
 }
 
-// runServe produces the serving-layer figure, exiting nonzero on error
-// only after serveFigure's deferred cleanup (temporary segment file,
-// stores) has run.
-func runServe(db *core.DB) {
-	if err := serveFigure(db); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// serveFigure measures sustained throughput and latency of the 13-query
-// SSBM mix as the concurrent client count grows, at a tight pool budget
-// (5% of the decoded dataset — heavy eviction churn) and an unbounded one.
-// The result cache is disabled so every request exercises the engine;
-// admission is set generous so the pool, not the semaphore, is the
-// contended resource being measured.
-func serveFigure(db *core.DB) error {
-	path := ""
-	if st := db.SegmentStore(); st != nil {
-		path = st.Path()
-	} else {
-		tmp, err := os.CreateTemp("", "ssb-*.seg")
-		if err != nil {
-			return err
-		}
-		tmp.Close()
-		defer os.Remove(tmp.Name())
-		fmt.Printf("\n(writing temporary segment file %s)\n", tmp.Name())
-		if err := exec.SaveSegments(tmp.Name(), db.SF, db.ColumnDB(true)); err != nil {
-			return err
-		}
-		path = tmp.Name()
-	}
-
-	probe, err := core.OpenSegmentStore(path, 0)
-	if err != nil {
-		return err
-	}
-	decoded := probe.SegmentStore().RawBytes()
-	probe.SegmentStore().Close()
-
-	const passes = 3
-	queries := ssb.Queries()
-	fmt.Printf("\n## Serving layer: %d-query mix x %d passes per client, cache off (see PERFORMANCE.md)\n",
-		len(queries), passes)
-	fmt.Printf("%-18s%10s%12s%12s%12s%12s%10s\n",
-		"budget", "clients", "qps", "mean ms", "p95 ms", "disk MB", "evict")
-
-	recordFigure("serve")
-	for bi, budget := range []int64{int64(float64(decoded) * 0.05), 0} {
-		// Stable artifact key per cell: budgetLabel embeds an SF-dependent
-		// byte count, so the committed baseline would never match it.
-		budgetKey := "5% budget"
-		if bi == 1 {
-			budgetKey = "unbounded"
-		}
-		for _, clients := range []int{1, 2, 4, 8, 16} {
-			sdb, err := core.OpenSegmentStore(path, budget)
-			if err != nil {
-				return err
-			}
-			srv, err := server.New(sdb, server.Options{
-				Workers:      1,
-				CacheEntries: -1,
-				AdmitBytes:   64 << 20,
-			})
-			if err != nil {
-				sdb.SegmentStore().Close()
-				return err
-			}
-
-			var mu sync.Mutex
-			var lats []time.Duration
-			var execErr error
-			var wg sync.WaitGroup
-			start := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(c)))
-					local := make([]time.Duration, 0, passes*len(queries))
-					for p := 0; p < passes; p++ {
-						for _, qi := range rng.Perm(len(queries)) {
-							t0 := time.Now()
-							if _, err := srv.Execute(context.Background(), queries[qi]); err != nil {
-								mu.Lock()
-								if execErr == nil {
-									execErr = err
-								}
-								mu.Unlock()
-								return
-							}
-							local = append(local, time.Since(t0))
-						}
-					}
-					mu.Lock()
-					lats = append(lats, local...)
-					mu.Unlock()
-				}(c)
-			}
-			wg.Wait()
-			wall := time.Since(start)
-			srv.Close()
-			ps := sdb.SegmentStore().Pool().Stats()
-			sdb.SegmentStore().Close()
-			if execErr != nil {
-				return execErr
-			}
-
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			var sum time.Duration
-			for _, l := range lats {
-				sum += l
-			}
-			mean := sum / time.Duration(len(lats))
-			p95 := lats[len(lats)*95/100]
-			sys := fmt.Sprintf("%s/%dc", budgetKey, clients)
-			record("serve", sys, "", "qps", float64(len(lats))/wall.Seconds(), "higher")
-			record("serve", sys, "", "mean_ms", float64(mean.Microseconds())/1e3, "lower")
-			record("serve", sys, "", "p95_ms", float64(p95.Microseconds())/1e3, "lower")
-			fmt.Printf("%-18s%10d%12.1f%12.3f%12.3f%12.1f%10d\n",
-				budgetLabel(budget), clients,
-				float64(len(lats))/wall.Seconds(),
-				float64(mean.Microseconds())/1e3, float64(p95.Microseconds())/1e3,
-				float64(ps.BytesRead)/1e6, ps.Evictions)
-		}
-	}
-	fmt.Println("\n(every execution verified bit-identical to serial runs by the server package tests)")
-	return nil
-}
-
 // runPartition reproduces the Section 6.1 partitioning ablation: the
 // traditional design with and without orderdate-year pruning.
 func runPartition(db *core.DB) {
@@ -749,194 +606,4 @@ func runPartition(db *core.DB) {
 		fmt.Printf("%-10s %12.3f %12.3f %8.2f\n", q.ID, p, np, np/p)
 	}
 	fmt.Printf("%-10s %12.3f %12.3f %8.2f\n", "AVG", sumP/13, sumN/13, sumN/sumP)
-}
-
-// runIngest wraps ingestFigure with the figure harness's exit convention.
-func runIngest(db *core.DB) {
-	if err := ingestFigure(db); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// copyFileTmp copies src to a fresh temp file and returns its path.
-func copyFileTmp(src string) (string, error) {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return "", err
-	}
-	tmp, err := os.CreateTemp("", "ssb-ingest-*.seg")
-	if err != nil {
-		return "", err
-	}
-	path := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(path)
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(path)
-		return "", err
-	}
-	return path, nil
-}
-
-// ingestFigure measures the cost of the WS/RS split under live writes: the
-// 13-query mix's latency with 0, 1 and 4 concurrent insert streams hammering
-// the same store, plus what the tuple mover did meanwhile (sealed rows,
-// compaction passes, bytes appended to the file) and the final flush cost.
-// Each cell runs against a fresh copy of the segment file so cells do not
-// see each other's appended rows (and a user's -data file is never
-// mutated).
-func ingestFigure(db *core.DB) error {
-	var srcPath string
-	if st := db.SegmentStore(); st != nil {
-		srcPath = st.Path()
-	} else {
-		tmp, err := os.CreateTemp("", "ssb-*.seg")
-		if err != nil {
-			return err
-		}
-		tmp.Close()
-		defer os.Remove(tmp.Name())
-		fmt.Printf("\n(writing temporary segment file %s)\n", tmp.Name())
-		if err := exec.SaveSegments(tmp.Name(), db.SF, db.ColumnDB(true)); err != nil {
-			return err
-		}
-		srcPath = tmp.Name()
-	}
-
-	const passes = 3
-	const batchRows = 4096
-	queries := ssb.Queries()
-	cfg := core.ColumnStore(exec.FusedOpt)
-	cfg.Col.Workers = 4
-	fmt.Printf("\n## Ingest: %d-query mix x %d passes vs concurrent insert streams (batch %d rows)\n",
-		len(queries), passes, batchRows)
-	fmt.Printf("%-10s%12s%12s%14s%12s%14s%12s\n",
-		"streams", "mean ms", "p95 ms", "ins rows/s", "compacts", "appended MB", "flush ms")
-
-	recordFigure("ingest")
-	for _, streams := range []int{0, 1, 4} {
-		if err := ingestCell(streams, srcPath); err != nil {
-			return err
-		}
-	}
-	fmt.Println("\n(cross-engine correctness under concurrent inserts is pinned by TestIngestDifferential and the server race stress)")
-	return nil
-}
-
-// ingestCell runs one row of the ingest figure against a private copy of
-// the segment file; the copy and the store are released on every path.
-func ingestCell(streams int, srcPath string) error {
-	const passes = 3
-	const batchRows = 4096
-	queries := ssb.Queries()
-	cfg := core.ColumnStore(exec.FusedOpt)
-	cfg.Col.Workers = 4
-
-	path, err := copyFileTmp(srcPath)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(path)
-	sdb, err := core.OpenSegmentStore(path, 0)
-	if err != nil {
-		return err
-	}
-	defer sdb.SegmentStore().Close()
-	defer sdb.CloseIngest()
-	if err := sdb.EnableIngest(true, 0); err != nil {
-		return err
-	}
-	shape, err := sdb.IngestShape()
-	if err != nil {
-		return err
-	}
-
-	stop := make(chan struct{})
-	var inserted int64
-	var insMu sync.Mutex
-	var iwg sync.WaitGroup
-	// Stop and join the inserters on every exit path (a mid-measurement
-	// query error must not leave them hammering a store being torn down).
-	stopped := false
-	stopInserters := func() {
-		if !stopped {
-			stopped = true
-			close(stop)
-			iwg.Wait()
-		}
-	}
-	defer stopInserters()
-	for s := 0; s < streams; s++ {
-		iwg.Add(1)
-		go func(id int) {
-			defer iwg.Done()
-			seed := int64(id+1) * 1_000_003
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				b, err := ssb.RandBatch(seed, batchRows, shape)
-				seed++
-				if err != nil {
-					return
-				}
-				if _, err := sdb.Insert(b); err != nil {
-					return
-				}
-				insMu.Lock()
-				inserted += int64(batchRows)
-				insMu.Unlock()
-			}
-		}(s)
-	}
-
-	var lats []time.Duration
-	start := time.Now()
-	for p := 0; p < passes; p++ {
-		for _, q := range queries {
-			t0 := time.Now()
-			if _, _, err := sdb.RunPlan(q, cfg); err != nil {
-				return err
-			}
-			lats = append(lats, time.Since(t0))
-		}
-	}
-	stopInserters()
-	elapsed := time.Since(start)
-
-	flushStart := time.Now()
-	if err := sdb.FlushIngest(); err != nil {
-		return err
-	}
-	flushDur := time.Since(flushStart)
-	ds := sdb.IngestStats()
-	ps := sdb.SegmentStore().Pool().Stats()
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	mean := sum / time.Duration(len(lats))
-	p95 := lats[len(lats)*95/100]
-	sys := fmt.Sprintf("%d streams", streams)
-	record("ingest", sys, "", "mean_ms", float64(mean.Microseconds())/1e3, "lower")
-	record("ingest", sys, "", "p95_ms", float64(p95.Microseconds())/1e3, "lower")
-	record("ingest", sys, "", "flush_ms", float64(flushDur.Microseconds())/1e3, "lower")
-	if streams > 0 {
-		record("ingest", sys, "", "rows_per_s", float64(inserted)/elapsed.Seconds(), "higher")
-	}
-	fmt.Printf("%-10d%12.3f%12.3f%14.0f%12d%14.2f%12.1f\n",
-		streams,
-		float64(mean.Microseconds())/1e3, float64(p95.Microseconds())/1e3,
-		float64(inserted)/elapsed.Seconds(),
-		ds.Compactions, float64(ps.AppendedBytes)/1e6,
-		float64(flushDur.Microseconds())/1e3)
-	return nil
 }

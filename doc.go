@@ -57,9 +57,10 @@
 // mid-append costs only the interrupted batch: open recovers the previous
 // trailer by backward scan. Every query
 // resolves one consistent (sealed segments, delta watermark) pair at
-// start: each engine scans the sealed store unchanged and unions the
-// write-store partial, so a query started before an insert never observes
-// it and one started after always does. exec.DB.Insert validates and
+// start and compiles its plan once: the engine scans the sealed store and
+// the delta batches follow through the same block routine into the same
+// aggregator, so a query started before an insert never observes it and
+// one started after always does. exec.DB.Insert validates and
 // remaps logical rows (foreign keys to dimension positions, strings to
 // frozen dictionary codes); ssb-gen -append drives the same path from the
 // CLI, and TestIngestDifferential pins every engine against a
@@ -96,8 +97,8 @@
 // stale entries stop being addressable. cmd/ssb-serve exposes it over
 // HTTP JSON (/query by SSBM id, ad-hoc SQL, or generator seed; /insert
 // for row batches; /stats for server, cache, write-store and pool
-// counters), and ssb-bench -figure serve measures throughput/latency
-// against client count and pool budget. The 16-client x 200-random-plan
+// counters); the repository benchmark (BENCHMARK.json, benchmark/)
+// measures it out of process over real HTTP. The 16-client x 200-random-plan
 // stress test in internal/server and the pin-leak/golden-equivalence tests
 // in internal/exec pin the concurrency contract under -race.
 //
@@ -145,6 +146,52 @@
 // exception executable documentation. PERFORMANCE.md's "Invariants"
 // section maps each analyzer to the PR whose guarantee it pins.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results.
+// # Layer map
+//
+// One heading per layer a request crosses, named as the repository
+// benchmark (benchmark/, BENCHMARK.json) prefixes its per-layer metrics;
+// PERFORMANCE.md carries the measurements and the paper-vs-measured
+// figures.
+//
+// server (internal/server, cmd/ssb-serve): HTTP JSON front end — decode,
+// result cache keyed by (normalized SQL, epoch), byte-budget admission,
+// flight recorder, /stats and /metrics.
+//
+// sql (internal/sql, internal/ssb): text to the logical star plan
+// ssb.Query, and back (Query.SQL, the cache key); ssb.Reference is the
+// brute-force oracle every engine is compared against.
+//
+// exec (internal/exec; internal/core is its facade over every physical
+// design): the column executor. One query is
+//
+//	snapshot  (sealed DB, delta view, deletion vectors, epoch) under one lock
+//	compile   ssb.Query + Config -> one Plan: join phase 1 into ordered fact probes, group extractors (attributes load on first use), aggregate layout
+//	scan      the configured engine over sealed 64K-row morsels, then the shared block routine over delta morsels
+//	aggregate one aggregator (dense cells + seen bitmap, or hash above the dense limit); workers' partials merge; one render
+//
+// with the Figure 5-8 ablation engines (per-probe, early-mat, Row-MV,
+// denormalized) beside the fused serving path, and the tuple mover that
+// seals delta prefixes into segments.
+//
+// colstore (internal/colstore): columns as sequences of encoded blocks
+// behind one API, resident or pool-backed; zone-map queries never do I/O.
+//
+// compress (internal/compress, internal/bitmap): the five block encodings
+// and the kernels that filter, gather and aggregate on them undecoded.
+//
+// segstore (internal/segstore): the segment file format, its append and
+// recovery protocol, and the pinning buffer pool.
+//
+// delta (internal/delta): the write-optimized store — immutable columnar
+// insert batches with running min/max (small inserts coalesced on append),
+// snapshotted per query.
+//
+// wal (internal/wal): CRC-framed records, group commit, replay and the
+// post-compaction rewrite.
+//
+// obs (internal/obs): per-query traces, the metrics registry, the flight
+// recorder and the metrics history.
+//
+// Beside the request path: rowstore/btree/rowexec (the "System X" row
+// engine of Figures 5-6), iosim (the disk model), lint (cmd/ssb-lint).
 package repro

@@ -145,6 +145,14 @@ func (b *Bitmap) Grow(n int) *Bitmap {
 	return nb
 }
 
+// Resize sets the length to n bits within the capacity the bitmap was
+// created with, so a scratch bitmap sized for the largest block costs a
+// short block only its own words. The contents are unspecified until the
+// next Reset.
+func (b *Bitmap) Resize(n int) {
+	b.words, b.n = b.words[:(n+wordBits-1)/wordBits], n
+}
+
 // Reset clears all bits, keeping the length.
 func (b *Bitmap) Reset() {
 	for i := range b.words {

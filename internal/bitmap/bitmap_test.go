@@ -247,3 +247,19 @@ func TestOrWordsAt(t *testing.T) {
 		t.Fatalf("OrWordsAt clip wrong: count=%d", dst2.Count())
 	}
 }
+
+func TestResizeWithinCapacity(t *testing.T) {
+	b := New(200)
+	b.SetRange(0, 200)
+	b.Resize(70)
+	b.Reset()
+	b.SetRange(3, 70)
+	if b.Len() != 70 || b.Count() != 67 || len(b.Words()) != 2 {
+		t.Fatalf("shrunk: len %d count %d words %d, want 70/67/2", b.Len(), b.Count(), len(b.Words()))
+	}
+	b.Resize(200) // regrown words hold stale bits until the next Reset
+	b.Reset()
+	if b.Len() != 200 || b.Any() || len(b.Words()) != 4 {
+		t.Fatalf("regrown: len %d any %v words %d, want 200/false/4", b.Len(), b.Any(), len(b.Words()))
+	}
+}

@@ -6,8 +6,10 @@
 // compressed on-disk segments; a snapshot taken at query start sees one
 // consistent frontier — every row is in exactly one of the two stores.
 //
-// Batches are immutable once appended. A View holds references to the
-// batches it covers, so the store can drop compacted batches immediately
+// Batches are immutable once appended; inserts smaller than CoalesceRows are
+// merged into a new batch with their predecessor (Append), so the batch count
+// a reader pays for follows rows, not insert calls. A View holds references
+// to the batches it covers, so the store can drop compacted batches immediately
 // (Seal) while in-flight queries keep reading their snapshot; the garbage
 // collector reclaims a batch when the last snapshot referencing it
 // finishes. Every batch records per-column min/max, so zone-map pruning
@@ -16,6 +18,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -76,6 +79,18 @@ func NewBatch(cols []Column) (*Batch, error) {
 	return b, nil
 }
 
+// concat returns a new batch holding b's rows followed by o's. Both must
+// have the same columns in the same order.
+func (b *Batch) concat(o *Batch) *Batch {
+	m := &Batch{n: b.n + o.n, names: b.names, byName: b.byName, bytes: b.bytes + o.bytes,
+		cols: make([][]int32, len(b.cols)), mins: make([]int32, len(b.cols)), maxs: make([]int32, len(b.cols))}
+	for i := range b.cols {
+		m.cols[i] = append(append(make([]int32, 0, m.n), b.cols[i]...), o.cols[i]...)
+		m.mins[i], m.maxs[i] = min(b.mins[i], o.mins[i]), max(b.maxs[i], o.maxs[i])
+	}
+	return m
+}
+
 // Len returns the batch row count.
 func (b *Batch) Len() int { return b.n }
 
@@ -119,13 +134,34 @@ type Store struct {
 // NewStore returns an empty write store.
 func NewStore() *Store { return &Store{} }
 
-// Append adds a batch and returns the new total (rows ever inserted).
+// CoalesceRows is the batch size below which Append merges a batch into its
+// predecessor instead of keeping it apart. A scan pays a fixed cost per
+// batch (zone-map checks, column lookups, a cache miss or three), so a store
+// fed a row or ten at a time would otherwise cost readers — and the tuple
+// mover — by the number of inserts instead of the number of rows.
+const CoalesceRows = 256
+
+// Append adds a batch and returns the new total (rows ever inserted). A
+// batch shorter than CoalesceRows arriving behind another such batch is
+// merged with it: the pair is replaced by one new batch holding both, so
+// runs of small inserts grow into batches of at least CoalesceRows rows.
+// Batches stay immutable and snapshots unaffected — the replacement lands in
+// a fresh backing array, and a view taken earlier keeps the shorter batch it
+// saw.
 func (s *Store) Append(b *Batch) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches = append(s.batches, b)
-	s.offs = append(s.offs, s.total)
 	s.total += int64(b.Len())
+	if n := len(s.batches); n > 0 && b.Len() < CoalesceRows {
+		if last := s.batches[n-1]; last.Len() < CoalesceRows && slices.Equal(last.names, b.names) {
+			merged := last.concat(b)
+			s.batches = append(s.batches[:n-1:n-1], merged)
+			s.bytes += merged.Bytes() - last.Bytes()
+			return s.total
+		}
+	}
+	s.batches = append(s.batches, b)
+	s.offs = append(s.offs, s.total-int64(b.Len()))
 	s.bytes += b.Bytes()
 	return s.total
 }

@@ -46,7 +46,7 @@ func TestSealRetainsSnapshots(t *testing.T) {
 		t.Fatalf("view len %d want 5", view.Len())
 	}
 
-	s.Seal(4) // consumes batch 1 wholly and batch 2 partially
+	s.Seal(4) // into the second insert's rows (the two small inserts coalesced into one batch)
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("pending %d want 1", got)
 	}
@@ -117,11 +117,62 @@ func TestStoreConcurrency(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for s.Sealed() < 1600 {
-		s.Seal(1)
-	}
-	<-done
+	<-done // the sealer alone drains the rest: a second sealer here would race it past the total
 	if s.Total() != 1600 || s.Pending() != 0 {
 		t.Fatalf("total=%d pending=%d, want 1600/0", s.Total(), s.Pending())
+	}
+}
+
+// TestAppendCoalesces pins write-time coalescing: runs of small inserts grow
+// into batches of at least CoalesceRows rows (so a reader's per-batch cost
+// follows rows, not inserts), large inserts stay apart, zone maps and byte
+// accounting follow the merged batch, and a view taken before a merge keeps
+// reading exactly the rows it covered.
+func TestAppendCoalesces(t *testing.T) {
+	s := NewStore()
+	batches := func(v *View) (n int) {
+		v.ForEach(func(*Batch, int, int) bool { n++; return true })
+		return n
+	}
+	var views []*View
+	const small = CoalesceRows + 44
+	for i := 0; i < small; i++ {
+		s.Append(mkBatch(t, int32(i)))
+		views = append(views, s.Snapshot())
+	}
+	for i, v := range views {
+		got := v.Gather("x", v.Len(), nil)
+		if len(got) != i+1 || got[0] != 0 || got[i] != int32(i) {
+			t.Fatalf("view after insert %d reads %d rows ending %d", i, len(got), got[len(got)-1])
+		}
+	}
+	if n := batches(s.Snapshot()); n != 2 {
+		t.Fatalf("%d one-row inserts left %d batches, want 2 (%d rows + the rest)", small, n, CoalesceRows)
+	}
+	big := make([]int32, CoalesceRows)
+	for i := range big {
+		big[i] = -7
+	}
+	s.Append(mkBatch(t, big...)) // not small: stays apart, and closes the run before it
+	s.Append(mkBatch(t, 1000, 2000))
+	s.Append(mkBatch(t, 3000))
+	v := s.Snapshot()
+	if n := batches(v); n != 4 {
+		t.Fatalf("store holds %d batches, want 4", n)
+	}
+	var last *Batch
+	v.ForEach(func(b *Batch, _, _ int) bool { last = b; return true })
+	if mn, mx, _ := last.MinMax("x"); last.Len() != 3 || mn != 1000 || mx != 3000 {
+		t.Fatalf("merged tail batch: %d rows, zone map [%d, %d], want 3 rows [1000, 3000]", last.Len(), mn, mx)
+	}
+	if want := v.Len() * 4; s.Bytes() != want || v.Bytes() != want {
+		t.Fatalf("bytes: store %d view %d, want %d", s.Bytes(), v.Bytes(), want)
+	}
+	s.Seal(small + CoalesceRows + 1) // into the merged tail batch
+	if got := s.Snapshot().Gather("x", 2, nil); got[0] != 2000 || got[1] != 3000 {
+		t.Fatalf("rows after seal = %v want [2000 3000]", got)
+	}
+	if s.Bytes() != 12 {
+		t.Fatalf("bytes after seal = %d, want the 3-row tail batch's 12", s.Bytes())
 	}
 }

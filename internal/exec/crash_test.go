@@ -234,7 +234,7 @@ func parseLedger(path string) (map[int32]*ledgerEntry, error) {
 // — sealed rows minus the sealed deletion vector, plus delta rows minus the
 // write-store deletion vector.
 func visibleKeyCounts(db *DB) map[int32]int64 {
-	sdb, view, del := db.snapshotForRead()
+	sdb, view, del, _ := db.snapshotForRead()
 	counts := map[int32]int64{}
 	col, err := sdb.Fact.Column("orderkey")
 	if err != nil {

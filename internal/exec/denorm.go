@@ -310,7 +310,7 @@ func (db *DenormDB) Run(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 	// positions.
 	specs := q.AggSpecs()
 	n := pos.Len()
-	values := evalAggValues(specs, true, n, func(name string) []int32 {
+	values := evalAggValues(specs, n, func(name string) []int32 {
 		return db.intCols[name].Gather(pos, nil, st)
 	})
 	if len(q.GroupBy) == 0 {
@@ -387,4 +387,51 @@ func (db *DenormDB) Run(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 		rows = append(rows, ssb.MakeRow(c.keys, c.cells))
 	}
 	return ssb.NewResult(q.ID, rows)
+}
+
+// evalAggValues gathers the distinct aggregate input columns through the
+// caller's gather function and evaluates every aggregate expression into
+// one int64 column per spec. COUNT specs get a nil column — Combine counts
+// rows without reading an input — so accumulation loops must treat nil as
+// "any value".
+func evalAggValues(specs []ssb.AggSpec, n int, gather func(name string) []int32) [][]int64 {
+	colNames, ia, ib := ssb.AggInputs(specs)
+	measures := make([][]int32, len(colNames))
+	for i, name := range colNames {
+		measures[i] = gather(name)
+	}
+	values := make([][]int64, len(specs))
+	for k, s := range specs {
+		if s.Func == ssb.FuncCount {
+			continue
+		}
+		v := make([]int64, n)
+		a := measures[ia[k]]
+		switch s.Expr.Op {
+		case '*':
+			for i, b := range measures[ib[k]][:n] {
+				v[i] = int64(a[i]) * int64(b)
+			}
+		case '-':
+			for i, b := range measures[ib[k]][:n] {
+				v[i] = int64(a[i]) - int64(b)
+			}
+		default:
+			for i := range v {
+				v[i] = int64(a[i])
+			}
+		}
+		values[k] = v
+	}
+	return values
+}
+
+// emptyResult matches the reference semantics: aggregates over an empty
+// input render as a single all-zero row for ungrouped queries and no rows
+// for grouped ones.
+func emptyResult(q *ssb.Query) *ssb.Result {
+	if len(q.GroupBy) == 0 {
+		return ssb.NewResult(q.ID, []ssb.ResultRow{ssb.MakeRow(nil, make([]int64, len(q.AggSpecs())))})
+	}
+	return ssb.NewResult(q.ID, nil)
 }

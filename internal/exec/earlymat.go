@@ -18,7 +18,10 @@ import (
 // over a column-sourced materialized view. The paper removes late
 // materialization last because early materialization forces decompression
 // during tuple construction and precludes the invisible join.
-func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, del *bitmap.Bitmap, tr *obs.Trace) *ssb.Result {
+//
+// It returns the sealed side's aggregate; a canceled run returns nil (RunCtx
+// surfaces ctx.Err before looking at it).
+func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, del *bitmap.Bitmap, tr *obs.Trace) *aggregator {
 	if tr != nil {
 		tr.Engine = "early-mat"
 	}
@@ -28,7 +31,7 @@ func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *ios
 	cols := make([][]int32, len(needed))
 	for i, name := range needed {
 		if ctx.Err() != nil {
-			return emptyResult(q)
+			return nil
 		}
 		colIdx[name] = i
 		cols[i] = db.Fact.MustColumn(name).DecodeAllCtx(ctx, nil, st)
@@ -47,7 +50,7 @@ func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *ios
 	rows := make([][]int32, n)
 	for r := 0; r < n; r++ {
 		if r&0xFFFF == 0 && ctx.Err() != nil {
-			return emptyResult(q)
+			return nil
 		}
 		tup := make([]int32, len(cols))
 		for c := range cols {
@@ -155,31 +158,20 @@ func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *ios
 	exs := make([]*groupExtractor, len(q.GroupBy))
 	exCols := make([]int, len(q.GroupBy))
 	for i, g := range q.GroupBy {
-		exs[i] = db.newGroupExtractor(g, hashCfg, st)
+		exs[i] = db.newGroupExtractor(g)
+		exs[i].load(db, hashCfg, st)
 		exCols[i] = colIdx[g.Dim.FactFK()]
 	}
 
-	specs := q.AggSpecs()
-	agg := newTupleAgg(specs, func(name string) int { return colIdx[name] })
-
-	// Dense group accumulation (same layout as the late-mat path so
-	// results are identical).
-	strides := make([]int64, len(exs))
-	totalCard := int64(1)
-	for i := len(exs) - 1; i >= 0; i-- {
-		strides[i] = totalCard
-		totalCard *= int64(exs[i].card)
+	sh := newAggShape(q.AggSpecs(), exs)
+	agg := newAggregator(sh)
+	// Tuple positions of the aggregate input columns; in is the per-row
+	// operand vector handed to the aggregator.
+	inCols := make([]int, len(sh.inputs))
+	for i, name := range sh.inputs {
+		inCols[i] = colIdx[name]
 	}
-	nAggs := len(specs)
-	var sums []int64
-	var seen []bool
-	if len(exs) > 0 {
-		sums = make([]int64, totalCard*int64(nAggs))
-		seen = make([]bool, totalCard)
-	}
-	total := make([]int64, nAggs)
-	ssb.InitCells(specs, total)
-	var totalRows int64
+	in := make([]int32, len(inCols))
 	rec.rec("plan", "dimension pass sets + extractors", st, 0, 0, 0)
 	var qual, tomb int64
 
@@ -188,7 +180,7 @@ rowLoop:
 		// One cancellation check per 64K rows — the same granularity as
 		// the block-iterated pipelines.
 		if r&0xFFFF == 0 && ctx.Err() != nil {
-			return emptyResult(q)
+			return nil
 		}
 		// Deletion vector first: a tombstoned row fails every plan the same
 		// way, before any predicate evaluates.
@@ -212,86 +204,17 @@ rowLoop:
 		if rec != nil {
 			qual++
 		}
-		if len(exs) == 0 {
-			totalRows++
-			agg.accumulate(total, tup)
-			continue
-		}
-		idx := int64(0)
+		// Same composite group index as the late-mat paths, so results
+		// are identical — reached through the hash tables.
+		gi := int64(0)
 		for i := range exs {
-			idx += int64(exs[i].viaHash[tup[exCols[i]]]) * strides[i]
+			gi += int64(exs[i].viaHash[tup[exCols[i]]]) * sh.strides[i]
 		}
-		base := idx * int64(nAggs)
-		if !seen[idx] {
-			seen[idx] = true
-			ssb.InitCells(specs, sums[base:base+int64(nAggs)])
+		for i, c := range inCols {
+			in[i] = tup[c]
 		}
-		agg.accumulate(sums[base:base+int64(nAggs)], tup)
+		agg.addRow(gi, in)
 	}
 	rec.rec("row-loop", "filters + hash probes + aggregation", st, int64(n), qual, tomb)
-
-	if len(exs) == 0 {
-		return ssb.NewResult(q.ID, []ssb.ResultRow{ssb.MakeRow(nil, ssb.FinalizeCells(specs, total, totalRows))})
-	}
-	var out []ssb.ResultRow
-	for idx := int64(0); idx < totalCard; idx++ {
-		if !seen[idx] {
-			continue
-		}
-		keys := make([]string, len(exs))
-		rem := idx
-		for i := range exs {
-			keys[i] = exs[i].render(int32(rem / strides[i]))
-			rem %= strides[i]
-		}
-		base := idx * int64(nAggs)
-		out = append(out, ssb.MakeRow(keys, sums[base:base+int64(nAggs)]))
-	}
-	return ssb.NewResult(q.ID, out)
-}
-
-// tupleAgg evaluates the aggregate list over constructed []int32 tuples —
-// the shared accumulation helper of the row-oriented paths (early
-// materialization and the row-oriented MV).
-type tupleAgg struct {
-	specs  []ssb.AggSpec
-	ia, ib []int // tuple positions per spec (-1 unused)
-}
-
-// newTupleAgg resolves each spec's expression operands through the caller's
-// column->tuple-position mapping.
-func newTupleAgg(specs []ssb.AggSpec, pos func(string) int) *tupleAgg {
-	cols, ia, ib := ssb.AggInputs(specs)
-	at := make([]int, len(cols))
-	for i, c := range cols {
-		at[i] = pos(c)
-	}
-	resolve := func(src []int) []int {
-		out := make([]int, len(src))
-		for i, v := range src {
-			if v < 0 {
-				out[i] = -1
-			} else {
-				out[i] = at[v]
-			}
-		}
-		return out
-	}
-	return &tupleAgg{specs: specs, ia: resolve(ia), ib: resolve(ib)}
-}
-
-// accumulate folds one qualifying tuple into cells.
-func (a *tupleAgg) accumulate(cells []int64, tup []int32) {
-	for k, s := range a.specs {
-		var v int64
-		if s.Func != ssb.FuncCount {
-			var x, y int32
-			x = tup[a.ia[k]]
-			if a.ib[k] >= 0 {
-				y = tup[a.ib[k]]
-			}
-			v = s.Expr.Eval(x, y)
-		}
-		cells[k] = s.Combine(cells[k], v)
-	}
+	return agg
 }

@@ -247,6 +247,37 @@ func TestLateMatReducesIO(t *testing.T) {
 	}
 }
 
+// TestPerProbeEmptyMatchReadsNoGroupAttributes pins where the per-probe
+// engine pays for group extraction: the dimension attribute columns are read
+// in phase 3, so a grouped query whose probes leave no position reads (and
+// acquires from the pool) exactly what the same restriction costs ungrouped,
+// under every late-materialized Figure 7 configuration. The fused engine
+// extracts inside every block and loads them with the plan.
+func TestPerProbeEmptyMatchReadsNoGroupAttributes(t *testing.T) {
+	grouped := *ssb.QueryByID("3.2")
+	grouped.DimFilters = append([]ssb.DimFilter(nil), grouped.DimFilters...)
+	grouped.DimFilters[0].StrA = "NO SUCH NATION"
+	ungrouped := grouped
+	ungrouped.GroupBy = nil
+	for _, cfg := range append(Figure7Configs(), FusedOpt) {
+		if !cfg.LateMat {
+			continue
+		}
+		var stG, stU iosim.Stats
+		if res := dbFor(cfg).Run(&grouped, cfg, &stG); len(res.Rows) != 0 {
+			t.Fatalf("%s: impossible filter matched %d groups", cfg.Code(), len(res.Rows))
+		}
+		dbFor(cfg).Run(&ungrouped, cfg, &stU)
+		if cfg.FusedActive() {
+			if stG.BytesRead <= stU.BytesRead {
+				t.Errorf("fused: group attributes not charged with the plan: %+v vs ungrouped %+v", stG, stU)
+			}
+		} else if stG != stU {
+			t.Errorf("%s: an empty-match grouped query charged extraction I/O\ngrouped   %+v\nungrouped %+v", cfg.Code(), stG, stU)
+		}
+	}
+}
+
 func TestContiguousRange(t *testing.T) {
 	cases := []struct {
 		pos    *vector.Positions

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/colstore"
 	"repro/internal/ssb"
 )
 
 // Explain renders the physical plan the column executor would run for q
-// under cfg: the join phase-1 outcomes (between-predicate rewriting vs hash
-// fallback), the probe order over fact columns, and the phase-3 extraction
-// strategy per group column. It performs phase 1 for real (dimension
-// predicate evaluation) but touches no fact data.
+// under cfg. It compiles the same Plan RunCtx executes (so it performs join
+// phase 1 for real — dimension predicate evaluation — but touches no fact
+// data) and prints it: the phase-1 outcomes (between-predicate rewriting vs
+// membership fallback), the probe order over fact columns, the phase-3
+// extraction strategy per group column, and the aggregate list.
 func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query %s on column store [%s]\n", q.ID, cfg.Code())
@@ -24,13 +26,15 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 		return b.String()
 	}
 
-	probes := db.planProbes(q, cfg, nil)
+	plan := db.compile(q, cfg, nil)
+	probes := plan.probes
 	if cfg.FusedActive() {
-		if db.fusedGroupSpace(q) > denseLimit {
+		if !plan.dense {
 			fmt.Fprintf(&b, "  FUSED disabled for this query: composite group space exceeds the dense limit; per-probe hash aggregation runs instead\n")
 		} else {
+			nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
 			fmt.Fprintf(&b, "  FUSED: one block-at-a-time pass over %d workers; probes, extraction and dense aggregation run per 64K block\n",
-				db.fusedWorkers(q, cfg))
+				fusedWorkersFor(cfg.Workers, plan.total, nb))
 		}
 	}
 	fmt.Fprintf(&b, "  phase 2 probe order (pipelined, candidates shrink left to right):\n")
@@ -69,9 +73,8 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 			}
 		}
 	}
-	specs := q.AggSpecs()
-	rendered := make([]string, len(specs))
-	for i, s := range specs {
+	rendered := make([]string, len(plan.specs))
+	for i, s := range plan.specs {
 		rendered[i] = s.String()
 	}
 	fmt.Fprintf(&b, "  aggregate: %s\n", strings.Join(rendered, ", "))

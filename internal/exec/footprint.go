@@ -48,7 +48,7 @@ import (
 //   - Early materialization constructs every needed column and the full
 //     tuple array up front: two decoded copies of the needed columns.
 func (db *DB) EstimateFootprint(q *ssb.Query, cfg Config) int64 {
-	sdb, view, _ := db.snapshotForRead()
+	sdb, view, _, _ := db.snapshotForRead()
 	foot := sdb.estimateFrozen(q, cfg)
 	if view != nil {
 		// The write-store scan walks the live delta batches; charge their

@@ -161,20 +161,23 @@ type tombstones struct {
 	ws     *bitmap.Bitmap
 }
 
-// snapshotForRead resolves the epoch a query executes against: the sealed
-// DB, the live delta view, and the deletion vectors form one consistent
-// frontier. Returns (db, nil, zero) for DBs without a write store.
-func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones) {
+// snapshotForRead resolves the frontier a query executes against: the
+// sealed DB, the live delta view, the deletion vectors and the epoch they
+// add up to, all read under one lock — so the epoch names exactly the rows
+// the query scans, however inserts and deletes interleave with it. Returns
+// (db, nil, zero, 0) for DBs without a write store.
+func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones, int64) {
 	ig := db.ingest
 	if ig == nil {
-		return db, nil, tombstones{}
+		return db, nil, tombstones{}, 0
 	}
 	ig.mu.Lock()
 	sdb := ig.sealed
 	view := ig.ws.Snapshot()
 	del := tombstones{sealed: ig.delSealed, ws: ig.delWS}
+	epoch := ig.ws.Total() + ig.deletes.Load()
 	ig.mu.Unlock()
-	return sdb, view, del
+	return sdb, view, del, epoch
 }
 
 // Epoch versions the visible data: rows ever inserted plus delete operations

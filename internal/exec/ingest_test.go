@@ -1,12 +1,15 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/iosim"
+	"repro/internal/obs"
 	"repro/internal/segstore"
 	"repro/internal/ssb"
 )
@@ -87,37 +90,48 @@ func TestIngestDifferential(t *testing.T) {
 
 	rounds := []struct {
 		insert  int
+		split   int // rows per Insert call (0 = the round's rows as one batch)
 		compact bool
 		preDel  []ssb.FactFilter // applied after insert, before any compaction
 		postDel []ssb.FactFilter // applied after compaction
 	}{
 		// Round 0: small delta; compaction is a no-op (< 64K pending). The
 		// post-delete spans base sealed rows AND live delta rows.
-		{3000, true, nil, []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(48, 50)}}},
+		{3000, 0, true, nil, []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(48, 50)}}},
 		// Round 1: larger delta served straight from the WS.
-		{40000, false, nil, nil},
+		{40000, 0, false, nil, nil},
 		// Round 2: delete BEFORE a real seal — the mover must purge the WS
 		// tombstones while topping the tail block up to 64K.
-		{25000, true, []ssb.FactFilter{{Col: "tax", Pred: compress.Eq(7)}}, nil},
+		{25000, 0, true, []ssb.FactFilter{{Col: "tax", Pred: compress.Eq(7)}}, nil},
 		// Round 3: tiny batch on a sealed store; zero-match delete is a no-op.
-		{7, false, nil, []ssb.FactFilter{{Col: "orderkey", Pred: compress.Eq(-1)}}},
+		{7, 0, false, nil, []ssb.FactFilter{{Col: "orderkey", Pred: compress.Eq(-1)}}},
 		// Round 4: sub-block round; multi-predicate conjunction after the seal.
-		{10000, true, nil, []ssb.FactFilter{
+		{10000, 0, true, nil, []ssb.FactFilter{
 			{Col: "discount", Pred: compress.Eq(0)},
 			{Col: "quantity", Pred: compress.Le(10)},
 		}},
+		// Round 5: a trickle — 37 rows per insert, which the write store
+		// coalesces into a handful of batches behind round 3's 7 rows — with a
+		// delete landing inside the merged batches.
+		{1900, 37, false, nil, []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(30, 33)}}},
 	}
 	const queriesPerRound = 6
 	compacted := false
 	for ri, round := range rounds {
-		batch, err := ssb.RandBatch(int64(1000+ri), round.insert, shape)
-		if err != nil {
-			t.Fatalf("round %d: RandBatch: %v", ri, err)
+		per := round.split
+		if per == 0 {
+			per = round.insert
 		}
-		refData.AppendBatch(batch)
-		for _, db := range []*DB{mem, segDB} {
-			if _, err := db.Insert(batch); err != nil {
-				t.Fatalf("round %d: Insert: %v", ri, err)
+		for done := 0; done < round.insert; done += per {
+			batch, err := ssb.RandBatch(int64(1000+ri+1000*done), min(per, round.insert-done), shape)
+			if err != nil {
+				t.Fatalf("round %d: RandBatch: %v", ri, err)
+			}
+			refData.AppendBatch(batch)
+			for _, db := range []*DB{mem, segDB} {
+				if _, err := db.Insert(batch); err != nil {
+					t.Fatalf("round %d: Insert: %v", ri, err)
+				}
 			}
 		}
 		if round.preDel != nil {
@@ -153,8 +167,9 @@ func TestIngestDifferential(t *testing.T) {
 		for qi := 0; qi < queriesPerRound; qi++ {
 			queries = append(queries, ssb.RandQuery(int64(9000+100*ri+qi)))
 		}
-		// Ungrouped MIN/MAX exercises the hidden-count merge; the
-		// impossible filter exercises the empty-sealed/empty-delta paths.
+		// Ungrouped MIN/MAX exercises merge's empty-side identities (a
+		// partial with no qualifying row must not contribute its zeros);
+		// the impossible filter the all-partials-empty rendering.
 		queries = append(queries,
 			&ssb.Query{ID: fmt.Sprintf("minmax-%d", ri), Aggs: []ssb.AggSpec{
 				{Func: ssb.FuncMin, Expr: ssb.AggExpr{ColA: "revenue", Op: '-', ColB: "supplycost"}},
@@ -167,8 +182,9 @@ func TestIngestDifferential(t *testing.T) {
 				{Dim: ssb.DimCustomer, Col: "nation", Op: ssb.QueryByID("3.2").DimFilters[0].Op, StrA: "NO SUCH NATION"},
 			}})
 
-		for _, q := range queries {
+		for qi, q := range queries {
 			want := ssb.Reference(refData, q)
+			checkMergeLaw(t, mem, q, want, int64(100*ri+qi))
 			var stW1, stW8, stSeg iosim.Stats
 			for _, eng := range ingestEngines() {
 				var st *iosim.Stats
@@ -231,6 +247,64 @@ func TestIngestDifferential(t *testing.T) {
 	}
 	if p := store.Pool().PinnedFrames(); p != 0 {
 		t.Errorf("%d frames still pinned after the differential run", p)
+	}
+}
+
+// checkMergeLaw is the property the unified sealed+delta scan (and the
+// morsel workers before it) rests on: partial aggregates merge
+// commutatively and associatively. It deals the current snapshot's morsels
+// — sealed fact blocks and delta batches alike — in random order across
+// 1..8 partial aggregators, some forced onto the hash representation so
+// merges cross the dense/hash boundary in both directions, combines the
+// partials pairwise in random order, and requires the rendered result to be
+// bit-identical to the single-partial run and to the reference.
+func checkMergeLaw(t *testing.T, db *DB, q *ssb.Query, want *ssb.Result, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nk := FusedOpt
+	nk.NoKernels = true
+	cfg := []Config{FusedOpt, FullOpt, nk}[rng.Intn(3)]
+
+	sdb, view, del, _ := db.snapshotForRead()
+	plan := sdb.compile(q, cfg, nil)
+	plan.loadExtractors(sdb, nil)
+	cols := plan.bind(sdb.Fact.MustColumn)
+	var morsels []morsel
+	for bi := 0; bi*65536 < sdb.numRows; bi++ {
+		morsels = append(morsels, sdb.sealedMorsel(cols, del.sealed, bi))
+	}
+	morsels = append(morsels, deltaMorsels(plan, view, del.ws)...)
+	hashed := *plan.aggShape
+	hashed.dense = false
+
+	for _, k := range []int{1, 2 + rng.Intn(7)} {
+		rng.Shuffle(len(morsels), func(i, j int) { morsels[i], morsels[j] = morsels[j], morsels[i] })
+		parts := make([]*fusedWorker, k)
+		for i := range parts {
+			parts[i] = sdb.getFusedWorker(plan, false)
+			if k > 1 && rng.Intn(2) == 0 {
+				parts[i].agg.reset(&hashed)
+			}
+		}
+		for i := range morsels {
+			fusedBlock(&morsels[i], plan, parts[rng.Intn(k)])
+		}
+		for len(parts) > 1 {
+			i := rng.Intn(len(parts))
+			j := rng.Intn(len(parts) - 1)
+			if j >= i {
+				j++
+			}
+			parts[i].agg.merge(&parts[j].agg)
+			sdb.putFusedWorker(parts[j])
+			parts = append(parts[:j], parts[j+1:]...)
+		}
+		got := parts[0].agg.render(q.ID)
+		sdb.putFusedWorker(parts[0])
+		if !got.Equal(want) {
+			t.Errorf("%s [%s]: %d randomly dealt partials over %d morsels merge to a different result\nSQL: %s\n%s",
+				q.ID, cfg.Code(), k, len(morsels), q.SQL(), want.Diff(got))
+		}
 	}
 }
 
@@ -426,6 +500,33 @@ func TestIngestConcurrentSnapshots(t *testing.T) {
 					return
 				}
 				last = got
+			}
+		}(r)
+	}
+	// Traced readers: on this insert-only history the epoch is the number of
+	// rows ever inserted, so the epoch a trace reports must name exactly the
+	// rows its query counted — the snapshot's, not some earlier instant's.
+	for r := 0; r < 2; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tr := &obs.Trace{}
+				var st iosim.Stats
+				res, err := segDB.RunCtx(obs.WithTrace(context.Background(), tr), countQ, FusedOpt, &st)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if got := res.Rows[0].Agg; got != base+tr.Epoch {
+					errCh <- fmt.Errorf("traced reader %d: counted %d rows but the trace names epoch %d (base %d)", r, got, tr.Epoch, base)
+					return
+				}
 			}
 		}(r)
 	}

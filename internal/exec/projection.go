@@ -102,10 +102,16 @@ func (db *DB) chooseProjection(q *ssb.Query, cfg Config) *DB {
 	if len(db.projections) == 0 || !cfg.LateMat {
 		return db
 	}
+	// Phase 1 decides which sort order pays: compile once, uncharged, and
+	// score every candidate from the plan's probes. This is planning ahead
+	// of the execution — the chosen table's own run compiles (and charges)
+	// against its columns — and compile reads nothing for the aggregate half
+	// (extractors load only when an engine extracts).
+	plan := db.compile(q, cfg, nil)
 	best := db
-	bestScore := db.projectionScore(q, cfg, "orderdate")
+	bestScore := db.projectionScore(plan, "orderdate")
 	for _, p := range db.projections {
-		if s := db.projectionScore(q, cfg, p.SortCols[0]); s > bestScore {
+		if s := db.projectionScore(plan, p.SortCols[0]); s > bestScore {
 			best = db.withFact(p.Table)
 			bestScore = s
 		}
@@ -117,37 +123,29 @@ func (db *DB) chooseProjection(q *ssb.Query, cfg Config) *DB {
 // column is sortCol: the count of fact rows eliminated by turning that
 // column's probe into a contiguous range. Zero when no interval probe
 // targets the column.
-func (db *DB) projectionScore(q *ssb.Query, cfg Config, sortCol string) float64 {
+func (db *DB) projectionScore(plan *Plan, sortCol string) float64 {
 	// Fact measure filter directly on the sort column.
-	for _, f := range q.FactFilters {
+	for _, f := range plan.q.FactFilters {
 		if f.Col == sortCol {
 			if _, _, ok := f.Pred.Bounds(); ok {
 				return 1
 			}
 		}
 	}
-	if !cfg.InvisibleJoin {
+	if !plan.cfg.InvisibleJoin {
 		return 0
 	}
-	// Dimension probe that rewrites to a between predicate on the sort
-	// column: evaluate phase 1 to learn its selectivity.
-	for _, dim := range q.DimsUsed() {
+	// Dimension probe that phase 1 rewrote to a between predicate on the
+	// sort column: its selectivity on the dimension translates directly to
+	// eliminated fact rows under the sort.
+	for _, dim := range plan.q.DimsUsed() {
 		if dim.FactFK() != sortCol {
 			continue
 		}
-		var filters []ssb.DimFilter
-		for _, f := range q.DimFilters {
-			if f.Dim == dim {
-				filters = append(filters, f)
+		for _, probe := range plan.probes {
+			if probe.col.Name != sortCol || !probe.isPred || probe.pred.Op != compress.OpBetween {
+				continue
 			}
-		}
-		if len(filters) == 0 {
-			continue
-		}
-		probe := db.dimProbe(dim, filters, cfg, nil)
-		if probe.isPred && probe.pred.Op == compress.OpBetween {
-			// Selectivity of the range on the dimension translates
-			// directly to eliminated fact rows under the sort.
 			dimN := float64(db.Dims[dim].NumRows())
 			width := float64(probe.pred.B-probe.pred.A) + 1
 			if dim == ssb.DimDate {

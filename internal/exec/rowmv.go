@@ -120,28 +120,19 @@ func (db *DB) RunRowMV(q *ssb.Query, mv *RowMV, st *iosim.Stats) *ssb.Result {
 	exs := make([]*groupExtractor, len(q.GroupBy))
 	exCols := make([]int, len(q.GroupBy))
 	for i, g := range q.GroupBy {
-		exs[i] = db.newGroupExtractor(g, hashCfg, st)
+		exs[i] = db.newGroupExtractor(g)
+		exs[i].load(db, hashCfg, st)
 		exCols[i] = mv.colIdx[g.Dim.FactFK()]
 	}
-	specs := q.AggSpecs()
-	agg := newTupleAgg(specs, func(name string) int { return mv.colIdx[name] })
-
-	strides := make([]int64, len(exs))
-	totalCard := int64(1)
-	for i := len(exs) - 1; i >= 0; i-- {
-		strides[i] = totalCard
-		totalCard *= int64(exs[i].card)
+	sh := newAggShape(q.AggSpecs(), exs)
+	agg := newAggregator(sh)
+	// Tuple positions of the aggregate input columns; in is the per-row
+	// operand vector handed to the aggregator.
+	inCols := make([]int, len(sh.inputs))
+	for i, name := range sh.inputs {
+		inCols[i] = mv.colIdx[name]
 	}
-	nAggs := len(specs)
-	var sums []int64
-	var seen []bool
-	if len(exs) > 0 {
-		sums = make([]int64, totalCard*int64(nAggs))
-		seen = make([]bool, totalCard)
-	}
-	total := make([]int64, nAggs)
-	ssb.InitCells(specs, total)
-	var totalRows int64
+	in := make([]int32, len(inCols))
 
 	st.Read(mv.Blob.Bytes())
 	tup := make([]int32, len(mv.Cols))
@@ -159,41 +150,16 @@ rowLoop:
 				continue rowLoop
 			}
 		}
-		if len(exs) == 0 {
-			totalRows++
-			agg.accumulate(total, tup)
-			continue
-		}
-		idx := int64(0)
+		gi := int64(0)
 		for i := range exs {
-			idx += int64(exs[i].viaHash[tup[exCols[i]]]) * strides[i]
+			gi += int64(exs[i].viaHash[tup[exCols[i]]]) * sh.strides[i]
 		}
-		base := idx * int64(nAggs)
-		if !seen[idx] {
-			seen[idx] = true
-			ssb.InitCells(specs, sums[base:base+int64(nAggs)])
+		for i, c := range inCols {
+			in[i] = tup[c]
 		}
-		agg.accumulate(sums[base:base+int64(nAggs)], tup)
+		agg.addRow(gi, in)
 	}
-
-	if len(exs) == 0 {
-		return ssb.NewResult(q.ID, []ssb.ResultRow{ssb.MakeRow(nil, ssb.FinalizeCells(specs, total, totalRows))})
-	}
-	var out []ssb.ResultRow
-	for idx := int64(0); idx < totalCard; idx++ {
-		if !seen[idx] {
-			continue
-		}
-		keys := make([]string, len(exs))
-		rem := idx
-		for i := range exs {
-			keys[i] = exs[i].render(int32(rem / strides[i]))
-			rem %= strides[i]
-		}
-		base := idx * int64(nAggs)
-		out = append(out, ssb.MakeRow(keys, sums[base:base+int64(nAggs)]))
-	}
-	return ssb.NewResult(q.ID, out)
+	return agg.render(q.ID)
 }
 
 // parseTuple decodes a pipe-delimited tuple into dst.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
 	"repro/internal/compress"
+	"repro/internal/delta"
 	"repro/internal/iosim"
 	"repro/internal/obs"
 	"repro/internal/ssb"
@@ -34,87 +35,104 @@ func (db *DB) Run(q *ssb.Query, cfg Config, st *iosim.Stats) *ssb.Result {
 // When ctx is canceled the partial result is discarded and ctx.Err() is
 // returned; st may have recorded a prefix of the query's I/O.
 //
-// For a DB with a write store (EnableDelta), RunCtx first resolves the
-// query's snapshot: one consistent (sealed store, delta view) frontier.
-// The chosen engine scans the sealed store exactly as it would a frozen DB,
-// the write store is scanned separately (wsscan.go), and the partials merge
-// — so inserts accepted after the snapshot are invisible to this query and
-// inserts accepted before are always included, for every engine.
+// RunCtx first resolves the query's snapshot: one consistent (sealed store,
+// delta view, deletion vectors, epoch) frontier. The query is compiled
+// once against it (plan.go); the chosen engine scans the sealed store into
+// the query's aggregator, the live delta batches follow through the shared
+// block routine into the same aggregator (morsel.go), and one render turns
+// the cells into rows — so inserts accepted after the snapshot are
+// invisible to this query and inserts accepted before are always included,
+// for every engine.
 func (db *DB) RunCtx(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats) (*ssb.Result, error) {
 	// The trace rides in the context so no signature above exec changes;
 	// it is extracted exactly once per query. tr == nil is the untraced
 	// fast path: every recording site below tests one pointer.
 	tr := obs.FromContext(ctx)
-	var t0 time.Time
 	if tr != nil {
-		t0 = time.Now()
+		t0 := time.Now()
 		tr.Query = q.ID
 		tr.SQL = q.SQL()
 		tr.Config = cfg.Code()
 		tr.Workers = cfg.Workers
-		tr.Epoch = db.Epoch()
 		defer func() { tr.WallNs = time.Since(t0).Nanoseconds() }()
 	}
-	sdb, view, del := db.snapshotForRead()
-	if view == nil || view.Len() == 0 {
-		return sdb.runFrozen(ctx, q, cfg, st, del.sealed, tr)
+	sdb, view, del, epoch := db.snapshotForRead()
+	if tr != nil {
+		// The epoch of the snapshot actually scanned, not of some instant
+		// before it: an insert may land between any two reads of the DB.
+		tr.Epoch = epoch
 	}
-	specs := q.AggSpecs()
-	runQ := q
-	if len(q.GroupBy) == 0 {
-		// Hidden qualifying-row count so the merge can tell an empty sealed
-		// side from real zeros (see mergeWS). COUNT has no input column, so
-		// the engine's scan work and I/O accounting are unchanged.
-		cp := *q
-		cp.Aggs = append(append([]ssb.AggSpec(nil), specs...), ssb.AggSpec{Func: ssb.FuncCount})
-		runQ = &cp
-	}
-	sealedRes, err := sdb.runFrozen(ctx, runQ, cfg, st, del.sealed, tr)
-	if err != nil {
-		return nil, err
-	}
-	ws := sdb.scanWS(ctx, view, q, cfg, del.ws, tr)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return mergeWS(q, specs, sealedRes, ws), nil
+	return sdb.execute(ctx, q, cfg, st, view, del, tr)
 }
 
-// runFrozen dispatches one engine over this DB's (immutable) storage,
-// masking the snapshot's sealed-side deletion vector (nil = none) so every
+// execute runs q over this (immutable) sealed DB plus the snapshot's delta
+// view, masking the snapshot's deletion vectors (nil = none) so every
 // engine excludes tombstoned rows identically.
-func (db *DB) runFrozen(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, del *bitmap.Bitmap, tr *obs.Trace) (*ssb.Result, error) {
-	var res *ssb.Result
-	if !cfg.LateMat {
-		res = db.runEarlyMat(ctx, q, cfg, st, del, tr)
-	} else if cfg.FusedActive() {
-		res = db.runFused(ctx, q, cfg, st, del, tr)
+func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, view *delta.View, del tombstones, tr *obs.Trace) (*ssb.Result, error) {
+	hasDelta := view != nil && view.Len() > 0
+	var agg *aggregator
+	if cfg.LateMat {
+		rec := newStageRec(tr, st)
+		plan := db.compile(q, cfg, st)
+		fused := cfg.FusedActive() && plan.dense
+		if fused {
+			// Every block extracts, so the group attributes are read with the
+			// plan; the per-probe pipeline reads them only if phase 2 leaves
+			// positions to extract at.
+			plan.loadExtractors(db, st)
+		}
+		rec.rec("plan", "", st, 0, 0, 0)
+		// The query's worker: scratch for the block routine plus the
+		// aggregator every stage below accumulates into.
+		ws := db.getFusedWorker(plan, tr != nil)
+		defer db.putFusedWorker(ws)
+		agg = &ws.agg
+		if fused {
+			db.runFused(ctx, plan, ws, st, del.sealed, tr)
+		} else {
+			// Includes fused configurations whose composite group space is
+			// too large for dense arrays: the per-probe pipeline hash
+			// aggregates.
+			db.runLateMat(ctx, plan, agg, st, del.sealed, rec)
+		}
+		if hasDelta {
+			db.scanDelta(ctx, plan, view, del.ws, ws, tr)
+		}
 	} else {
-		res = db.runLateMat(ctx, q, cfg, st, del, tr)
+		// Early materialization plans row-store style inside its own engine
+		// (and charges that), so it compiles a plan only when there are
+		// delta morsels to run — uncharged, like the rest of the delta pass
+		// — and takes their partial in through merge.
+		agg = db.runEarlyMat(ctx, q, cfg, st, del.sealed, tr)
+		if hasDelta && ctx.Err() == nil {
+			plan := db.compile(q, cfg, nil)
+			ws := db.getFusedWorker(plan, tr != nil)
+			defer db.putFusedWorker(ws)
+			db.scanDelta(ctx, plan, view, del.ws, ws, tr)
+			agg.merge(&ws.agg)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return agg.render(q.ID), nil
 }
 
 // runLateMat is the late-materialized pipeline: predicates produce position
 // lists over the fact table; values are fetched only at qualifying
 // positions (paper Section 5.2), and joins are executed as predicates on
 // fact foreign-key columns (Section 5.4).
-func (db *DB) runLateMat(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, del *bitmap.Bitmap, tr *obs.Trace) *ssb.Result {
-	if tr != nil {
-		tr.Engine = "per-probe"
+func (db *DB) runLateMat(ctx context.Context, plan *Plan, agg *aggregator, st *iosim.Stats, del *bitmap.Bitmap, rec *stageRec) {
+	if rec != nil {
+		rec.tr.Engine = "per-probe"
 	}
-	rec := newStageRec(tr, st)
-	probes := db.planProbes(q, cfg, st)
-	rec.rec("plan", "", st, 0, 0, 0)
+	cfg := plan.cfg
 
 	// Phase 2: apply each fact-side predicate, pipelining candidates.
 	var pos *vector.Positions
-	for _, p := range probes {
+	for _, p := range plan.probes {
 		if ctx.Err() != nil {
-			return emptyResult(q)
+			return
 		}
 		var rowsIn int64
 		if rec != nil {
@@ -150,18 +168,16 @@ func (db *DB) runLateMat(ctx context.Context, q *ssb.Query, cfg Config, st *iosi
 		}
 	}
 	if pos.Len() == 0 || ctx.Err() != nil {
-		return emptyResult(q)
+		return
 	}
 
 	// Phase 3: extract group-by attributes and aggregate inputs at the
 	// final position list only.
-	if rec == nil {
-		return db.aggregate(ctx, q, cfg, pos, st)
+	plan.loadExtractors(db, st)
+	db.aggregate(ctx, plan, pos, agg, st)
+	if rec != nil {
+		rec.rec("aggregate", "", st, int64(pos.Len()), agg.numGroups(), 0)
 	}
-	rowsIn := int64(pos.Len())
-	res := db.aggregate(ctx, q, cfg, pos, st)
-	rec.rec("aggregate", "", st, rowsIn, int64(len(res.Rows)), 0)
-	return res
 }
 
 // factProbe is one predicate to apply against a fact column: either a

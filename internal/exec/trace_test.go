@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/obs"
 	"repro/internal/ssb"
@@ -173,6 +174,100 @@ func TestTraceShapeQ11(t *testing.T) {
 	last := tr.Stages[len(tr.Stages)-1]
 	if last.Name != "extract+aggregate" || last.RowsIn != probes[2].RowsOut {
 		t.Errorf("tail stage %q rows in %d, want extract+aggregate fed %d", last.Name, last.RowsIn, probes[2].RowsOut)
+	}
+}
+
+// TestTraceUnderIngest pins the trace's shape with a live write store, for
+// every engine: the query is planned once (one plan stage, however many
+// stores it touches), the delta pass is exactly one ws-scan stage fed the
+// snapshot's whole delta, and tracing still changes neither the result nor
+// the query's iosim.Stats.
+func TestTraceUnderIngest(t *testing.T) {
+	data := ssb.Generate(0.01)
+	refData := ssb.Generate(0.01)
+	db := BuildDB(data, true)
+	if err := db.EnableDelta(0); err != nil {
+		t.Fatal(err)
+	}
+	shape, err := db.BatchShape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two batches and a delete that tombstones rows on both sides of the
+	// frontier, so the delta morsels take the masked arm too. wsDead counts
+	// the write-store rows it tombstones.
+	var wsDead int64
+	for i, n := range []int{3000, 1700} {
+		batch, err := ssb.RandBatch(int64(40+i), n, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refData.AppendBatch(batch)
+		if _, err := db.Insert(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, qty := range batch.Quantity {
+			if qty >= 20 && qty <= 22 {
+				wsDead++
+			}
+		}
+	}
+	del := []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(20, 22)}}
+	refData.DeleteWhere(del)
+	if _, err := db.Delete(del); err != nil {
+		t.Fatal(err)
+	}
+	deltaRows := db.DeltaStats().PendingRows
+	if deltaRows != 4700 {
+		t.Fatalf("delta holds %d rows, want 4700", deltaRows)
+	}
+
+	queries := ssb.Queries()
+	for i := 0; i < 12; i++ {
+		queries = append(queries, ssb.RandQuery(diffSeedBase+int64(i)))
+	}
+	for _, tc := range traceConfigs() {
+		for _, q := range queries {
+			var stPlain, stTraced iosim.Stats
+			plain := db.Run(q, tc.cfg, &stPlain)
+			tr := &obs.Trace{}
+			traced, err := db.RunCtx(obs.WithTrace(context.Background(), tr), q, tc.cfg, &stTraced)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.label, q.ID, err)
+			}
+			if want := ssb.Reference(refData, q); !plain.Equal(want) {
+				t.Errorf("%s %s: diverges from reference under ingest\n%s", tc.label, q.ID, want.Diff(plain))
+			}
+			if !traced.Equal(plain) {
+				t.Errorf("%s %s: tracing changed the result\n%s", tc.label, q.ID, plain.Diff(traced))
+			}
+			if stPlain != stTraced {
+				t.Errorf("%s %s: tracing changed the I/O accounting\nuntraced %+v\ntraced   %+v",
+					tc.label, q.ID, stPlain, stTraced)
+			}
+			var plans, scans int
+			for _, s := range tr.Stages {
+				switch s.Name {
+				case "plan":
+					plans++
+				case "ws-scan":
+					scans++
+					if s.RowsIn != deltaRows {
+						t.Errorf("%s %s: ws-scan rows in %d, snapshot delta holds %d", tc.label, q.ID, s.RowsIn, deltaRows)
+					}
+					// Tombstoned counts the deleted rows the scan met — every
+					// one in a morsel no zone map pruned, matched or not.
+					if s.Tombstoned > wsDead || (s.BlocksPruned == 0 && s.Tombstoned != wsDead) {
+						t.Errorf("%s %s: ws-scan tombstoned %d with %d morsels pruned, write store holds %d deleted rows",
+							tc.label, q.ID, s.Tombstoned, s.BlocksPruned, wsDead)
+					}
+				}
+			}
+			if plans != 1 || scans != 1 {
+				t.Errorf("%s %s: %d plan and %d ws-scan stages, want exactly one of each\n%s",
+					tc.label, q.ID, plans, scans, tr.String())
+			}
+		}
 	}
 }
 
