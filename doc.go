@@ -153,9 +153,10 @@
 // PERFORMANCE.md carries the measurements and the paper-vs-measured
 // figures.
 //
-// server (internal/server, cmd/ssb-serve): HTTP JSON front end — decode,
-// result cache keyed by (normalized SQL, epoch), byte-budget admission,
-// flight recorder, /stats and /metrics.
+// server (internal/server, cmd/ssb-serve): HTTP JSON front end — plan cache
+// keyed by the raw request text (decode and parse once per distinct text),
+// result cache keyed by (normalized SQL, epoch) holding each answer already
+// rendered, byte-budget admission, flight recorder, /stats and /metrics.
 //
 // sql (internal/sql, internal/ssb): text to the logical star plan
 // ssb.Query, and back (Query.SQL, the cache key); ssb.Reference is the

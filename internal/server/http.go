@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/compress"
 	"repro/internal/exec"
@@ -32,31 +37,6 @@ type queryRequest struct {
 	// trace=1). Cache hits carry no trace — the entry's run predates the
 	// request.
 	Trace bool `json:"trace,omitempty"`
-}
-
-// queryResponse is the JSON shape of one served query.
-type queryResponse struct {
-	ID     string     `json:"id"`
-	SQL    string     `json:"sql"`
-	Rows   []queryRow `json:"rows"`
-	Cached bool       `json:"cached"`
-	// WaitNs is admission queueing, CPUNs measured execution, IOBytes /
-	// IOSeeks the logical I/O, TotalNs the paper-comparable total (CPU +
-	// modeled disk time).
-	WaitNs  int64 `json:"wait_ns"`
-	CPUNs   int64 `json:"cpu_ns"`
-	IOBytes int64 `json:"io_bytes"`
-	IOSeeks int64 `json:"io_seeks"`
-	TotalNs int64 `json:"total_ns"`
-	// Trace is the per-stage execution trace, present only when the request
-	// asked for one (trace=1) and the query actually ran (not a cache hit).
-	Trace *obs.Trace `json:"trace,omitempty"`
-}
-
-// queryRow mirrors ssb.ResultRow with the aggregate list always explicit.
-type queryRow struct {
-	Keys []string `json:"keys,omitempty"`
-	Aggs []int64  `json:"aggs"`
 }
 
 // insertRequest is the POST body of /insert: either explicit rows or a
@@ -95,6 +75,16 @@ type insertRow struct {
 // fits the seeded path's row cap; explicit-row batches larger than this
 // should be split).
 const maxInsertBodyBytes = 64 << 20
+
+// maxQueryBodyBytes bounds one POSTed /query body.
+const maxQueryBodyBytes = 1 << 20
+
+// bufPool recycles handleQuery's one buffer, which holds the POST body and
+// then the response.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is shared by every response; net/http only reads it.
+var jsonContentType = []string{"application/json"}
 
 // retryAfterSeconds is the Retry-After hint sent with write-store
 // backpressure: roughly how long one background tuple-mover pass takes on
@@ -420,51 +410,55 @@ func (r *insertRequest) batch(s *Server) (*ssb.Lineorders, error) {
 	return b, nil
 }
 
-// handleQuery parses the plan selector, executes, and renders the result.
+// handleQuery answers one query. A repeated request costs three map lookups
+// (route, plan cache, result cache) and one Write: its text is neither
+// decoded nor parsed again, and the cached answer is already rendered.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	key := planKey{text: r.URL.RawQuery}
 	switch r.Method {
 	case http.MethodGet:
-		req.ID = r.URL.Query().Get("id")
-		req.SQL = r.URL.Query().Get("sql")
-		if v := r.URL.Query().Get("seed"); v != "" {
-			seed, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad seed: "+err.Error())
-				return
-			}
-			req.Seed = &seed
-		}
-		if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-			req.Trace = true
-		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		body := bytes.NewBuffer((*bp)[:0])
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
+		*bp = body.Bytes()
+		if err != nil {
+			status := http.StatusBadRequest
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, "bad request body: "+err.Error())
 			return
 		}
+		key = planKey{post: true, text: string(*bp)}
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
-
-	q, err := req.plan()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+	p, ok := s.plans.get(key)
+	if !ok {
+		var err error
+		if p, err = newPlanEntry(key); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if len(key.text) <= maxPlanKeyBytes {
+			s.plans.put(key, p)
+		}
 	}
 	rec, _ := r.Context().Value(accessKey{}).(*accessRecord)
 	if rec != nil {
-		rec.query = req.querySelector()
+		rec.query = p.selector
 	}
 
 	ctx := r.Context()
 	var tr *obs.Trace
-	if req.Trace {
+	if p.trace {
 		tr = &obs.Trace{}
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	resp, err := s.Execute(ctx, q)
+	e, cached, wait, err := s.execute(ctx, p.q, p.sql)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrClosed):
@@ -479,29 +473,141 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-
 	if rec != nil {
-		rec.wait = resp.Wait
-		rec.cached = resp.Cached
+		rec.wait, rec.cached = wait, cached
 	}
-	out := queryResponse{
-		ID:      q.ID,
-		SQL:     q.SQL(),
-		Rows:    make([]queryRow, 0, len(resp.Result.Rows)),
-		Cached:  resp.Cached,
-		WaitNs:  int64(resp.Wait),
-		CPUNs:   int64(resp.Stats.Wall),
-		IOBytes: resp.Stats.IO.BytesRead,
-		IOSeeks: resp.Stats.IO.Seeks,
-		TotalNs: int64(resp.Stats.Total),
+	*bp = appendQueryResponse((*bp)[:0], p, e, cached, wait, tr)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(*bp))}
+	_, _ = w.Write(*bp) // a failed write is a gone client; nothing to report
+}
+
+// appendQueryResponse renders the /query response object byte for byte as
+// encoding/json (HTML escaping off) rendered it: wait_ns is admission
+// queueing, cpu_ns measured execution, io_bytes/io_seeks the logical I/O,
+// total_ns the paper-comparable total (CPU + modeled disk time); tr is the
+// trace the request asked for, if any.
+func appendQueryResponse(dst []byte, p *planEntry, e *cacheEntry, cached bool, wait time.Duration, tr *obs.Trace) []byte {
+	dst = appendJSONString(append(dst, `{"id":`...), p.q.ID)
+	dst = append(dst, ',')
+	if e.frag != nil {
+		dst = append(dst, e.frag...)
+	} else {
+		dst = appendFragment(dst, p.sql, e.res)
 	}
-	if tr != nil && !resp.Cached {
-		out.Trace = tr
+	dst = strconv.AppendBool(append(dst, `,"cached":`...), cached)
+	dst = strconv.AppendInt(append(dst, `,"wait_ns":`...), int64(wait), 10)
+	dst = strconv.AppendInt(append(dst, `,"cpu_ns":`...), int64(e.stats.Wall), 10)
+	dst = strconv.AppendInt(append(dst, `,"io_bytes":`...), e.stats.IO.BytesRead, 10)
+	dst = strconv.AppendInt(append(dst, `,"io_seeks":`...), e.stats.IO.Seeks, 10)
+	dst = strconv.AppendInt(append(dst, `,"total_ns":`...), int64(e.stats.Total), 10)
+	if tr != nil && !cached { // a hit's entry predates the request: nothing was traced
+		body := bytes.NewBuffer(append(dst, `,"trace":`...))
+		enc := json.NewEncoder(body)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(tr) // plain data into memory: cannot fail
+		dst = bytes.TrimSuffix(body.Bytes(), []byte("\n"))
 	}
-	for _, row := range resp.Result.Rows {
-		out.Rows = append(out.Rows, queryRow{Keys: row.Keys, Aggs: row.AggValues()})
+	return append(dst, "}\n"...)
+}
+
+// appendFragment renders the part of a response that is a pure function of
+// (plan, data): `"sql":…,"rows":[{"keys":[…],"aggs":[…]},…]`, keys omitted
+// for ungrouped rows. The result cache stores it beside the result.
+func appendFragment(dst []byte, sql string, res *ssb.Result) []byte {
+	dst = appendJSONString(append(dst, `"sql":`...), sql)
+	dst = append(dst, `,"rows":[`...)
+	for i, row := range res.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '{')
+		if len(row.Keys) > 0 {
+			dst = append(dst, `"keys":[`...)
+			for j, k := range row.Keys {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONString(dst, k)
+			}
+			dst = append(dst, `],`...)
+		}
+		dst = append(dst, `"aggs":[`...)
+		for j, a := range row.AggValues() {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, a, 10)
+		}
+		dst = append(dst, `]}`...)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return append(dst, ']')
+}
+
+// appendJSONString appends s as a JSON string literal exactly as
+// encoding/json does with HTML escaping off: quote, backslash and control
+// bytes escaped, invalid UTF-8 replaced by U+FFFD, U+2028/9 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= ' ' && b < utf8.RuneSelf && b != '"' && b != '\\' {
+			i++
+			continue
+		}
+		c, size := rune(b), 1
+		if b >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+			if !(c == utf8.RuneError && size == 1) && c != '\u2028' && c != '\u2029' {
+				i += size
+				continue
+			}
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', b)
+		case '\b', '\t', '\n', '\f', '\r': // bytes 8-13; 11 (\v) has no short form
+			dst = append(dst, '\\', "btn_fr"[c-'\b'])
+		case utf8.RuneError:
+			dst = append(dst, `\ufffd`...)
+		default: // control bytes and U+2028/9
+			dst = append(dst, '\\', 'u', hex[c>>12&0xF], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// newPlanEntry resolves a raw request selector: decode, parse, render.
+func newPlanEntry(key planKey) (*planEntry, error) {
+	var req queryRequest
+	if key.post {
+		if err := json.NewDecoder(strings.NewReader(key.text)).Decode(&req); err != nil {
+			return nil, errors.New("bad request body: " + err.Error())
+		}
+	} else {
+		v, _ := url.ParseQuery(key.text) // as URL.Query: malformed pairs are dropped
+		req.ID, req.SQL = v.Get("id"), v.Get("sql")
+		if sv := v.Get("seed"); sv != "" {
+			seed, err := strconv.ParseInt(sv, 10, 64)
+			if err != nil {
+				return nil, errors.New("bad seed: " + err.Error())
+			}
+			req.Seed = &seed
+		}
+		t := v.Get("trace")
+		req.Trace = t == "1" || t == "true"
+	}
+	q, err := req.plan()
+	if err != nil {
+		return nil, err
+	}
+	return &planEntry{q: q, sql: q.SQL(), trace: req.Trace, selector: req.querySelector()}, nil
 }
 
 // plan resolves the request's selector to a logical plan.

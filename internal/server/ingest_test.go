@@ -30,7 +30,9 @@ func newIngestServer(t *testing.T, opts Options) (*Server, *ssb.Data) {
 // TestInsertVisibilityAndCacheEpoch pins the serving-layer write-path
 // contract: a query after an insert sees it, the result cache never serves
 // a pre-insert entry for a post-insert query (epoch keying), and repeated
-// queries within one epoch still hit.
+// queries within one epoch still hit. Over HTTP the plan cache is not keyed
+// by epoch: the repeated text skips parsing after the insert and only the
+// result lookup misses.
 func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	srv, data := newIngestServer(t, Options{CacheEntries: 32})
 	defer srv.Close()
@@ -51,6 +53,9 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	if !r2.Cached {
 		t.Fatal("same-epoch repeat was not served from cache")
 	}
+	h := srv.Handler()
+	countBody := sqlBody(t, "select  count(*)  from lineorder", false)
+	checkOracle(t, "pre-insert count", serve(h, http.MethodPost, "/query", countBody), "http", countQ.SQL(), r1.Result)
 
 	shape, err := srv.DB().IngestShape()
 	if err != nil {
@@ -74,8 +79,34 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	if got := r3.Result.Rows[0].Agg; got != base+2500 {
 		t.Fatalf("post-insert count %d, want %d", got, base+2500)
 	}
+	planHits, planMisses, _ := srv.plans.counters()
+	_, resultMisses, _ := srv.cache.counters()
+	again := checkOracle(t, "post-insert count", serve(h, http.MethodPost, "/query", countBody), "http", countQ.SQL(), r3.Result)
+	if !again.Cached {
+		t.Fatal("post-insert repeat of an in-process answer was not a result-cache hit")
+	}
+	if rec := srv.Recorder().Snapshot(1)[0]; rec.Epoch != 2500 || !rec.Cached {
+		t.Fatalf("flight-recorder entry of the hit: %+v, want epoch 2500", rec)
+	}
+	batch2, err := ssb.RandBatch(4, 100, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Insert(batch2); err != nil {
+		t.Fatal(err)
+	}
+	want := ssb.NewResult("count", []ssb.ResultRow{ssb.MakeRow(nil, []int64{base + 2600})})
+	if fresh := checkOracle(t, "second insert", serve(h, http.MethodPost, "/query", countBody), "http", countQ.SQL(), want); fresh.Cached {
+		t.Fatal("HTTP query after an insert served from the pre-insert entry")
+	}
+	if hits, misses, _ := srv.plans.counters(); hits != planHits+2 || misses != planMisses {
+		t.Fatalf("plan cache across inserts: hits %d->%d misses %d->%d, want +2/+0", planHits, hits, planMisses, misses)
+	}
+	if _, misses, _ := srv.cache.counters(); misses != resultMisses+1 {
+		t.Fatalf("result-cache misses %d->%d, want +1 (the post-insert lookup)", resultMisses, misses)
+	}
 	st := srv.Stats()
-	if st.Inserts != 1 || st.InsertedRows != 2500 || !st.Delta.Enabled || st.Delta.Epoch != 2500 {
+	if st.Inserts != 2 || st.InsertedRows != 2600 || !st.Delta.Enabled || st.Delta.Epoch != 2600 {
 		t.Fatalf("stats after insert: %+v", st)
 	}
 }

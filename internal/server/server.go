@@ -18,12 +18,14 @@
 //     execution no matter how queries interleave — the stress tests pin
 //     exactly that.
 //
-// An LRU keyed by normalized SQL plus the data epoch (cache.go)
-// short-circuits repeated queries. On a frozen store the epoch never moves
-// and entries live forever; with ingest enabled (Options.Ingest) every
-// accepted insert bumps the epoch, so entries computed before a write stop
-// being addressable and age out — queries after an insert always reach the
-// engine and see the write store.
+// Two LRUs (cache.go) make a repeated /query request cost three map lookups
+// and one Write. The plan cache maps the raw request text to its parsed plan
+// and normalized SQL; it does not depend on data and survives writes. The
+// result cache, keyed by (normalized SQL, data epoch), holds the answer and
+// its rendered response fragment. On a frozen store the epoch never moves;
+// with ingest enabled (Options.Ingest) every accepted insert or delete bumps
+// it, so entries computed before a write stop being addressable and age out
+// — queries after a write always reach the engine and see the write store.
 package server
 
 import (
@@ -113,8 +115,10 @@ type Server struct {
 	db      *core.DB
 	col     *exec.DB
 	coreCfg core.Config
+	cfgCode string // coreCfg.Col.Code(), for flight-recorder entries of hits
 	sem     *byteSem
-	cache   *resultCache
+	cache   *lru[resultKey, *cacheEntry]
+	plans   *lru[planKey, *planEntry]
 
 	logical iosim.Atomic
 
@@ -180,7 +184,9 @@ func New(db *core.DB, opts Options) (*Server, error) {
 		col:       db.ColumnDB(cfg.Compression),
 		coreCfg:   core.ColumnStore(cfg),
 		sem:       newByteSem(admit),
-		cache:     newResultCache(entries),
+		cfgCode:   cfg.Code(),
+		cache:     newLRU[resultKey, *cacheEntry](entries),
+		plans:     newLRU[planKey, *planEntry](planCacheEntries),
 		slowQuery: opts.SlowQuery,
 		accessLog: opts.AccessLog,
 		logf:      opts.Logf,
@@ -312,10 +318,24 @@ type Response struct {
 // of ctx abandons the query at the next block boundary (releasing all
 // pinned segments) or, while still queued for admission, immediately.
 func (s *Server) Execute(ctx context.Context, q *ssb.Query) (*Response, error) {
+	var sql string
+	if s.cache.enabled() {
+		sql = q.SQL()
+	}
+	e, cached, wait, err := s.execute(ctx, q, sql)
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Result: e.res, Stats: e.stats, Cached: cached, Wait: wait}, nil
+}
+
+// execute is Execute given q's normalized SQL (read only when the result
+// cache is on), which the HTTP path renders once per distinct request text.
+func (s *Server) execute(ctx context.Context, q *ssb.Query, sql string) (e *cacheEntry, cached bool, wait time.Duration, err error) {
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
-		return nil, ErrClosed
+		return nil, false, 0, ErrClosed
 	}
 	s.wg.Add(1)
 	s.closeMu.RUnlock()
@@ -325,24 +345,22 @@ func (s *Server) Execute(ctx context.Context, q *ssb.Query) (*Response, error) {
 	defer s.inFlight.Add(-1)
 	s.queries.Add(1)
 
-	var key string
-	if s.cache.enabled() {
-		// The key carries the epoch observed *before* execution: an insert
-		// landing mid-query may store a result one epoch fresher than its
-		// label, which is indistinguishable from the query having run an
-		// instant later; an entry is never served for a newer epoch.
-		key = cacheKey(q, s.coreCfg, s.db.Epoch())
-		if e, ok := s.cache.get(key); ok {
-			s.recorder.Record(obs.QueryRecord{
-				UnixNano: time.Now().UnixNano(),
-				Query:    q.ID,
-				Engine:   "cache",
-				Config:   s.coreCfg.Col.Code(),
-				Epoch:    s.db.Epoch(),
-				Cached:   true,
-			})
-			return &Response{Result: e.res, Stats: e.stats, Cached: true}, nil
-		}
+	// The epoch is read once, *before* execution, for the lookup, the store
+	// and the flight recorder alike. An insert landing mid-query may store a
+	// result one epoch fresher than its label — indistinguishable from the
+	// query having run an instant later; no entry serves a newer epoch.
+	epoch := s.db.Epoch()
+	key := resultKey{sql, epoch}
+	if hit, ok := s.cache.get(key); ok {
+		s.recorder.Record(obs.QueryRecord{
+			UnixNano: time.Now().UnixNano(),
+			Query:    q.ID,
+			Engine:   "cache",
+			Config:   s.cfgCode,
+			Epoch:    epoch,
+			Cached:   true,
+		})
+		return hit, true, 0, nil
 	}
 
 	weight := s.col.EstimateFootprint(q, s.coreCfg.Col)
@@ -354,13 +372,13 @@ func (s *Server) Execute(ctx context.Context, q *ssb.Query) (*Response, error) {
 		s.recorder.Record(obs.QueryRecord{
 			UnixNano: time.Now().UnixNano(),
 			Query:    q.ID,
-			Epoch:    s.db.Epoch(),
+			Epoch:    epoch,
 			Error:    "admission: " + err.Error(),
 			WaitNs:   int64(time.Since(admitStart)),
 		})
-		return nil, err
+		return nil, false, 0, err
 	}
-	wait := time.Since(admitStart)
+	wait = time.Since(admitStart)
 	if wait > time.Millisecond {
 		s.waits.Add(1)
 	}
@@ -396,17 +414,19 @@ func (s *Server) Execute(ctx context.Context, q *ssb.Query) (*Response, error) {
 		s.errors.Add(1)
 		rec.Error = err.Error()
 		s.recorder.Record(rec)
-		return nil, err
+		return nil, false, 0, err
 	}
 	s.recorder.Record(rec)
 	s.logical.AddStats(stats.IO)
 	if s.slowQuery > 0 && dur >= s.slowQuery {
 		s.logf("slow-query wait=%s %s", wait.Round(time.Microsecond), tr.CompactLine())
 	}
-	if key != "" {
-		s.cache.put(key, res, stats)
+	e = &cacheEntry{res: res, stats: stats}
+	if s.cache.enabled() {
+		e.frag = appendFragment(nil, sql, res)
+		s.cache.put(key, e)
 	}
-	return &Response{Result: res, Stats: stats, Wait: wait}, nil
+	return e, false, wait, nil
 }
 
 // Stats is a snapshot of the server's counters.

@@ -386,30 +386,34 @@ func waitForWaiters(t *testing.T, s *byteSem, n int) {
 // TestResultCacheLRU pins the cache: repeated keys hit, capacity evicts
 // the least recently used entry, and disabled caches never hit.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	r := ssb.NewResult("x", nil)
-	c.put("a", r, core.RunStats{})
-	c.put("b", r, core.RunStats{})
-	if _, ok := c.get("a"); !ok {
+	c := newLRU[resultKey, *cacheEntry](2)
+	key := func(k string) resultKey { return resultKey{sql: k} }
+	e := &cacheEntry{res: ssb.NewResult("x", nil)}
+	c.put(key("a"), e)
+	c.put(key("b"), e)
+	if _, ok := c.get(key("a")); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", r, core.RunStats{}) // evicts b (LRU)
-	if _, ok := c.get("b"); ok {
+	c.put(key("c"), e) // evicts b (LRU)
+	if _, ok := c.get(key("b")); ok {
 		t.Fatal("b survived past capacity")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(key(k)); !ok {
 			t.Fatalf("%s missing after eviction", k)
 		}
 	}
+	if _, ok := c.get(resultKey{sql: "a", epoch: 1}); ok {
+		t.Fatal("an entry answered for a newer epoch")
+	}
 	hits, misses, entries := c.counters()
-	if hits != 3 || misses != 1 || entries != 2 {
+	if hits != 3 || misses != 2 || entries != 2 {
 		t.Fatalf("hits=%d misses=%d entries=%d", hits, misses, entries)
 	}
 
-	off := newResultCache(-1)
-	off.put("a", r, core.RunStats{})
-	if _, ok := off.get("a"); ok {
+	off := newLRU[resultKey, *cacheEntry](-1)
+	off.put(key("a"), e)
+	if _, ok := off.get(key("a")); ok {
 		t.Fatal("disabled cache served a hit")
 	}
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/compress"
@@ -203,18 +204,9 @@ func compileDimFilter(pr pred) (ssb.DimFilter, error) {
 func inferFlight(q *ssb.Query) int {
 	needed := q.NeededFactColumns()
 	for flight := 1; flight <= 4; flight++ {
-		cover := map[string]bool{}
-		for _, c := range ssb.FlightMVColumns(flight) {
-			cover[c] = true
-		}
-		ok := true
-		for _, c := range needed {
-			if !cover[c] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		cover := ssb.FlightMVColumns(flight)
+		uncovered := func(c string) bool { return !slices.Contains(cover, c) }
+		if !slices.ContainsFunc(needed, uncovered) {
 			return flight
 		}
 	}

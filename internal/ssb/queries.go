@@ -1,6 +1,11 @@
 package ssb
 
-import "repro/internal/compress"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/compress"
+)
 
 // Dim identifies one of the four SSBM dimension tables.
 type Dim uint8
@@ -383,14 +388,29 @@ func Queries() []*Query {
 	}
 }
 
-// QueryByID returns the query with the given id, or nil.
-func QueryByID(id string) *Query {
+// queryTable holds what lookups by id or flight need from the thirteen
+// queries, built once: Queries constructs every literal afresh, which the
+// serving path must not pay per request.
+var queryTable = sync.OnceValue(func() (t struct {
+	byID   map[string]*Query
+	mvCols map[int][]string // by flight
+}) {
+	t.byID, t.mvCols = map[string]*Query{}, map[int][]string{}
 	for _, q := range Queries() {
-		if q.ID == id {
-			return q
+		t.byID[q.ID] = q
+		for _, c := range q.NeededFactColumns() {
+			if !slices.Contains(t.mvCols[q.Flight], c) {
+				t.mvCols[q.Flight] = append(t.mvCols[q.Flight], c)
+			}
 		}
 	}
-	return nil
+	return t
+})
+
+// QueryByID returns the query with the given id, or nil. The value is
+// shared and read-only; callers that mutate start from Queries or a copy.
+func QueryByID(id string) *Query {
+	return queryTable().byID[id]
 }
 
 // NeededFactColumns returns the fact-table columns required to execute q:
@@ -421,20 +441,8 @@ func (q *Query) NeededFactColumns() []string {
 
 // FlightMVColumns returns the fact columns of the optimal per-flight
 // materialized view (paper Section 4: "a view with exactly the columns
-// needed to answer queries in that flight", with no pre-joining).
+// needed to answer queries in that flight", with no pre-joining). The slice is
+// shared and read-only.
 func FlightMVColumns(flight int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, q := range Queries() {
-		if q.Flight != flight {
-			continue
-		}
-		for _, c := range q.NeededFactColumns() {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	return queryTable().mvCols[flight]
 }
