@@ -1,20 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/iosim"
 	"repro/internal/rowexec"
 	"repro/internal/ssb"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_sf001.json from the reference engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*_sf001.json golden files: results from the reference engine, I/O counters from the engines as they are")
 
 const goldenPath = "testdata/golden_sf001.json"
 
@@ -96,18 +100,17 @@ func TestGoldenReference(t *testing.T) {
 }
 
 // goldenMatrix is every engine/Config combination the golden sweep pins:
-// the column store per-probe and fused at 1/4/8 workers, all five row-store
-// designs (plus the no-partitioning and super-tuple variants), the
-// row-oriented MV, and the three denormalized modes.
+// the fused column store at 1/4/8 workers, the seven Figure 7 ablation
+// configurations (per-probe and early-materialized, single-threaded as in
+// the paper), all five row-store designs (plus the no-partitioning and
+// super-tuple variants), the row-oriented MV, and the three denormalized
+// modes.
 func goldenMatrix() []Config {
 	var out []Config
-	for _, fused := range []bool{false, true} {
-		for _, w := range []int{1, 4, 8} {
-			c := exec.FullOpt
-			c.Fused = fused
-			c.Workers = w
-			out = append(out, ColumnStore(c))
-		}
+	for _, w := range []int{1, 4, 8} {
+		c := exec.FusedOpt
+		c.Workers = w
+		out = append(out, ColumnStore(c))
 	}
 	out = append(out, Figure7Systems()...)
 	for _, d := range rowexec.Designs() {
@@ -146,16 +149,9 @@ func TestGoldenSegmentStore(t *testing.T) {
 		t.Errorf("segment store SF = %v want %v", segDB.SF, testDB.SF)
 	}
 
-	var cfgs []Config
-	for _, fused := range []bool{false, true} {
-		for _, w := range []int{1, 8} {
-			c := exec.FullOpt
-			c.Fused = fused
-			c.Workers = w
-			cfgs = append(cfgs, ColumnStore(c))
-		}
-	}
-	for _, cfg := range cfgs {
+	w8 := exec.FusedOpt
+	w8.Workers = 8
+	for _, cfg := range []Config{ColumnStore(exec.FullOpt), ColumnStore(exec.FusedOpt), ColumnStore(w8)} {
 		for _, q := range ssb.Queries() {
 			res, _, err := segDB.Run(q.ID, cfg)
 			if err != nil {
@@ -208,4 +204,154 @@ func TestGoldenEngineMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ioStatsFile pins cell -> plan id -> the whole iosim.Stats of one
+// execution at SF=0.01: the logical I/O model is deterministic, so a
+// refactor that claims to move code, not cost, shows an empty diff here.
+type ioStatsFile map[string]map[string]iosim.Stats
+
+// ioStatsKey names a cell: the config's label plus the worker count, which
+// Label leaves out.
+func ioStatsKey(cfg Config) string {
+	if cfg.Col.Workers > 0 {
+		return fmt.Sprintf("%s/w%d", cfg.Label(), cfg.Col.Workers)
+	}
+	return cfg.Label()
+}
+
+// marshal renders the file with sorted keys and one line per cell, so a
+// changed counter is a one-line diff.
+func (f ioStatsFile) marshal(t *testing.T) []byte {
+	var b bytes.Buffer
+	b.WriteString("{\n")
+	cells := slices.Sorted(maps.Keys(f))
+	for i, cell := range cells {
+		fmt.Fprintf(&b, " %q: {\n", cell)
+		ids := slices.Sorted(maps.Keys(f[cell]))
+		for j, id := range ids {
+			st, err := json.Marshal(f[cell][id])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "  %q: %s", id, st)
+			if j < len(ids)-1 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('\n')
+		}
+		b.WriteString(" }")
+		if i < len(cells)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("}\n")
+	return b.Bytes()
+}
+
+// wideGroupPlans are two ungoverned three-way groupings whose composite
+// group space outgrows what the thirteen queries ever reach: the first
+// (7.7e7 at this scale factor) is past the dense-array limit and aggregates
+// by hash; the second (3.5e6) sits between the per-worker and the dense
+// limits here and is past both from SF=0.02.
+func wideGroupPlans() []*ssb.Query {
+	return []*ssb.Query{
+		{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
+		{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}},
+	}
+}
+
+// checkIOStats runs every plan under every config, demands the reference
+// result, and compares each run's whole iosim.Stats with the golden file at
+// path (or rewrites the file under -update). An ad-hoc plan a design does
+// not cover — no flight MV, attributes outside the denormalized schema — is
+// left out of that design's cell.
+func checkIOStats(t *testing.T, path string, cfgs []Config, plans func(Config) []*ssb.Query) {
+	got := ioStatsFile{}
+	refs := map[string]*ssb.Result{}
+	for _, cfg := range cfgs {
+		cell := map[string]iosim.Stats{}
+		for _, q := range plans(cfg) {
+			res, stats, err := testDB.RunPlan(q, cfg)
+			if err != nil {
+				if q.Flight == 0 {
+					continue
+				}
+				t.Fatalf("%s on %s: %v", q.ID, ioStatsKey(cfg), err)
+			}
+			if refs[q.ID] == nil {
+				refs[q.ID] = ssb.Reference(testDB.Data, q)
+			}
+			if !res.Equal(refs[q.ID]) {
+				t.Errorf("%s on %s diverges from reference:\n%s", q.ID, ioStatsKey(cfg), refs[q.ID].Diff(res))
+			}
+			cell[q.ID] = stats.IO
+		}
+		got[ioStatsKey(cfg)] = cell
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got.marshal(t), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (regenerate with `go test ./internal/core -run TestGolden -update`): %v", err)
+	}
+	var want ioStatsFile
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s corrupt: %v", path, err)
+	}
+	for _, cell := range slices.Sorted(maps.Keys(want)) {
+		if got[cell] == nil {
+			t.Errorf("%s: pinned in %s but no longer run", cell, path)
+		}
+	}
+	for _, cell := range slices.Sorted(maps.Keys(got)) {
+		if len(got[cell]) != len(want[cell]) {
+			t.Errorf("%s: ran %d plans, golden pins %d", cell, len(got[cell]), len(want[cell]))
+		}
+		for _, id := range slices.Sorted(maps.Keys(got[cell])) {
+			if g, w := got[cell][id], want[cell][id]; g != w {
+				t.Errorf("%s %s: logical I/O drifted from golden\n got  %+v\n want %+v", cell, id, g, w)
+			}
+		}
+	}
+}
+
+// TestGoldenIOStats pins the logical I/O of the whole engine matrix — every
+// counter of iosim.Stats, for the thirteen queries and the two wide-group
+// plans — so the cost side of every engine is guarded by exact equality
+// rather than by a stopwatch with a tolerance.
+func TestGoldenIOStats(t *testing.T) {
+	plans := append(ssb.Queries(), wideGroupPlans()...)
+	checkIOStats(t, "testdata/iostats_sf001.json", goldenMatrix(),
+		func(Config) []*ssb.Query { return plans })
+}
+
+// TestGoldenRowPlanDifferential is the row-plan differential: the two row-at-a-time
+// ablation engines inside the column store — early materialization with the
+// dimension kernels on and off, and the row-oriented MV — evaluate one
+// compiled row plan, and must return the reference result at exactly the
+// pinned I/O. Random plans carry no flight, so no MV covers them.
+func TestGoldenRowPlanDifferential(t *testing.T) {
+	earlyMat := exec.Config{}
+	earlyMatNoKernels := exec.Config{NoKernels: true}
+	adhoc := ssb.Queries()
+	for i := int64(0); i < 40; i++ {
+		adhoc = append(adhoc, ssb.RandQuery(2026_0728_0000+i))
+	}
+	checkIOStats(t, "testdata/rowplan_iostats_sf001.json",
+		[]Config{ColumnStore(earlyMat), ColumnStore(earlyMatNoKernels), RowMV()},
+		func(cfg Config) []*ssb.Query {
+			if cfg.Kind == KindColumnRowMV {
+				return ssb.Queries()
+			}
+			return adhoc
+		})
 }
