@@ -52,9 +52,6 @@ var (
 	csvOut    = flag.Bool("csv", false, "emit figures as CSV instead of aligned tables")
 	figureID  = flag.String("figure", "all", "which experiment to run: 5, 6, 7, 8, sizes, projections, conclusion, partition, fused, kernels, segstore, all")
 	jsonPath  = flag.String("json", "", "write every figure's measurements to this file as a normalized ssb-bench/v2 JSON artifact")
-	baseline  = flag.String("baseline", "", "compare this run's measurements against a previous -json artifact")
-	check     = flag.Bool("check", false, "with -baseline: exit nonzero when any cell regressed past -tolerance")
-	tolerance = flag.Float64("tolerance", 0.15, "allowed fractional slowdown vs -baseline before a cell counts as a regression")
 )
 
 // segServable marks the figures a segment-store -data file can serve: only
@@ -148,19 +145,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\n(wrote %s: %d measurements across %v)\n", *jsonPath, len(collector.Measurements), collector.Figures)
-	}
-	if *baseline != "" {
-		base, err := readArtifact(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		collector.Schema = benchSchema
-		collector.SF = db.SF
-		regressions := reportBaseline(base, &collector, *tolerance)
-		if *check && regressions > 0 {
-			os.Exit(1)
-		}
 	}
 }
 

@@ -43,7 +43,7 @@ func main() {
 	queryID := flag.String("q", "2.1", "SSBM query id (1.1 .. 4.3)")
 	sqlText := flag.String("sql", "", "ad-hoc SQL in the SSBM dialect (overrides -q); supports any dimension/measure predicates, group-by sets and sum/count/min/max aggregate lists")
 	system := flag.String("system", "CS", "system under test (see doc comment)")
-	workers := flag.Int("workers", 0, "column-store worker count (0 = single-threaded)")
+	workers := flag.Int("workers", 0, "morsel worker count of the fused scan; applies to -system CS-FUSED only (0 = single-threaded)")
 	memBudget := flag.Float64("mem-budget", 0, "buffer-pool budget in MB for segment-store -data files (0 = unbounded)")
 	golden := flag.String("golden", "", "run all 13 SSBM queries and check results against this golden JSON file")
 	verify := flag.Bool("verify", false, "also check against the brute-force reference")

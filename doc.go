@@ -126,9 +126,9 @@
 // starts an opt-in listener carrying net/http/pprof plus the same debug
 // endpoints, cmd/ssb-top renders the whole read path as a terminal
 // dashboard (live, or -once for CI), and cmd/ssb-bench -json writes a
-// normalized measurement artifact that -baseline/-check diffs against a
-// committed baseline so CI fails on performance regressions past
-// tolerance.
+// normalized measurement artifact. Cost regressions are caught exactly, not
+// by stopwatch: internal/core pins every engine's whole iosim.Stats per
+// query in testdata/iostats_sf001.json and compares for equality.
 //
 // The repository checks its own invariants statically: cmd/ssb-lint
 // (internal/lint) type-checks the whole module with nothing beyond the
@@ -171,8 +171,12 @@
 //	aggregate one aggregator (dense cells + seen bitmap, or hash above the dense limit); workers' partials merge; one render
 //
 // with the Figure 5-8 ablation engines (per-probe, early-mat, Row-MV,
-// denormalized) beside the fused serving path, and the tuple mover that
-// seals delta prefixes into segments.
+// denormalized; all single-threaded, as the paper's were) beside the fused
+// serving path, and the tuple mover that seals delta prefixes into
+// segments. The fence between the two is the absence of a knob: the server
+// constructs exec.FusedOpt itself, every plan shape runs on the fused scan
+// (hash-keyed group spaces included), and nothing a client or an Options
+// field says can reach another engine.
 //
 // colstore (internal/colstore): columns as sequences of encoded blocks
 // behind one API, resident or pool-backed; zone-map queries never do I/O.

@@ -122,21 +122,20 @@ func (c Config) Label() string {
 }
 
 // Engine describes the physical execution path Run takes under this
-// configuration — which engine family runs and in what mode.
+// configuration — which engine family runs and in what mode. Only the fused
+// pipeline is parallel; its count is the most morsel workers a query gets
+// (a query's trace and Explain report how many its group space and block
+// count allowed).
 func (c Config) Engine() string {
 	switch c.Kind {
 	case KindColumn:
 		switch {
 		case !c.Col.LateMat:
-			return "column store: early-materialized row-at-a-time pipeline"
+			return "column store: early-materialized row-at-a-time pipeline (workers=1)"
 		case c.Col.FusedActive():
-			w := c.Col.Workers
-			if w < 1 {
-				w = 1
-			}
-			return fmt.Sprintf("column store: fused morsel-parallel pipeline (workers=%d)", w)
+			return fmt.Sprintf("column store: fused morsel-parallel pipeline (workers<=%d)", max(c.Col.Workers, 1))
 		default:
-			return "column store: per-probe late-materialized pipeline"
+			return "column store: per-probe late-materialized pipeline (workers=1)"
 		}
 	case KindColumnRowMV:
 		return "column store: row-oriented MV (string tuple reconstruction)"

@@ -160,16 +160,6 @@ func TestProjectedConfigMatchesReference(t *testing.T) {
 	}
 }
 
-func TestParallelConfigMatchesReference(t *testing.T) {
-	cfg := exec.FullOpt
-	cfg.Workers = 4
-	for _, id := range []string{"1.2", "2.2", "3.1", "4.1"} {
-		if err := testDB.Verify(id, ColumnStore(cfg)); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 func TestSuperTupleVPMatchesReference(t *testing.T) {
 	for _, id := range []string{"1.1", "2.2", "3.3", "4.1"} {
 		if err := testDB.Verify(id, SuperTupleVP()); err != nil {

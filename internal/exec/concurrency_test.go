@@ -13,16 +13,12 @@ import (
 // leakCheckConfigs are the column configurations the pin-leak audit runs:
 // every block-acquiring pipeline the engine has that can serve compressed
 // (segment-backed) storage — per-probe, tuple-at-a-time iteration, the
-// fused morsel pipeline serial and parallel, parallel per-probe scans, and
-// early materialization.
+// fused morsel pipeline serial and parallel, and early materialization.
 func leakCheckConfigs() []Config {
-	parProbe := FullOpt
-	parProbe.Workers = 4
 	fused1, fused8 := FusedOpt, FusedOpt
 	fused1.Workers, fused8.Workers = 1, 8
 	return []Config{
 		FullOpt,
-		parProbe,
 		{BlockIter: false, InvisibleJoin: true, Compression: true, LateMat: true},
 		fused1,
 		fused8,
@@ -31,17 +27,17 @@ func leakCheckConfigs() []Config {
 }
 
 // TestPinLeakAllEngines runs every engine's full query suite (the thirteen
-// SSBM queries plus a band of random ad-hoc plans) over a segment-backed
-// DB under an eviction-forcing budget and asserts the pool reports zero
-// pinned frames after every single run: each pipeline releases every block
-// it acquires on every path, including min/max short-circuits, empty
-// selections, and covered-block skips.
+// SSBM queries, the two wide-group plans and a band of random ad-hoc plans)
+// over a segment-backed DB under an eviction-forcing budget and asserts the
+// pool reports zero pinned frames after every single run: each pipeline
+// releases every block it acquires on every path, including min/max
+// short-circuits, empty selections, and covered-block skips.
 func TestPinLeakAllEngines(t *testing.T) {
 	data := ssb.Generate(0.01)
 	dbc := BuildDB(data, true)
 	segDB, store := segBackedDB(t, dbc, data.SF, 256<<10)
 
-	plans := ssb.Queries()
+	plans := append(ssb.Queries(), wideGroupPlans()...)
 	for i := 0; i < 20; i++ {
 		plans = append(plans, ssb.RandQuery(diffSeedBase+int64(i)))
 	}

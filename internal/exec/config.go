@@ -13,6 +13,15 @@
 //	compile   ssb.Query + Config -> one Plan, join phase 1 run once; group attributes load where an engine first extracts (plan.go)
 //	scan      the configured engine over the sealed store — fused (fused.go), per-probe (run.go) or early-mat (earlymat.go) — then the fused block routine over the delta's morsels (morsel.go)
 //	aggregate every stage accumulates into one aggregator; worker partials merge; one render (agg.go)
+//
+// Config.Fused alone picks the scan: a fused configuration runs every plan
+// on the fused scan — group spaces too wide for dense arrays included, which
+// the same aggregator keys by hash — and never re-dispatches to another
+// engine. The per-probe pipeline, early materialization and the
+// row-oriented MV (rowmv.go; the latter two share one compiled row plan,
+// rowplan.go) are the paper's ablation engines: single-threaded, reachable
+// only through a Config that asks for them, which the serving layer never
+// builds.
 package exec
 
 // Config selects which column-oriented optimizations are active. The zero
@@ -39,20 +48,20 @@ type Config struct {
 	// plan and processing is row-oriented ("l"), which also precludes
 	// the invisible join (paper Section 6.3.2).
 	LateMat bool
-	// Workers enables intra-query parallelism when > 1: full-column
-	// predicate scans on the per-probe path, and the whole morsel loop on
-	// the fused path. The paper's engines are single-threaded, so
-	// Figure 7 parity requires 0 or 1; see parallel.go and fused.go for
-	// the extension experiments.
+	// Workers is the fused scan's morsel worker count (0 and 1 both mean
+	// one; fusedWorkersFor caps it by block count and drops to one for wide
+	// group spaces). Nothing else reads it: the per-probe and row-at-a-time
+	// engines are the paper's, and the paper's were single-threaded.
 	Workers int
 	// Fused enables the fused, block-at-a-time pipeline (fused.go): each
 	// fact block is scanned once against every predicate and dense-bitmap
 	// join probe with per-block min/max short-circuiting, and aggregation
 	// happens inside the same pass. It replaces the per-probe pipeline's
 	// full-table bitmap per probe and map[int32]struct{} membership
-	// lookups. Requires BlockIter and LateMat (ignored otherwise); keep
-	// it false for the Figure 5/7 ablations, whose per-probe pipeline
-	// stays the faithful reproduction path.
+	// lookups, for every plan — there is no plan shape it hands back.
+	// Requires BlockIter and LateMat (ignored otherwise); keep it false for
+	// the Figure 5/7 ablations, whose per-probe pipeline stays the faithful
+	// reproduction path.
 	Fused bool
 	// NoKernels disables the encoding-native aggregation and selection
 	// kernels (AggSelect/GatherSelect/FilterFunc): membership probes decode

@@ -192,15 +192,12 @@ func TestDifferentialMultiAggShapes(t *testing.T) {
 	}
 	for _, q := range queries {
 		want := ssb.Reference(data, q)
-		nkFull, nkFused := FullOpt, FusedOpt
-		nkFull.NoKernels, nkFused.NoKernels = true, true
-		for _, cfg := range []Config{FullOpt, FusedOpt, nkFull, nkFused} {
-			for _, w := range []int{1, 8} {
-				c := cfg
-				c.Workers = w
-				if got := dbc.Run(q, c, nil); !got.Equal(want) {
-					t.Errorf("%s [%s workers=%d]: diverges\n%s", q.ID, c.Code(), w, want.Diff(got))
-				}
+		w8, nkFull, nkFused, nkW8 := FusedOpt, FullOpt, FusedOpt, FusedOpt
+		w8.Workers, nkW8.Workers = 8, 8
+		nkFull.NoKernels, nkFused.NoKernels, nkW8.NoKernels = true, true, true
+		for _, c := range []Config{FullOpt, nkFull, FusedOpt, w8, nkFused, nkW8} {
+			if got := dbc.Run(q, c, nil); !got.Equal(want) {
+				t.Errorf("%s [%s fused=%v workers=%d]: diverges\n%s", q.ID, c.Code(), c.Fused, c.Workers, want.Diff(got))
 			}
 		}
 		if got := sx.Run(q, rowexec.Traditional, nil); !got.Equal(want) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/obs"
 	"repro/internal/ssb"
-	"repro/internal/vector"
 )
 
 // runEarlyMat is the early-materialization path ("l" in Figure 7): every
@@ -23,7 +22,7 @@ import (
 // surfaces ctx.Err before looking at it).
 func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, del *bitmap.Bitmap, tr *obs.Trace) *aggregator {
 	if tr != nil {
-		tr.Engine = "early-mat"
+		tr.Engine, tr.Workers = "early-mat", 1
 	}
 	rec := newStageRec(tr, st)
 	needed := q.NeededFactColumns()
@@ -60,122 +59,17 @@ func (db *DB) runEarlyMat(ctx context.Context, q *ssb.Query, cfg Config, st *ios
 	}
 	rec.rec("construct-tuples", "", st, int64(n), int64(n), 0)
 
-	// Row-store-style join structures: per-dimension pass sets and
-	// group-attribute maps keyed by FK value.
-	passSets := make([]map[int32]struct{}, 0, 4)
-	passCols := make([]int, 0, 4)
-	byDim := map[ssb.Dim][]ssb.DimFilter{}
-	var dimOrder []ssb.Dim
-	for _, f := range q.DimFilters {
-		if _, ok := byDim[f.Dim]; !ok {
-			dimOrder = append(dimOrder, f.Dim)
-		}
-		byDim[f.Dim] = append(byDim[f.Dim], f)
-	}
-	for _, dim := range dimOrder {
-		dimTab := db.Dims[dim]
-		var set map[int32]struct{}
-		if !cfg.NoKernels {
-			// Dimension predicates evaluate natively on the compressed
-			// dimension columns (run/bit-vector blocks filter without
-			// decoding), exactly as the late-materialized planner's phase 1
-			// does. The fact-side tuple construction above stays fully
-			// decoded — that is the early-materialization cost the ablation
-			// measures; the dimension tables are not part of it.
-			var dimPos *vector.Positions
-			for _, f := range byDim[dim] {
-				col := dimTab.MustColumn(f.Col)
-				pred := dimFilterPred(col, f)
-				if dimPos == nil {
-					dimPos = col.Filter(pred, st)
-				} else {
-					dimPos = col.FilterAt(pred, dimPos, st)
-				}
-			}
-			set = make(map[int32]struct{}, dimPos.Len())
-			if dim == ssb.DimDate {
-				for _, k := range dimTab.MustColumn("datekey").Gather(dimPos, nil, st) {
-					set[k] = struct{}{}
-				}
-			} else {
-				for _, p := range dimPos.ToSlice(nil) {
-					set[p] = struct{}{}
-				}
-			}
-		} else {
-			pos := map[int32]struct{}{}
-			for fi, f := range byDim[dim] {
-				col := dimTab.MustColumn(f.Col)
-				pred := dimFilterPred(col, f)
-				vals := col.DecodeAll(nil, st)
-				if fi == 0 {
-					for i, v := range vals {
-						if pred.Match(v) {
-							pos[int32(i)] = struct{}{}
-						}
-					}
-					continue
-				}
-				for p := range pos {
-					if !pred.Match(vals[p]) {
-						delete(pos, p)
-					}
-				}
-			}
-			// Key the pass set by FK value: positions for customer /
-			// supplier / part, datekeys for date.
-			set = make(map[int32]struct{}, len(pos))
-			if dim == ssb.DimDate {
-				keys := dimTab.MustColumn("datekey").DecodeAll(nil, st)
-				for p := range pos {
-					set[keys[p]] = struct{}{}
-				}
-			} else {
-				for p := range pos {
-					set[p] = struct{}{}
-				}
-			}
-		}
-		passSets = append(passSets, set)
-		passCols = append(passCols, colIdx[dim.FactFK()])
-	}
-
-	// Fact measure filters.
-	type factPred struct {
-		col  int
-		pred func(int32) bool
-	}
-	var factPreds []factPred
-	for _, f := range q.FactFilters {
-		pred := f.Pred
-		factPreds = append(factPreds, factPred{col: colIdx[f.Col], pred: pred.Match})
-	}
-
-	// Group extraction maps (always hash-based here: early
-	// materialization precludes the invisible join's direct extraction).
-	hashCfg := cfg
-	hashCfg.InvisibleJoin = false
-	exs := make([]*groupExtractor, len(q.GroupBy))
-	exCols := make([]int, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		exs[i] = db.newGroupExtractor(g)
-		exs[i].load(db, hashCfg, st)
-		exCols[i] = colIdx[g.Dim.FactFK()]
-	}
-
-	sh := newAggShape(q.AggSpecs(), exs)
-	agg := newAggregator(sh)
-	// Tuple positions of the aggregate input columns; in is the per-row
-	// operand vector handed to the aggregator.
-	inCols := make([]int, len(sh.inputs))
-	for i, name := range sh.inputs {
-		inCols[i] = colIdx[name]
-	}
-	in := make([]int32, len(inCols))
+	// Row-store-style join structures: per-dimension pass sets and hash
+	// group extractors. With kernels on, the dimension predicates evaluate
+	// natively on the compressed dimension columns exactly as the
+	// late-materialized planner's phase 1 does; the fact-side tuple
+	// construction above stays fully decoded — that is the
+	// early-materialization cost the ablation measures, and the dimension
+	// tables are not part of it.
+	rp := db.compileRowPlan(q, colIdx, !cfg.NoKernels, st)
 	rec.rec("plan", "dimension pass sets + extractors", st, 0, 0, 0)
 	var qual, tomb int64
 
-rowLoop:
 	for r := 0; r < n; r++ {
 		// One cancellation check per 64K rows — the same granularity as
 		// the block-iterated pipelines.
@@ -185,36 +79,13 @@ rowLoop:
 		// Deletion vector first: a tombstoned row fails every plan the same
 		// way, before any predicate evaluates.
 		if del != nil && del.Get(r) {
-			if rec != nil {
-				tomb++
-			}
+			tomb++
 			continue
 		}
-		tup := rows[r]
-		for _, fp := range factPreds {
-			if !fp.pred(tup[fp.col]) {
-				continue rowLoop
-			}
-		}
-		for i, set := range passSets {
-			if _, ok := set[tup[passCols[i]]]; !ok {
-				continue rowLoop
-			}
-		}
-		if rec != nil {
+		if rp.eval(rows[r]) {
 			qual++
 		}
-		// Same composite group index as the late-mat paths, so results
-		// are identical — reached through the hash tables.
-		gi := int64(0)
-		for i := range exs {
-			gi += int64(exs[i].viaHash[tup[exCols[i]]]) * sh.strides[i]
-		}
-		for i, c := range inCols {
-			in[i] = tup[c]
-		}
-		agg.addRow(gi, in)
 	}
 	rec.rec("row-loop", "filters + hash probes + aggregation", st, int64(n), qual, tomb)
-	return agg
+	return rp.agg
 }

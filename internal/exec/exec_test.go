@@ -19,6 +19,20 @@ var (
 	testDBPlain = BuildDB(testData, false) // uncompressed storage
 )
 
+// wideGroupPlans are two three-way groupings whose composite group space
+// outgrows anything the thirteen queries reach. customer.name x part.name x
+// date.date is past denseLimit at every scale factor the tests use, so it
+// aggregates by hash; c_city x s_city x p_brand1 is past it from SF=0.02 and
+// sits in the one-worker band (fusedWorkerDenseLimit..denseLimit) below.
+func wideGroupPlans() []*ssb.Query {
+	return []*ssb.Query{
+		{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
+		{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}},
+	}
+}
+
 func dbFor(cfg Config) *DB {
 	if cfg.Compression {
 		return testDBC

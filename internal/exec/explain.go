@@ -29,13 +29,9 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 	plan := db.compile(q, cfg, nil)
 	probes := plan.probes
 	if cfg.FusedActive() {
-		if !plan.dense {
-			fmt.Fprintf(&b, "  FUSED disabled for this query: composite group space exceeds the dense limit; per-probe hash aggregation runs instead\n")
-		} else {
-			nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
-			fmt.Fprintf(&b, "  FUSED: one block-at-a-time pass over %d workers; probes, extraction and dense aggregation run per 64K block\n",
-				fusedWorkersFor(cfg.Workers, plan.total, nb))
-		}
+		nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
+		fmt.Fprintf(&b, "  FUSED: one block-at-a-time pass over %d workers; probes, extraction and aggregation run per 64K block\n",
+			fusedWorkersFor(cfg.Workers, plan.total, nb))
 	}
 	fmt.Fprintf(&b, "  phase 2 probe order (pipelined, candidates shrink left to right):\n")
 	for i, p := range probes {

@@ -10,43 +10,9 @@ import (
 // maps, dictionary sizes, worker plan) — no I/O is charged and no segment is
 // read. The serving layer's admission controller sizes its byte-budget
 // semaphore with this estimate so that the queries it lets run concurrently
-// cannot collectively pin (or churn) more buffer-pool space than exists.
-//
-// The estimate mirrors the executor's actual dispatch (Run/runFused),
-// including the fused pipeline's fallback to the per-probe path when the
-// composite group space exceeds denseLimit, and is deliberately a worst
-// case, not an average:
-//
-//   - Pinned segments: every worker pins at most one block per needed fact
-//     column at a time (AcquireBlock is scoped to one block operation), so
-//     the bound is workers x sum over needed columns of that column's
-//     largest block. Per-column maxima are immutable and memoized on the
-//     DB, so a served query's admission costs O(columns), not a zone-map
-//     walk.
-//   - Dense aggregation: the fused pipeline gives each worker a private
-//     fusedGroupSpace x nAggs array of int64 cells (degrading to one worker
-//     above fusedWorkerDenseLimit, which fusedWorkersFor accounts for); the
-//     per-probe pipeline allocates one such array total, or a hash table
-//     bounded by the dense limit above it.
-//   - Group extraction: each GROUP BY column decodes its dimension
-//     attribute column (4 bytes per dimension row), and dimension
-//     predicate evaluation pins one block of each filtered dimension
-//     column at a time.
-//   - Worker scratch: the fused pipeline's survivor index/value/group
-//     vectors, per-column gather buffers, and selection bitmaps are each
-//     bounded by one 64K-row block per worker — with the encoding-native
-//     kernels the bitmap-driven extraction can fill all of them on a
-//     fully selected block, so they are charged at that bound.
-//   - Per-probe position lists and aggregation scratch: the non-fused
-//     late-materialized path materializes a full-fact bitmap per live
-//     selection (charged twice: output plus the pipelined candidate
-//     list), gathers each distinct measure column at the final positions
-//     (4 bytes/value) and evaluates one int64 column per aggregate. The
-//     kernel path folds ungrouped aggregates with per-block accumulators
-//     instead, so these charges stay an upper bound for kernels on or
-//     off.
-//   - Early materialization constructs every needed column and the full
-//     tuple array up front: two decoded copies of the needed columns.
+// cannot collectively pin (or churn) more buffer-pool space than exists. It
+// is a worst case, not an average; estimateFrozen says what each engine is
+// charged for.
 func (db *DB) EstimateFootprint(q *ssb.Query, cfg Config) int64 {
 	sdb, view, _, _ := db.snapshotForRead()
 	foot := sdb.estimateFrozen(q, cfg)
@@ -61,18 +27,17 @@ func (db *DB) EstimateFootprint(q *ssb.Query, cfg Config) int64 {
 // estimateFrozen bounds the sealed-store scan of q under cfg.
 func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 	space := db.fusedGroupSpace(q)
-	// The fused pipeline only runs when the group space fits the dense
-	// limit; past it runFused re-dispatches to the per-probe path with the
-	// caller's worker count (parallel full-column scans).
-	fusedPath := cfg.FusedActive() && space <= denseLimit
+	fused := cfg.FusedActive()
 	workers := 1
-	if fusedPath {
+	if fused {
 		nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
 		workers = fusedWorkersFor(cfg.Workers, space, nb)
-	} else if cfg.LateMat && cfg.BlockIter && cfg.Workers > 1 {
-		workers = cfg.Workers
 	}
 
+	// Pinned segments: a worker pins at most one block per needed fact
+	// column at a time (AcquireBlock is scoped to one block operation).
+	// Per-column maxima are immutable and memoized on the DB, so a served
+	// query's admission costs O(columns), not a zone-map walk.
 	needed := q.NeededFactColumns()
 	var perBlock int64
 	for _, name := range needed {
@@ -93,35 +58,33 @@ func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 	nAggCols := int64(len(aggColNames))
 
 	switch {
-	case fusedPath:
+	case fused:
 		// Per-worker block scratch: survivor index + probe value vectors
 		// (4 B each), composite group indexes (8 B), FK gather buffer
 		// (4 B), one gather buffer per distinct aggregate input column
 		// (4 B), and the two selection bitmaps — all bounded by one
-		// 64K-row block.
+		// 64K-row block, which the bitmap-driven kernels can fill on a
+		// fully selected block.
 		perWorker := int64(colstore.BlockSize)*(4+4+8+4+4*nAggCols) +
 			2*int64(colstore.BlockSize)/8
 		foot += perWorker * int64(workers)
 	case cfg.LateMat:
 		// Per-probe aggregation scratch at the final positions: gathered
 		// measure columns plus one evaluated int64 column per aggregate,
-		// each bounded by the fact row count.
+		// each bounded by the fact row count (an upper bound with kernels
+		// on, where ungrouped aggregates fold per block instead).
 		foot += int64(db.numRows) * (4*nAggCols + 8*nAggs)
 	}
 
 	if len(q.GroupBy) > 0 {
-		cells := space
-		if cells > denseLimit {
-			// Hash-aggregation fallback: footprint tracks the group count
-			// actually seen; bound it by the dense limit rather than the
-			// raw (possibly astronomically overestimated) space.
-			cells = denseLimit
-		}
-		arrays := int64(1)
-		if fusedPath && space <= fusedWorkerDenseLimit {
-			arrays = int64(workers)
-		}
-		foot += cells * nAggs * 8 * arrays
+		// One array of space x nAggs int64 cells per worker (fusedWorkersFor
+		// already degrades to one worker above fusedWorkerDenseLimit). Past
+		// the dense limit the aggregator hashes and its footprint tracks the
+		// groups actually seen; bound it by the dense limit rather than the
+		// raw (possibly astronomically overestimated) space.
+		cells := min(space, denseLimit)
+		foot += cells * nAggs * 8 * int64(workers)
+		// Each GROUP BY column decodes its dimension attribute column.
 		for _, g := range q.GroupBy {
 			foot += int64(db.Dims[g.Dim].NumRows()) * 4
 		}
@@ -132,7 +95,9 @@ func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 		// Early materialization: decoded needed columns + constructed
 		// tuples, each 4 bytes/value.
 		foot += int64(db.numRows) * 4 * int64(len(needed)) * 2
-	case !fusedPath:
+	case !fused:
+		// A full-fact bitmap per live selection: the probe's output plus
+		// the pipelined candidate list.
 		foot += int64(db.numRows/8) * 2
 	}
 	return foot

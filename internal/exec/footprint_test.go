@@ -52,6 +52,9 @@ func TestEstimateFootprintBounds(t *testing.T) {
 		queries = append(queries, ssb.RandQuery(diffSeedBase+1000+int64(i)))
 	}
 
+	// Hash aggregation and the one-worker band.
+	queries = append(queries, wideGroupPlans()...)
+
 	for _, q := range queries {
 		for _, c := range configs {
 			t.Run(fmt.Sprintf("%s/%s", q.ID, c.label), func(t *testing.T) {

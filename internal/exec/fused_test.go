@@ -2,11 +2,11 @@ package exec
 
 import (
 	"context"
-
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/iosim"
+	"repro/internal/obs"
 	"repro/internal/ssb"
 )
 
@@ -95,30 +95,44 @@ func TestFusedFlagInertWithoutBlockIter(t *testing.T) {
 	}
 }
 
-// TestFusedHugeGroupSpaceFallback: a composite group space beyond the dense
-// limit must route to the hash-aggregation fallback and still match the
-// reference.
-func TestFusedHugeGroupSpaceFallback(t *testing.T) {
-	q := &ssb.Query{
-		ID:  "fused-huge",
-		Agg: ssb.AggRevenue,
-		DimFilters: []ssb.DimFilter{
-			{Dim: ssb.DimDate, Col: "yearmonthnum", Op: compress.OpEq, IsInt: true, IntA: 199406},
-		},
-		GroupBy: []ssb.GroupCol{
-			{Dim: ssb.DimCustomer, Col: "name"},
-			{Dim: ssb.DimPart, Col: "name"},
-			{Dim: ssb.DimDate, Col: "date"},
-		},
+// TestFusedHashShape: a composite group space beyond the dense limit stays
+// on the fused scan — one worker, whatever the config asks for, feeding the
+// aggregator's hash representation — and matches the reference with
+// identical I/O accounting at every configured worker count.
+func TestFusedHashShape(t *testing.T) {
+	filtered := *wideGroupPlans()[0]
+	filtered.ID = "wide-names-199406"
+	filtered.DimFilters = []ssb.DimFilter{
+		{Dim: ssb.DimDate, Col: "yearmonthnum", Op: compress.OpEq, IsInt: true, IntA: 199406},
 	}
-	if space := testDBC.fusedGroupSpace(q); space <= denseLimit {
-		t.Skipf("group space %d fits dense arrays at this scale; fallback not exercised", space)
-	}
-	want := ssb.Reference(testData, q)
-	cfg := FusedOpt
-	got := testDBC.Run(q, cfg, nil)
-	if !got.Equal(want) {
-		t.Fatalf("huge group space fallback diverges:\n%s", want.Diff(got))
+	for _, q := range append(wideGroupPlans(), &filtered) {
+		if space := testDBC.fusedGroupSpace(q); space <= denseLimit {
+			t.Fatalf("%s: group space %d fits dense arrays at SF=%g; the hash shape is not exercised", q.ID, space, testSF)
+		}
+		want := ssb.Reference(testData, q)
+		var base iosim.Stats
+		for _, workers := range []int{1, 8} {
+			cfg := FusedOpt
+			cfg.Workers = workers
+			tr := &obs.Trace{}
+			var st iosim.Stats
+			got, err := testDBC.RunCtx(obs.WithTrace(context.Background(), tr), q, cfg, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s workers=%d diverges from reference:\n%s", q.ID, workers, want.Diff(got))
+			}
+			if tr.Engine != "fused" || tr.Workers != 1 {
+				t.Errorf("%s workers=%d: trace says engine=%q workers=%d, want the fused scan on one worker",
+					q.ID, workers, tr.Engine, tr.Workers)
+			}
+			if workers == 1 {
+				base = st
+			} else if st != base {
+				t.Errorf("%s: I/O accounting depends on the configured worker count: %+v vs %+v", q.ID, base, st)
+			}
+		}
 	}
 }
 
@@ -185,12 +199,5 @@ func TestProbeSetMinMaxPruning(t *testing.T) {
 	}
 	if full := col.CompressedBytes(); st.BytesRead >= full {
 		t.Fatalf("pruned probe read %d of %d column bytes", st.BytesRead, full)
-	}
-	// Parallel path prunes identically.
-	var stPar iosim.Stats
-	posPar := parallelProbeSet(context.Background(), probe, 4, &stPar)
-	if posPar.Len() != pos.Len() || stPar.BytesRead != st.BytesRead {
-		t.Fatalf("parallel pruning diverges: len %d vs %d, io %d vs %d",
-			posPar.Len(), pos.Len(), stPar.BytesRead, st.BytesRead)
 	}
 }

@@ -115,6 +115,9 @@ func TestIngestDifferential(t *testing.T) {
 		// delete landing inside the merged batches.
 		{1900, 37, false, nil, []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(30, 33)}}},
 	}
+	if space := mem.fusedGroupSpace(wideGroupPlans()[0]); space <= denseLimit {
+		t.Fatalf("wide-group plan spans %d groups at this scale factor: dense, so no round would hash-aggregate", space)
+	}
 	const queriesPerRound = 6
 	compacted := false
 	for ri, round := range rounds {
@@ -169,8 +172,10 @@ func TestIngestDifferential(t *testing.T) {
 		}
 		// Ungrouped MIN/MAX exercises merge's empty-side identities (a
 		// partial with no qualifying row must not contribute its zeros);
-		// the impossible filter the all-partials-empty rendering.
-		queries = append(queries,
+		// the impossible filter the all-partials-empty rendering; the
+		// wide-group plan the hash-keyed aggregator fed by sealed blocks and
+		// delta morsels alike.
+		queries = append(queries, wideGroupPlans()[0],
 			&ssb.Query{ID: fmt.Sprintf("minmax-%d", ri), Aggs: []ssb.AggSpec{
 				{Func: ssb.FuncMin, Expr: ssb.AggExpr{ColA: "revenue", Op: '-', ColB: "supplycost"}},
 				{Func: ssb.FuncMax, Expr: ssb.AggExpr{ColA: "quantity"}},

@@ -53,8 +53,12 @@ func (db *DB) RunCtx(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.St
 		tr.Query = q.ID
 		tr.SQL = q.SQL()
 		tr.Config = cfg.Code()
-		tr.Workers = cfg.Workers
 		defer func() { tr.WallNs = time.Since(t0).Nanoseconds() }()
+		if st == nil {
+			// Stages are cut out of the query's Stats, so a traced run
+			// accounts even when its caller does not.
+			st = new(iosim.Stats)
+		}
 	}
 	sdb, view, del, epoch := db.snapshotForRead()
 	if tr != nil {
@@ -74,7 +78,7 @@ func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.S
 	if cfg.LateMat {
 		rec := newStageRec(tr, st)
 		plan := db.compile(q, cfg, st)
-		fused := cfg.FusedActive() && plan.dense
+		fused := cfg.FusedActive()
 		if fused {
 			// Every block extracts, so the group attributes are read with the
 			// plan; the per-probe pipeline reads them only if phase 2 leaves
@@ -90,9 +94,6 @@ func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.S
 		if fused {
 			db.runFused(ctx, plan, ws, st, del.sealed, tr)
 		} else {
-			// Includes fused configurations whose composite group space is
-			// too large for dense arrays: the per-probe pipeline hash
-			// aggregates.
 			db.runLateMat(ctx, plan, agg, st, del.sealed, rec)
 		}
 		if hasDelta {
@@ -118,13 +119,14 @@ func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.S
 	return agg.render(q.ID), nil
 }
 
-// runLateMat is the late-materialized pipeline: predicates produce position
-// lists over the fact table; values are fetched only at qualifying
-// positions (paper Section 5.2), and joins are executed as predicates on
-// fact foreign-key columns (Section 5.4).
+// runLateMat is the paper's late-materialized pipeline, single-threaded as
+// C-Store was: predicates produce position lists over the fact table;
+// values are fetched only at qualifying positions (paper Section 5.2), and
+// joins are executed as predicates on fact foreign-key columns (Section
+// 5.4).
 func (db *DB) runLateMat(ctx context.Context, plan *Plan, agg *aggregator, st *iosim.Stats, del *bitmap.Bitmap, rec *stageRec) {
 	if rec != nil {
-		rec.tr.Engine = "per-probe"
+		rec.tr.Engine, rec.tr.Workers = "per-probe", 1
 	}
 	cfg := plan.cfg
 
@@ -244,19 +246,7 @@ func (p *factProbe) coversBlock(mn, mx int32) bool {
 func (db *DB) planProbes(q *ssb.Query, cfg Config, st *iosim.Stats) []*factProbe {
 	var sorted, preds, hashes []*factProbe
 
-	// Group dimension filters per dimension: all predicates on one
-	// dimension evaluate together and summarize as a single fact probe
-	// (the invisible-join advantage Figure 8 discusses for queries with
-	// two predicates on the same dimension).
-	byDim := map[ssb.Dim][]ssb.DimFilter{}
-	var dimOrder []ssb.Dim
-	for _, f := range q.DimFilters {
-		if _, ok := byDim[f.Dim]; !ok {
-			dimOrder = append(dimOrder, f.Dim)
-		}
-		byDim[f.Dim] = append(byDim[f.Dim], f)
-	}
-
+	dimOrder, byDim := dimFilterGroups(q)
 	for _, dim := range dimOrder {
 		probe := db.dimProbe(dim, byDim[dim], cfg, st)
 		switch {
@@ -287,6 +277,83 @@ func (db *DB) planProbes(q *ssb.Query, cfg Config, st *iosim.Stats) []*factProbe
 	return out
 }
 
+// dimFilterGroups groups q's dimension filters per dimension, in order of
+// first appearance: all predicates on one dimension evaluate together and
+// summarize as a single fact probe or pass set (the invisible-join
+// advantage Figure 8 discusses for queries with two predicates on the same
+// dimension).
+func dimFilterGroups(q *ssb.Query) (order []ssb.Dim, byDim map[ssb.Dim][]ssb.DimFilter) {
+	byDim = map[ssb.Dim][]ssb.DimFilter{}
+	for _, f := range q.DimFilters {
+		if _, ok := byDim[f.Dim]; !ok {
+			order = append(order, f.Dim)
+		}
+		byDim[f.Dim] = append(byDim[f.Dim], f)
+	}
+	return order, byDim
+}
+
+// dimPositions evaluates one dimension's filters against the dimension
+// table (join phase 1) and returns the qualifying dimension positions. With
+// kernels on, predicates run natively on the compressed dimension columns
+// (run/bit-vector blocks filter without decoding); with kernels off every
+// filtered column is decoded in full and tested value by value, as a row
+// store would.
+func (db *DB) dimPositions(dim ssb.Dim, filters []ssb.DimFilter, kernels bool, st *iosim.Stats) *vector.Positions {
+	dimTab := db.Dims[dim]
+	var pos *vector.Positions
+	for _, f := range filters {
+		col := dimTab.MustColumn(f.Col)
+		pred := dimFilterPred(col, f)
+		switch {
+		case !kernels:
+			vals := col.DecodeAll(nil, st)
+			var keep []int32
+			if pos == nil {
+				for i, v := range vals {
+					if pred.Match(v) {
+						keep = append(keep, int32(i))
+					}
+				}
+			} else {
+				// pos is the explicit list the previous filter kept.
+				for _, p := range pos.List {
+					if pred.Match(vals[p]) {
+						keep = append(keep, p)
+					}
+				}
+			}
+			pos = vector.NewExplicitPositions(keep)
+		case pos == nil:
+			pos = col.Filter(pred, st)
+		default:
+			pos = col.FilterAt(pred, pos, st)
+		}
+	}
+	return pos
+}
+
+// dimKeys turns qualifying dimension positions into the values the fact
+// foreign-key column holds for them: customer, supplier and part keys were
+// reassigned to positions, so those are the positions themselves; dates
+// resolve through the datekey column — gathered at the positions with
+// kernels on, decoded in full with kernels off.
+func (db *DB) dimKeys(dim ssb.Dim, pos *vector.Positions, kernels bool, st *iosim.Stats) []int32 {
+	if dim != ssb.DimDate {
+		return pos.ToSlice(nil)
+	}
+	keyCol := db.Dims[dim].MustColumn("datekey")
+	if kernels {
+		return keyCol.Gather(pos, nil, st)
+	}
+	all := keyCol.DecodeAll(nil, st)
+	keys := pos.ToSlice(nil)
+	for i, p := range keys {
+		keys[i] = all[p]
+	}
+	return keys
+}
+
 // dimProbe runs phase 1 of the join for one dimension: evaluate its
 // predicates against the dimension table, then summarize the matching keys
 // as a fact-column probe. With the invisible join enabled and a contiguous
@@ -294,16 +361,7 @@ func (db *DB) planProbes(q *ssb.Query, cfg Config, st *iosim.Stats) []*factProbe
 // a hash-set membership test.
 func (db *DB) dimProbe(dim ssb.Dim, filters []ssb.DimFilter, cfg Config, st *iosim.Stats) *factProbe {
 	dimTab := db.Dims[dim]
-	var dimPos *vector.Positions
-	for _, f := range filters {
-		col := dimTab.MustColumn(f.Col)
-		pred := dimFilterPred(col, f)
-		if dimPos == nil {
-			dimPos = col.Filter(pred, st)
-		} else {
-			dimPos = col.FilterAt(pred, dimPos, st)
-		}
-	}
+	dimPos := db.dimPositions(dim, filters, true, st)
 	fkCol := db.Fact.MustColumn(dim.FactFK())
 
 	if cfg.InvisibleJoin {
@@ -335,13 +393,7 @@ func (db *DB) dimProbe(dim ssb.Dim, filters []ssb.DimFilter, cfg Config, st *ios
 	// Membership fallback (and the entire i-configuration): build the key
 	// set — a hash set on the per-probe path, a dense bitmap over
 	// [setMin, setMax] on the fused path.
-	var keys []int32
-	if dim == ssb.DimDate {
-		keyCol := dimTab.MustColumn("datekey")
-		keys = keyCol.Gather(dimPos, nil, st)
-	} else {
-		keys = dimPos.ToSlice(nil)
-	}
+	keys := db.dimKeys(dim, dimPos, true, st)
 	probe := &factProbe{col: fkCol, setMin: 0, setMax: -1}
 	if len(keys) == 0 {
 		// Empty key range [0, -1] matches nothing.
@@ -365,11 +417,18 @@ func (db *DB) dimProbe(dim ssb.Dim, filters []ssb.DimFilter, cfg Config, st *ios
 		}
 		return probe
 	}
-	probe.set = make(map[int32]struct{}, len(keys))
-	for _, k := range keys {
-		probe.set[k] = struct{}{}
-	}
+	probe.set = keySet(keys)
 	return probe
+}
+
+// keySet is the hash-set form of a key list: the simulated hash join's
+// build side.
+func keySet(keys []int32) map[int32]struct{} {
+	set := make(map[int32]struct{}, len(keys))
+	for _, k := range keys {
+		set[k] = struct{}{}
+	}
+	return set
 }
 
 // dimFilterPred translates a logical dimension filter into a code-space
@@ -387,29 +446,13 @@ func (p *factProbe) apply(ctx context.Context, db *DB, cand *vector.Positions, c
 	if p.isPred {
 		if cfg.BlockIter {
 			if cand == nil {
-				if cfg.Workers > 1 && !sortedFastPathApplies(p.col, p.pred) {
-					return parallelFilter(ctx, p.col, p.pred, cfg.Workers, st)
-				}
 				return p.col.FilterCtx(ctx, p.pred, st)
 			}
 			return p.col.FilterAtCtx(ctx, p.pred, cand, st)
 		}
 		return db.tupleFilter(ctx, p.col, p.pred, cand, cfg, st)
 	}
-	if cand == nil && cfg.Workers > 1 && cfg.BlockIter {
-		return parallelProbeSet(ctx, p, cfg.Workers, st)
-	}
 	return db.probeSet(ctx, p, cand, cfg, st)
-}
-
-// sortedFastPathApplies reports whether Column.Filter would answer pred via
-// the sorted-column range probe, which is cheaper than any parallel scan.
-func sortedFastPathApplies(col *colstore.Column, pred compress.Pred) bool {
-	if col.Sorted != colstore.PrimarySort {
-		return false
-	}
-	_, _, ok := pred.Bounds()
-	return ok
 }
 
 // tupleFilter is the "getNext" selection path used when block iteration is

@@ -49,8 +49,8 @@ func TestSegmentZoneMapPruningSSBM(t *testing.T) {
 }
 
 // TestSegmentDBAllFlights runs every SSBM query over a budget-constrained
-// segment store under both column pipelines and several worker counts,
-// demanding exact agreement with the in-memory engines while evictions
+// segment store under both column pipelines (the fused one at 1 and 8
+// workers), demanding exact agreement with the in-memory engines while evictions
 // churn the pool.
 func TestSegmentDBAllFlights(t *testing.T) {
 	data := ssb.Generate(0.01)
@@ -63,14 +63,12 @@ func TestSegmentDBAllFlights(t *testing.T) {
 
 	for _, q := range ssb.Queries() {
 		want := ssb.Reference(data, q)
-		for _, base := range []Config{FullOpt, FusedOpt} {
-			for _, w := range []int{1, 8} {
-				cfg := base
-				cfg.Workers = w
-				if got := segDB.Run(q, cfg, nil); !got.Equal(want) {
-					t.Errorf("Q%s [%s workers=%d] over segment store diverges:\n%s",
-						q.ID, cfg.Code(), w, want.Diff(got))
-				}
+		w8 := FusedOpt
+		w8.Workers = 8
+		for _, cfg := range []Config{FullOpt, FusedOpt, w8} {
+			if got := segDB.Run(q, cfg, nil); !got.Equal(want) {
+				t.Errorf("Q%s [%s fused=%v workers=%d] over segment store diverges:\n%s",
+					q.ID, cfg.Code(), cfg.Fused, cfg.Workers, want.Diff(got))
 			}
 		}
 	}

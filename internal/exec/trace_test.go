@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/obs"
@@ -97,6 +98,30 @@ func TestTracedDifferential(t *testing.T) {
 			if stageSum != stTraced {
 				t.Errorf("%s seed %d: stage sum does not reconcile with query stats\nSQL: %s\nstages %+v\nstats  %+v",
 					tc.label, seed, q.SQL(), stageSum, stTraced)
+			}
+
+			// Run(q, cfg, nil) is the documented no-accounting form; a trace
+			// must not turn it into a nil dereference, and still gets its
+			// stages and the workers that actually ran.
+			trNil := &obs.Trace{}
+			noStats, err := db.RunCtx(obs.WithTrace(context.Background(), trNil), q, tc.cfg, nil)
+			if err != nil {
+				t.Fatalf("%s seed %d (traced, nil stats): %v", tc.label, seed, err)
+			}
+			totNil := trNil.Totals()
+			totNil.WallNs = tot.WallNs
+			if !noStats.Equal(plain) || totNil != tot {
+				t.Errorf("%s seed %d: traced run without a Stats differs: totals %+v, want %+v",
+					tc.label, seed, totNil, tot)
+			}
+			wantWorkers := 1
+			if tc.cfg.FusedActive() {
+				nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
+				wantWorkers = fusedWorkersFor(tc.cfg.Workers, db.fusedGroupSpace(q), nb)
+			}
+			if tr.Workers != wantWorkers || trNil.Workers != wantWorkers {
+				t.Errorf("%s seed %d: trace reports %d/%d workers, %d ran",
+					tc.label, seed, tr.Workers, trNil.Workers, wantWorkers)
 			}
 		}
 	}

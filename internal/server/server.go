@@ -54,14 +54,22 @@ var ErrClosed = errors.New("server: closed")
 // options nor a bounded pool budget say otherwise.
 const defaultAdmitBytes = 256 << 20
 
-// Options configures a Server. The zero value serves the fused pipeline
-// single-threaded with a 256-entry result cache and a footprint budget
+// recorderEntries caps the flight recorder's ring (the last N completed
+// queries, served at /debug/queries). The recorder is always on — its cost
+// is one mutex acquisition and one struct copy per query.
+const recorderEntries = 512
+
+// historyEntries caps the metrics-history ring (periodic registry samples
+// served at /metrics/history): an hour at the default cadence.
+const historyEntries = 360
+
+// Options configures a Server. Every query runs exec.FusedOpt — the serving
+// path has one engine and no option selects another. The zero value serves
+// it single-threaded with a 256-entry result cache and a footprint budget
 // derived from the store.
 type Options struct {
-	// Exec is the column configuration queries run under; zero means
-	// exec.FusedOpt.
-	Exec exec.Config
-	// Workers is the per-query worker count applied to Exec.
+	// Workers is the per-query morsel worker count of the fused scan (0
+	// means 1).
 	Workers int
 	// AdmitBytes is the admission semaphore's byte capacity: the total
 	// estimated footprint allowed to execute concurrently. 0 derives it
@@ -95,15 +103,6 @@ type Options struct {
 	AccessLog bool
 	// Logf receives slow-query and access-log lines; nil means log.Printf.
 	Logf func(format string, args ...any)
-	// RecorderEntries caps the flight recorder's ring (last N completed
-	// queries, served at /debug/queries). 0 means 512; negative keeps the
-	// minimum of 1. The recorder is always on — its cost is one mutex
-	// acquisition and one struct copy per query.
-	RecorderEntries int
-	// HistoryEntries caps the metrics-history ring (periodic registry
-	// samples served at /metrics/history). 0 means 360 — an hour at the
-	// default cadence.
-	HistoryEntries int
 	// HistoryInterval is the metrics-history sampling cadence. 0 means 10s;
 	// negative disables the background sampler (tests drive Sample by hand,
 	// and /metrics/history?sample=1 still works).
@@ -154,17 +153,11 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// New builds a serving layer over db. db must serve the compressed column
-// engines (any in-memory build, or a segment store); the column DB is
+// New builds a serving layer over db, which must serve the compressed
+// column store (any in-memory build, or a segment store); the column DB is
 // materialized eagerly so the first request doesn't pay the build.
 func New(db *core.DB, opts Options) (*Server, error) {
-	cfg := opts.Exec
-	if cfg == (exec.Config{}) {
-		cfg = exec.FusedOpt
-	}
-	if !cfg.Compression && db.Data == nil {
-		return nil, fmt.Errorf("server: plain-storage configurations need the raw dataset")
-	}
+	cfg := exec.FusedOpt
 	if opts.Workers > 0 {
 		cfg.Workers = opts.Workers
 	}
@@ -181,7 +174,7 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		db:        db,
-		col:       db.ColumnDB(cfg.Compression),
+		col:       db.ColumnDB(true),
 		coreCfg:   core.ColumnStore(cfg),
 		sem:       newByteSem(admit),
 		cfgCode:   cfg.Code(),
@@ -195,21 +188,10 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	recEntries := opts.RecorderEntries
-	if recEntries == 0 {
-		recEntries = 512
-	}
-	s.recorder = obs.NewRecorder(recEntries)
+	s.recorder = obs.NewRecorder(recorderEntries)
 	s.initMetrics()
-	histEntries := opts.HistoryEntries
-	if histEntries == 0 {
-		histEntries = 360
-	}
-	s.history = obs.NewHistory(s.metrics, histEntries)
+	s.history = obs.NewHistory(s.metrics, historyEntries)
 	if opts.Ingest {
-		if !cfg.Compression {
-			return nil, fmt.Errorf("server: ingest requires the compressed column engine (it carries the write store)")
-		}
 		maxWS := opts.IngestMaxBytes
 		if maxWS == 0 {
 			maxWS = 256 << 20

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/ssb"
 )
 
@@ -26,7 +27,13 @@ const stressSeedBase int64 = 2026_0728_4000
 // dataset for reference execution.
 func openSegServer(t *testing.T, budget int64, opts Options) (*Server, *ssb.Data, *core.DB) {
 	t.Helper()
-	data := ssb.Generate(0.01)
+	return openSegServerSF(t, 0.01, budget, opts)
+}
+
+// openSegServerSF is openSegServer at a chosen scale factor.
+func openSegServerSF(t *testing.T, sf float64, budget int64, opts Options) (*Server, *ssb.Data, *core.DB) {
+	t.Helper()
+	data := ssb.Generate(sf)
 	memDB := core.OpenData(data)
 	path := filepath.Join(t.TempDir(), "serve.seg")
 	if err := exec.SaveSegments(path, data.SF, memDB.ColumnDB(true)); err != nil {
@@ -157,6 +164,44 @@ func TestServeStressRace(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines leaked: %d at shutdown vs %d at start", n, baseline)
+	}
+}
+
+// TestServingPathIsFused is the fence between the serving path and the
+// ablation engines: whatever plan a client sends — the thirteen queries,
+// 200 random ad-hoc plans, and two groupings whose composite group space is
+// past the dense-array limit at this scale factor (internal/exec's
+// TestFusedHashShape pins that at the same SF) — the one engine that runs it
+// is the fused scan, the answer is the reference's, and nothing stays
+// pinned. No Options field could say otherwise; this pins that no plan
+// shape does either.
+func TestServingPathIsFused(t *testing.T) {
+	srv, data, segDB := openSegServerSF(t, 0.02, 256<<10, Options{Workers: 4, CacheEntries: -1})
+	defer srv.Close()
+
+	plans := append(ssb.Queries(),
+		&ssb.Query{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
+		&ssb.Query{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}})
+	for i := int64(0); i < 200; i++ {
+		plans = append(plans, ssb.RandQuery(stressSeedBase+i))
+	}
+	for _, q := range plans {
+		tr := &obs.Trace{}
+		resp, err := srv.Execute(obs.WithTrace(context.Background(), tr), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if tr.Engine != "fused" || tr.Workers < 1 {
+			t.Errorf("%s ran on engine %q with %d workers, want the fused scan\nSQL: %s", q.ID, tr.Engine, tr.Workers, q.SQL())
+		}
+		if want := ssb.Reference(data, q); !resp.Result.Equal(want) {
+			t.Errorf("%s diverges from reference\nSQL: %s\n%s", q.ID, q.SQL(), want.Diff(resp.Result))
+		}
+		if n := segDB.SegmentStore().Pool().PinnedFrames(); n != 0 {
+			t.Fatalf("%s left %d frames pinned", q.ID, n)
+		}
 	}
 }
 
