@@ -182,7 +182,9 @@
 // behind one API, resident or pool-backed; zone-map queries never do I/O.
 //
 // compress (internal/compress, internal/bitmap): the five block encodings
-// and the kernels that filter, gather and aggregate on them undecoded.
+// and the kernels that filter, gather and aggregate on them undecoded — run-
+// and word-level on RLE and bit-vector blocks, 64 values at a time (unpack,
+// branch-free test, one result word) on plain, bit-packed and delta blocks.
 //
 // segstore (internal/segstore): the segment file format, its append and
 // recovery protocol, and the pinning buffer pool.

@@ -283,6 +283,19 @@ func (b *Bitmap) AndCountAt(other *Bitmap, off int) int {
 	return c
 }
 
+// OrWord ORs the 64 bits of w into positions [pos, pos+64): one store when
+// pos is word-aligned, a shifted two-word OR otherwise. It is how the
+// compressed-block filter kernels deliver a group of 64 test results. No
+// other position is touched, so bits of w that would land past the end of
+// the bitmap must be zero.
+func (b *Bitmap) OrWord(pos int, w uint64) {
+	i, off := pos/wordBits, uint(pos%wordBits)
+	b.words[i] |= w << off
+	if hi := w >> (wordBits - off); hi != 0 { // off == 0 shifts everything out
+		b.words[i+1] |= hi
+	}
+}
+
 // AndNotWordsFrom clears, in b, every bit that is set in other, treating
 // other as starting at word offset wordOff of b (the AndNot analogue of
 // OrWordsAt). The fused executor uses it to mask a block-local selection

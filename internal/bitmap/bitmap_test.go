@@ -248,6 +248,33 @@ func TestOrWordsAt(t *testing.T) {
 	}
 }
 
+// TestOrWord: the 64 bits land at [pos, pos+64) for aligned and unaligned
+// pos, pre-set bits survive, nothing else moves, and a word whose spill is
+// empty never reaches for a word past the end.
+func TestOrWord(t *testing.T) {
+	const w = 0x8000_0000_0000_0005 // bits 0, 2 and 63
+	for _, pos := range []int{0, 1, 63, 64, 100} {
+		b := New(192)
+		b.Set(pos + 1) // inside the window, not in w: must survive
+		b.Set(191)     // outside it
+		b.OrWord(pos, w)
+		for _, i := range []int{pos, pos + 1, pos + 2, pos + 63, 191} {
+			if !b.Get(i) {
+				t.Fatalf("pos %d: bit %d not set", pos, i)
+			}
+		}
+		if b.Count() != 5 {
+			t.Fatalf("pos %d: %d bits set, want 5", pos, b.Count())
+		}
+	}
+	last := New(70)
+	last.OrWord(64, 0x21) // bits 64 and 69: the last word, nothing spills
+	last.OrWord(60, 0x3f1)
+	if !last.Get(64) || !last.Get(69) || !last.Get(60) || last.Count() != 7 {
+		t.Fatalf("tail word: count %d", last.Count())
+	}
+}
+
 func TestResizeWithinCapacity(t *testing.T) {
 	b := New(200)
 	b.SetRange(0, 200)

@@ -72,6 +72,31 @@ func TestFilterSortedFastPath(t *testing.T) {
 	}
 }
 
+// TestFilterEmptyAndInvertedIntervals: an empty IN renders the interval
+// (0, -1) and BETWEEN 9 AND 3 is legal SQL; both must match nothing on the
+// sorted fast path and on a block scan, where the value range (negative
+// minimum included) straddles the inverted bounds so zone maps cannot prune.
+func TestFilterEmptyAndInvertedIntervals(t *testing.T) {
+	vals := make([]int32, 150000)
+	for i := range vals {
+		vals[i] = int32(i/1000) - 20 // -20..129, sorted
+	}
+	shuffled := append([]int32(nil), vals...)
+	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, c := range []*Column{
+		NewColumn("sorted", vals, nil, PrimarySort, true),
+		NewColumn("unsorted", shuffled, nil, Unsorted, true),
+		NewColumn("plain", shuffled, nil, Unsorted, false),
+	} {
+		for _, p := range []compress.Pred{compress.In(), compress.Between(9, 3), compress.Between(-4, -5), compress.Lt(-1 << 31)} {
+			var st iosim.Stats
+			if pos := c.Filter(p, &st); pos.Len() != 0 {
+				t.Errorf("%s: %v %d..%d matched %d positions, want none", c.Name, p.Op, p.A, p.B, pos.Len())
+			}
+		}
+	}
+}
+
 func TestFilterUnsortedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]int32, 150000)

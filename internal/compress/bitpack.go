@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitmap"
 )
@@ -46,15 +47,19 @@ func (b *BitPackBlock) put(i int, u uint64) {
 	}
 }
 
-func (b *BitPackBlock) get(i int) uint64 {
-	bitPos := uint(i) * b.width
+// field returns the i-th width-bit field of a packed word array: the
+// random-access cursor (whole-block passes stream through unpack64 instead).
+func field(words []uint64, width uint, i int) uint64 {
+	bitPos := uint(i) * width
 	w, off := bitPos/64, bitPos%64
-	u := b.words[w] >> off
-	if off+b.width > 64 {
-		u |= b.words[w+1] << (64 - off)
+	u := words[w] >> off
+	if off+width > 64 {
+		u |= words[w+1] << (64 - off)
 	}
-	return u & ((1 << b.width) - 1)
+	return u & (1<<width - 1)
 }
+
+func (b *BitPackBlock) get(i int) uint64 { return field(b.words, b.width, i) }
 
 // Len implements IntBlock.
 func (b *BitPackBlock) Len() int { return b.n }
@@ -68,11 +73,20 @@ func (b *BitPackBlock) MinMax() (int32, int32) { return b.min, b.max }
 // Width returns the bits used per value (diagnostics).
 func (b *BitPackBlock) Width() uint { return b.width }
 
+// unpack decodes the group of values starting at pos (a multiple of 64) into
+// g and returns how many of its 64 slots the block fills.
+func (b *BitPackBlock) unpack(pos int, g *group) int {
+	k := min(groupLen, b.n-pos)
+	unpack64(b.words[uint(pos/groupLen)*b.width:], b.width, uint32(b.min), g[:k])
+	return k
+}
+
 // AppendTo implements IntBlock.
 func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
 	countDecoded(b.n)
-	for i := 0; i < b.n; i++ {
-		dst = append(dst, int32(int64(b.min)+int64(b.get(i))))
+	var g group
+	for pos := 0; pos < b.n; pos += groupLen {
+		dst = append(dst, g[:b.unpack(pos, &g)]...)
 	}
 	return dst
 }
@@ -80,127 +94,70 @@ func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
 // Get implements IntBlock.
 func (b *BitPackBlock) Get(i int) int32 { return int32(int64(b.min) + int64(b.get(i))) }
 
-// Filter implements IntBlock. The predicate is rebased into code space so
-// the inner loop compares packed codes without reconstructing values; the
-// word cursor advances incrementally rather than recomputing the bit
-// position per value.
-func (b *BitPackBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) {
-	if lo, hi, ok := p.Bounds(); ok {
-		// Rebase interval to code space, clamping at block bounds.
-		cl := int64(lo) - int64(b.min)
-		ch := int64(hi) - int64(b.min)
-		if ch < 0 || cl > int64(b.max)-int64(b.min) {
-			return
-		}
-		if cl < 0 {
-			cl = 0
-		}
-		ulo, uhi := uint64(cl), uint64(ch)
-		mask := uint64(1)<<b.width - 1
-		w, off := 0, uint(0)
-		for i := 0; i < b.n; i++ {
-			u := b.words[w] >> off
-			if off+b.width > 64 {
-				u |= b.words[w+1] << (64 - off)
-			}
-			off += b.width
-			if off >= 64 {
-				off -= 64
-				w++
-			}
-			if c := u & mask; c >= ulo && c <= uhi {
-				bm.Set(base + i)
-			}
-		}
+// filter is the block's one selection loop: unpack a group, test and pack
+// it, OR one result word into bm.
+func (b *BitPackBlock) filter(t groupTest, base int, bm *bitmap.Bitmap) {
+	if t.kind == testNone {
 		return
 	}
-	for i := 0; i < b.n; i++ {
-		if p.Match(b.Get(i)) {
-			bm.Set(base + i)
-		}
+	var g group
+	for pos := 0; pos < b.n; pos += groupLen {
+		bm.OrWord(base+pos, t.pack(&g, b.unpack(pos, &g)))
 	}
 }
 
-// FilterSet implements IntBlock. The set window is rebased into code space
-// once, so the inner loop tests packed codes without reconstructing values.
+// Filter implements IntBlock.
+func (b *BitPackBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) { b.filter(predTest(p), base, bm) }
+
+// FilterSet implements IntBlock.
 func (b *BitPackBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap) {
-	if b.max < setMin || int64(b.min) > int64(setMin)+int64(set.Len())-1 {
-		return
-	}
-	rebase := int64(b.min) - int64(setMin)
-	n := int64(set.Len())
-	mask := uint64(1)<<b.width - 1
-	w, off := 0, uint(0)
-	for i := 0; i < b.n; i++ {
-		u := b.words[w] >> off
-		if off+b.width > 64 {
-			u |= b.words[w+1] << (64 - off)
-		}
-		off += b.width
-		if off >= 64 {
-			off -= 64
-			w++
-		}
-		if k := int64(u&mask) + rebase; k >= 0 && k < n && set.Get(int(k)) {
-			bm.Set(base + i)
-		}
-	}
+	b.filter(setTest(set, setMin), base, bm)
+}
+
+// FilterFunc implements IntBlock: one callback per value.
+func (b *BitPackBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bitmap) {
+	b.filter(groupTest{kind: testFunc, match: match}, base, bm)
 }
 
 // Gather implements IntBlock.
 func (b *BitPackBlock) Gather(idx []int32, dst []int32) []int32 {
 	countDecoded(len(idx))
-	for _, i := range idx {
-		dst = append(dst, b.Get(int(i)))
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	// Locals, so the stores to dst cannot force a reload of the fields.
+	words, width, add := b.words, b.width, uint32(b.min)
+	for k, i := range idx {
+		dst[n+k] = int32(uint32(field(words, width, int(i))) + add)
 	}
 	return dst
 }
 
-// AggSelect implements IntBlock. Codes are accumulated in code space with
-// the streaming word cursor and widened exactly once at the end
-// (sum = count*min + sum(codes)), so the hot loop is shift/mask/popcount
-// with no value reconstruction.
+// AggSelect implements IntBlock. A full block folds group by group; a
+// partial selection walks the selection words directly — one trailing-zeros
+// step per selected position, O(selected) random accesses (fields are
+// fixed-width, so position i is bit i*width).
 func (b *BitPackBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
+	if sel == nil {
+		var g group
+		for pos := 0; pos < b.n; pos += groupLen {
+			foldVals(g[:b.unpack(pos, &g)], acc)
+		}
+		return
+	}
+	// Codes accumulate in code space and widen once at the end
+	// (sum = count*min + sum(codes)).
 	var codeSum uint64
 	var count int64
 	cMin, cMax := uint64(1)<<63, uint64(0)
-	if sel == nil {
-		mask := uint64(1)<<b.width - 1
-		w, off := 0, uint(0)
-		for i := 0; i < b.n; i++ {
-			u := b.words[w] >> off
-			if off+b.width > 64 {
-				u |= b.words[w+1] << (64 - off)
-			}
-			off += b.width
-			if off >= 64 {
-				off -= 64
-				w++
-			}
-			c := u & mask
-			codeSum += c
-			count++
-			if c < cMin {
-				cMin = c
-			}
-			if c > cMax {
-				cMax = c
-			}
+	for pos := range selWords(sel, base, b.n) {
+		c := b.get(pos)
+		codeSum += c
+		count++
+		if c < cMin {
+			cMin = c
 		}
-	} else {
-		// Partial selections walk the selection words directly — one
-		// trailing-zeros step per selected position, O(selected) random
-		// accesses (fields are fixed-width, so position i is bit i*width).
-		for pos := range selWords(sel, base, b.n) {
-			c := b.get(pos)
-			codeSum += c
-			count++
-			if c < cMin {
-				cMin = c
-			}
-			if c > cMax {
-				cMax = c
-			}
+		if c > cMax {
+			cMax = c
 		}
 	}
 	if count == 0 {
@@ -216,52 +173,18 @@ func (b *BitPackBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
 	}
 }
 
-// GatherSelect implements IntBlock: full blocks stream the word cursor,
+// GatherSelect implements IntBlock: full blocks decode group by group,
 // partial selections hop set bits with the random-access cursor.
 func (b *BitPackBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int32 {
-	n := len(dst)
 	if sel == nil {
-		mask := uint64(1)<<b.width - 1
-		w, off := 0, uint(0)
-		for i := 0; i < b.n; i++ {
-			u := b.words[w] >> off
-			if off+b.width > 64 {
-				u |= b.words[w+1] << (64 - off)
-			}
-			off += b.width
-			if off >= 64 {
-				off -= 64
-				w++
-			}
-			dst = append(dst, int32(int64(b.min)+int64(u&mask)))
-		}
-	} else {
-		for pos := range selWords(sel, base, b.n) {
-			dst = append(dst, int32(int64(b.min)+int64(b.get(pos))))
-		}
+		return b.AppendTo(dst)
+	}
+	n := len(dst)
+	for pos := range selWords(sel, base, b.n) {
+		dst = append(dst, int32(int64(b.min)+int64(b.get(pos))))
 	}
 	countDecoded(len(dst) - n)
 	return dst
-}
-
-// FilterFunc implements IntBlock: streaming decode, one callback per value.
-func (b *BitPackBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bitmap) {
-	mask := uint64(1)<<b.width - 1
-	w, off := 0, uint(0)
-	for i := 0; i < b.n; i++ {
-		u := b.words[w] >> off
-		if off+b.width > 64 {
-			u |= b.words[w+1] << (64 - off)
-		}
-		off += b.width
-		if off >= 64 {
-			off -= 64
-			w++
-		}
-		if match(int32(int64(b.min) + int64(u&mask))) {
-			bm.Set(base + i)
-		}
-	}
 }
 
 // CompressedBytes implements IntBlock.

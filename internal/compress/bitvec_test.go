@@ -141,29 +141,3 @@ func TestQuickBitVecFilterOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// BenchmarkBitVecVsBitPackFilter is the encoding ablation: bit-vector's
-// predicate path does no per-position work.
-func BenchmarkBitVecVsBitPackFilter(b *testing.B) {
-	rng := rand.New(rand.NewSource(16))
-	vals := lowCardVals(rng, 1<<16, 5)
-	bv := NewBitVecBlock(vals)
-	bp := NewBitPackBlock(vals)
-	p := In(0, 6)
-	b.Run("bitvec", func(b *testing.B) {
-		bm := bitmap.New(len(vals))
-		b.SetBytes(int64(len(vals)) * 4)
-		for i := 0; i < b.N; i++ {
-			bm.Reset()
-			bv.Filter(p, 0, bm)
-		}
-	})
-	b.Run("bitpack", func(b *testing.B) {
-		bm := bitmap.New(len(vals))
-		b.SetBytes(int64(len(vals)) * 4)
-		for i := 0; i < b.N; i++ {
-			bm.Reset()
-			bp.Filter(p, 0, bm)
-		}
-	})
-}

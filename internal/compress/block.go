@@ -242,53 +242,18 @@ func (b *PlainBlock) Values() []int32 { return b.vals }
 // Get implements IntBlock.
 func (b *PlainBlock) Get(i int) int32 { return b.vals[i] }
 
-// Filter implements IntBlock. The common operators are specialized so the
-// inner loop is a tight compare over a raw array — this is precisely the
-// "iterate through values directly as an array" behaviour block iteration
-// relies on.
+// Filter implements IntBlock: the test-and-pack step straight over the raw
+// array — the "iterate through values directly as an array" behaviour block
+// iteration relies on.
 func (b *PlainBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) {
-	switch p.Op {
-	case OpEq:
-		for i, v := range b.vals {
-			if v == p.A {
-				bm.Set(base + i)
-			}
-		}
-	case OpBetween:
-		for i, v := range b.vals {
-			if v >= p.A && v <= p.B {
-				bm.Set(base + i)
-			}
-		}
-	case OpLt:
-		for i, v := range b.vals {
-			if v < p.A {
-				bm.Set(base + i)
-			}
-		}
-	case OpGe:
-		for i, v := range b.vals {
-			if v >= p.A {
-				bm.Set(base + i)
-			}
-		}
-	default:
-		for i, v := range b.vals {
-			if p.Match(v) {
-				bm.Set(base + i)
-			}
-		}
-	}
+	t := predTest(p)
+	filterVals(b.vals, &t, base, bm)
 }
 
-// FilterSet implements IntBlock with a tight membership test over the raw
-// array.
+// FilterSet implements IntBlock.
 func (b *PlainBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap) {
-	for i, v := range b.vals {
-		if setContains(set, setMin, v) {
-			bm.Set(base + i)
-		}
-	}
+	t := setTest(set, setMin)
+	filterVals(b.vals, &t, base, bm)
 }
 
 // Gather implements IntBlock.
@@ -304,9 +269,7 @@ func (b *PlainBlock) Gather(idx []int32, dst []int32) []int32 {
 // oracle the fuzz targets compare the native kernels against.
 func (b *PlainBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
 	if sel == nil {
-		for _, v := range b.vals {
-			acc.observe(v, 1)
-		}
+		foldVals(b.vals, acc)
 		return
 	}
 	for pos := range selWords(sel, base, len(b.vals)) {
@@ -330,11 +293,7 @@ func (b *PlainBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []i
 
 // FilterFunc implements IntBlock.
 func (b *PlainBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bitmap) {
-	for i, v := range b.vals {
-		if match(v) {
-			bm.Set(base + i)
-		}
-	}
+	filterVals(b.vals, &groupTest{kind: testFunc, match: match}, base, bm)
 }
 
 // CompressedBytes implements IntBlock.

@@ -303,6 +303,10 @@ func TestPredBounds(t *testing.T) {
 		{In(3, 4, 5), 3, 5, true}, // contiguous set -> interval
 		{In(3, 7), 3, 7, false},   // gap -> not an interval
 		{Pred{Op: OpNe, A: 1}, 0, 0, false},
+		// Empty predicates render an inverted interval instead of wrapping.
+		{In(), 0, -1, true},
+		{Lt(-1 << 31), 0, -1, true},
+		{Gt(1<<31 - 1), 0, -1, true},
 	}
 	for _, c := range cases {
 		lo, hi, ok := c.p.Bounds()
@@ -471,32 +475,6 @@ func TestQuickRoundTripAll(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkFilterPlainVsRLE(b *testing.B) {
-	vals := make([]int32, 1<<16)
-	for i := range vals {
-		vals[i] = int32(i / 4096) // 16 runs
-	}
-	plain := NewPlainBlock(vals)
-	rle := NewRLEBlock(vals)
-	p := Between(3, 7)
-	b.Run("plain", func(b *testing.B) {
-		bm := bitmap.New(len(vals))
-		b.SetBytes(int64(len(vals)) * 4)
-		for i := 0; i < b.N; i++ {
-			bm.Reset()
-			plain.Filter(p, 0, bm)
-		}
-	})
-	b.Run("rle", func(b *testing.B) {
-		bm := bitmap.New(len(vals))
-		b.SetBytes(int64(len(vals)) * 4)
-		for i := 0; i < b.N; i++ {
-			bm.Reset()
-			rle.Filter(p, 0, bm)
-		}
-	})
 }
 
 // TestFilterSetEquivalence: FilterSet on every encoding agrees with a naive

@@ -78,16 +78,6 @@ func DeltaWidth(vals []int32) uint {
 	return w
 }
 
-func (b *DeltaBlock) delta(i int) int64 {
-	bitPos := uint(i) * b.width
-	w, off := bitPos/64, bitPos%64
-	u := b.deltas[w] >> off
-	if off+b.width > 64 {
-		u |= b.deltas[w+1] << (64 - off)
-	}
-	return int64(u&((1<<b.width)-1)) + b.minDelta
-}
-
 // Len implements IntBlock.
 func (b *DeltaBlock) Len() int { return b.n }
 
@@ -97,17 +87,36 @@ func (b *DeltaBlock) Encoding() Encoding { return Delta }
 // MinMax implements IntBlock.
 func (b *DeltaBlock) MinMax() (int32, int32) { return b.min, b.max }
 
+// unpack decodes the next stretch of values, those from position pos on,
+// into g and returns how many there are and the last of them: the first
+// value alone at pos 0, then one 64-delta group per call (pos 1, 65, ...),
+// prefix-summed in place onto v, the value before pos. The sums run modulo
+// 2^32, which is exact because every value fits an int32. Every pass over
+// the block is this loop:
+//
+//	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
+//		k, v = b.unpack(pos, v, &g)
+func (b *DeltaBlock) unpack(pos int, v int32, g *group) (int, int32) {
+	if pos == 0 {
+		g[0] = b.first
+		return 1, b.first
+	}
+	k := min(groupLen, b.n-pos)
+	unpack64(b.deltas[uint(pos/groupLen)*b.width:], b.width, uint32(b.minDelta), g[:k])
+	for i, d := range g[:k] {
+		v += d
+		g[i] = v
+	}
+	return k, v
+}
+
 // AppendTo implements IntBlock.
 func (b *DeltaBlock) AppendTo(dst []int32) []int32 {
-	if b.n == 0 {
-		return dst
-	}
 	countDecoded(b.n)
-	v := int64(b.first)
-	dst = append(dst, b.first)
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		dst = append(dst, int32(v))
+	var g group
+	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
+		k, v = b.unpack(pos, v, &g)
+		dst = append(dst, g[:k]...)
 	}
 	return dst
 }
@@ -116,67 +125,51 @@ func (b *DeltaBlock) AppendTo(dst []int32) []int32 {
 // prefix, so executors should prefer AppendTo or Gather. It exists to keep
 // the interface total.
 func (b *DeltaBlock) Get(i int) int32 {
-	v := int64(b.first)
-	for k := 0; k < i; k++ {
-		v += b.delta(k)
-	}
-	return int32(v)
-}
-
-// Filter implements IntBlock by streaming the decoded sequence.
-func (b *DeltaBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) {
-	if b.n == 0 {
-		return
-	}
-	v := int64(b.first)
-	if p.Match(int32(v)) {
-		bm.Set(base)
-	}
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		if p.Match(int32(v)) {
-			bm.Set(base + i + 1)
+	var g group
+	for pos, k, v := 0, 0, int32(0); ; pos += k {
+		if k, v = b.unpack(pos, v, &g); i < pos+k {
+			return g[i-pos]
 		}
 	}
 }
+
+// filter is the block's one selection loop: decode a stretch, test and pack
+// it, OR one result word into bm.
+func (b *DeltaBlock) filter(t groupTest, base int, bm *bitmap.Bitmap) {
+	if t.kind == testNone {
+		return
+	}
+	var g group
+	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
+		k, v = b.unpack(pos, v, &g)
+		bm.OrWord(base+pos, t.pack(&g, k))
+	}
+}
+
+// Filter implements IntBlock by streaming the decoded sequence.
+func (b *DeltaBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) { b.filter(predTest(p), base, bm) }
 
 // FilterSet implements IntBlock by streaming the decoded sequence through
 // the membership test.
 func (b *DeltaBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap) {
-	if b.n == 0 {
-		return
-	}
-	v := int64(b.first)
-	if setContains(set, setMin, int32(v)) {
-		bm.Set(base)
-	}
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		if setContains(set, setMin, int32(v)) {
-			bm.Set(base + i + 1)
-		}
-	}
+	b.filter(setTest(set, setMin), base, bm)
 }
 
-// Gather implements IntBlock with one forward decode pass (idx is sorted).
+// FilterFunc implements IntBlock by streaming the decoded sequence.
+func (b *DeltaBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bitmap) {
+	b.filter(groupTest{kind: testFunc, match: match}, base, bm)
+}
+
+// Gather implements IntBlock with one forward decode pass (idx is sorted),
+// which stops at the last position asked for.
 func (b *DeltaBlock) Gather(idx []int32, dst []int32) []int32 {
-	if len(idx) == 0 {
-		return dst
-	}
 	countDecoded(len(idx))
-	v := int64(b.first)
-	pos := int32(0)
-	k := 0
-	for k < len(idx) && idx[k] == 0 {
-		dst = append(dst, b.first)
-		k++
-	}
-	for i := 0; i < b.n-1 && k < len(idx); i++ {
-		v += b.delta(i)
-		pos = int32(i + 1)
-		for k < len(idx) && idx[k] == pos {
-			dst = append(dst, int32(v))
-			k++
+	var g group
+	for pos, k, v := 0, 0, int32(0); len(idx) > 0 && pos < b.n; pos += k {
+		k, v = b.unpack(pos, v, &g)
+		for len(idx) > 0 && int(idx[0]) < pos+k {
+			dst = append(dst, g[int(idx[0])-pos])
+			idx = idx[1:]
 		}
 	}
 	return dst
@@ -185,56 +178,38 @@ func (b *DeltaBlock) Gather(idx []int32, dst []int32) []int32 {
 // AggSelect implements IntBlock with one forward streaming pass — the same
 // cost as Filter, since delta encoding has no random access to exploit.
 func (b *DeltaBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
-	if b.n == 0 {
-		return
-	}
-	v := int64(b.first)
-	if sel == nil || sel.Get(base) {
-		acc.observe(int32(v), 1)
-	}
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		if sel == nil || sel.Get(base+i+1) {
-			acc.observe(int32(v), 1)
+	var g group
+	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
+		k, v = b.unpack(pos, v, &g)
+		if sel == nil {
+			foldVals(g[:k], acc)
+			continue
+		}
+		for i, x := range g[:k] {
+			if sel.Get(base + pos + i) {
+				acc.observe(x, 1)
+			}
 		}
 	}
 }
 
 // GatherSelect implements IntBlock with one forward streaming pass.
 func (b *DeltaBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int32 {
-	if b.n == 0 {
-		return dst
+	if sel == nil {
+		return b.AppendTo(dst)
 	}
 	n := len(dst)
-	v := int64(b.first)
-	if sel == nil || sel.Get(base) {
-		dst = append(dst, b.first)
-	}
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		if sel == nil || sel.Get(base+i+1) {
-			dst = append(dst, int32(v))
+	var g group
+	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
+		k, v = b.unpack(pos, v, &g)
+		for i, x := range g[:k] {
+			if sel.Get(base + pos + i) {
+				dst = append(dst, x)
+			}
 		}
 	}
 	countDecoded(len(dst) - n)
 	return dst
-}
-
-// FilterFunc implements IntBlock by streaming the decoded sequence.
-func (b *DeltaBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bitmap) {
-	if b.n == 0 {
-		return
-	}
-	v := int64(b.first)
-	if match(int32(v)) {
-		bm.Set(base)
-	}
-	for i := 0; i < b.n-1; i++ {
-		v += b.delta(i)
-		if match(int32(v)) {
-			bm.Set(base + i + 1)
-		}
-	}
 }
 
 // CompressedBytes implements IntBlock.

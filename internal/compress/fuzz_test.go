@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -263,6 +264,57 @@ func FuzzAggSelect(f *testing.F) {
 				if base == 0 {
 					checkKernelOracle(t, name, blk, vals, nil, 0)
 				}
+			}
+		}
+	})
+}
+
+// FuzzFilter fuzzes the selection kernels: for arbitrary values, any
+// predicate operator (IN with gaps and != included) or dense set window, any
+// base and any destination prefill, Filter / FilterSet / FilterFunc on every
+// encoding must leave exactly the prefill OR the decoded oracle's matches.
+func FuzzFilter(f *testing.F) {
+	// The committed corpus (testdata/fuzz/FuzzFilter) holds one block per
+	// bit-pack width class (1, 7, 8, 31, 32 bits), a 65-value block (one
+	// full group and a one-value tail) and inverted intervals, one over a
+	// block with a negative minimum; these two add the empty block and a
+	// low-cardinality one every encoding accepts.
+	f.Add([]byte{0}, uint8(OpEq), int32(0), int32(0), uint16(0), uint64(0))
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}, uint8(OpIn), int32(0), int32(2), uint16(64), ^uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, opRaw uint8, a, b int32, baseRaw uint16, prefill uint64) {
+		if len(data) > 1<<16 {
+			return
+		}
+		vals, _, _ := fuzzDecodeValues(data)
+		n := len(vals)
+		p := Pred{Op: Op(opRaw % 8), A: a, B: b}
+		if p.Op == OpIn {
+			p = In(a, b, a+3)
+		}
+		// A 200-bit set window anchored at a, patterned by the prefill.
+		set := bitmap.New(200)
+		for i := 0; i < set.Len(); i++ {
+			if prefill>>(uint(i)%64)&1 != 0 {
+				set.Set(i)
+			}
+		}
+		odd := func(v int32) bool { return v%3 == 1 || v < a }
+		sels := []selection{
+			predSelection(p),
+			setSelection("window", set, a),
+			{name: "FilterFunc", match: odd,
+				apply: func(blk IntBlock, base int, bm *bitmap.Bitmap) { blk.FilterFunc(odd, base, bm) }},
+		}
+		base := int(baseRaw % 200)
+		words := make([]uint64, (base+n+70+63)/64)
+		for i := range words {
+			words[i] = bits.RotateLeft64(prefill, i)
+		}
+		pre := bitmap.FromWords(words, base+n+70)
+		for _, sel := range sels {
+			matches := sel.oracle(vals)
+			for name, blk := range encodersFor(vals) {
+				checkSelection(t, name, blk, sel, matches, pre, base)
 			}
 		}
 	})

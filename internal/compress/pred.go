@@ -125,10 +125,16 @@ func (p Pred) Bounds() (lo, hi int32, ok bool) {
 	case OpEq:
 		return p.A, p.A, true
 	case OpLt:
+		if p.A == minI {
+			return 0, -1, true // v < MinInt32: empty, and A-1 would wrap
+		}
 		return minI, p.A - 1, true
 	case OpLe:
 		return minI, p.A, true
 	case OpGt:
+		if p.A == maxI {
+			return 0, -1, true // v > MaxInt32: empty, and A+1 would wrap
+		}
 		return p.A + 1, maxI, true
 	case OpGe:
 		return p.A, maxI, true

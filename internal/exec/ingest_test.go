@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/obs"
@@ -437,6 +438,52 @@ func TestIngestEpochSnapshot(t *testing.T) {
 	}
 	if got := db.Epoch(); got != 1234 {
 		t.Fatalf("epoch after compaction %d, want 1234 (compaction moves rows, not the data version)", got)
+	}
+}
+
+// TestDeltaChunkWrappedOncePerQuery: wrapping a delta chunk as a block scans
+// the whole chunk, so a query must do it once per (chunk, column) — not once
+// per probe and sparse gather that acquires the chunk, nor once per slot
+// that names the column (Q1.1 probes lo_discount and multiplies by it).
+func TestDeltaChunkWrappedOncePerQuery(t *testing.T) {
+	db := BuildDB(ssb.Generate(0.002), true)
+	if err := db.EnableDelta(0); err != nil {
+		t.Fatalf("EnableDelta: %v", err)
+	}
+	shape, _ := db.BatchShape()
+	batch, err := ssb.RandBatch(5, 3000, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	sdb, view, _, _ := db.snapshotForRead()
+	plan := sdb.compile(ssb.QueryByID("1.1"), FusedOpt, nil)
+	ms := deltaMorsels(plan, view, nil)
+	if len(ms) != 1 {
+		t.Fatalf("%d delta morsels, want 1", len(ms))
+	}
+	byName, shared := map[string]*colstore.Column{}, false
+	for i, col := range ms[0].cols {
+		name := plan.slots[i]
+		if prev, ok := byName[name]; ok {
+			shared = true
+			if prev != col {
+				t.Errorf("slots naming %s bind different columns", name)
+			}
+		}
+		byName[name] = col
+		first, release := col.AcquireBlock(0)
+		release()
+		again, release := col.AcquireBlock(0)
+		release()
+		if first != again {
+			t.Errorf("%s: chunk wrapped again on the second acquire", name)
+		}
+	}
+	if !shared {
+		t.Fatal("Q1.1 no longer names a column in two slots; pick a query that does")
 	}
 }
 

@@ -57,9 +57,14 @@ type deltaChunk struct {
 // coverage decisions stay sound). Segments are whatever length the insert
 // batches were, which suits the block routine — it never addresses a
 // column by global position.
+//
+// Wrapping a chunk scans it for the block's own bounds (which no kernel
+// reads), so blocks memoizes the wrap for the life of the source — one
+// scanDelta call, one goroutine — however many probes and gathers acquire it.
 type deltaSource struct {
 	chunks []deltaChunk
 	name   string
+	blocks []compress.IntBlock
 }
 
 func (s deltaSource) NumSegments() int { return len(s.chunks) }
@@ -76,8 +81,11 @@ func (s deltaSource) SegEncoding(int) compress.Encoding { return compress.Plain 
 func (s deltaSource) SegBytes(i int) int64 { return int64(s.SegRows(i)) * 4 }
 
 func (s deltaSource) Acquire(i int) (compress.IntBlock, func(), error) {
-	c := s.chunks[i]
-	return compress.NewPlainBlock(c.b.Col(s.name)[c.lo:c.hi]), func() {}, nil
+	if s.blocks[i] == nil {
+		c := s.chunks[i]
+		s.blocks[i] = compress.NewPlainBlock(c.b.Col(s.name)[c.lo:c.hi])
+	}
+	return s.blocks[i], func() {}, nil
 }
 
 // deltaMorsels cuts the write-store side of a snapshot into morsels: every
@@ -96,8 +104,15 @@ func deltaMorsels(plan *Plan, view *delta.View, del *bitmap.Bitmap) []morsel {
 		}
 		return true
 	})
+	// One source per column, however many slots name it (flight 1 probes
+	// lo_discount and multiplies by it), so the slots share its blocks.
+	byName := map[string]*colstore.Column{}
 	cols := plan.bind(func(name string) *colstore.Column {
-		return colstore.NewSourcedColumn(name, nil, colstore.Unsorted, deltaSource{chunks: chunks, name: name})
+		if byName[name] == nil {
+			byName[name] = colstore.NewSourcedColumn(name, nil, colstore.Unsorted,
+				deltaSource{chunks: chunks, name: name, blocks: make([]compress.IntBlock, len(chunks))})
+		}
+		return byName[name]
 	})
 	ms := make([]morsel, len(chunks))
 	for i, c := range chunks {
