@@ -105,80 +105,6 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-// BenchmarkFlight1PerQuery gives per-query resolution for the flight the
-// paper highlights (order-of-magnitude compression win on sorted data).
-func BenchmarkFlight1PerQuery(b *testing.B) {
-	db := benchDB()
-	for _, id := range []string{"1.1", "1.2", "1.3"} {
-		id := id
-		for _, sys := range []struct {
-			name string
-			cfg  core.Config
-		}{
-			{"CS", core.ColumnStore(exec.FullOpt)},
-			{"CS-NoCompress", core.ColumnStore(exec.Config{BlockIter: true, LateMat: true})},
-			{"RS", core.RowStore(rowexec.Traditional)},
-		} {
-			sys := sys
-			b.Run("Q"+id+"/"+sys.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := db.Run(id, sys.cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFusedPipeline measures the fused, block-at-a-time pipeline
-// against the per-probe pipeline it replaces, on the join flights (2-4) —
-// the ten queries whose CPU is dominated by probe application and group
-// extraction. One iteration runs all ten queries; compare ns/op between
-// the PerProbe and Fused sub-benchmarks for the CPU speedup, and the
-// sim-io-s/op metric for the I/O side.
-func BenchmarkFusedPipeline(b *testing.B) {
-	db := benchDB()
-	var joinQueries []*ssb.Query
-	for _, q := range ssb.Queries() {
-		if q.Flight >= 2 {
-			joinQueries = append(joinQueries, q)
-		}
-	}
-	fusedPar := exec.FusedOpt
-	fusedPar.Workers = 4
-	for _, sys := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"PerProbe", core.ColumnStore(exec.FullOpt)},
-		{"Fused", core.ColumnStore(exec.FusedOpt)},
-		{"FusedParallel", core.ColumnStore(fusedPar)},
-	} {
-		sys := sys
-		b.Run(sys.name, func(b *testing.B) {
-			// Warm-up validates the configuration end to end.
-			for _, q := range joinQueries {
-				if _, _, err := db.Run(q.ID, sys.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			var ioSecs float64
-			for i := 0; i < b.N; i++ {
-				for _, q := range joinQueries {
-					_, stats, err := db.Run(q.ID, sys.cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ioSecs += stats.IOTime.Seconds()
-				}
-			}
-			b.ReportMetric(ioSecs/float64(b.N), "sim-io-s/op")
-		})
-	}
-}
-
 // BenchmarkStorageSizes reports the Section 6.2 storage comparison as
 // benchmark metrics (bytes per value for each layout).
 func BenchmarkStorageSizes(b *testing.B) {
@@ -218,24 +144,8 @@ func BenchmarkPartitioning(b *testing.B) {
 	}
 }
 
-// BenchmarkProjections reports the redundant-sort-order extension (see
-// EXPERIMENTS.md): baseline C-Store vs projection-enabled.
-func BenchmarkProjections(b *testing.B) {
-	db := benchDB()
-	for _, sys := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"base", core.ColumnStore(exec.FullOpt)},
-		{"projected", core.ColumnStoreProjected(exec.FullOpt)},
-	} {
-		sys := sys
-		b.Run(sys.name, func(b *testing.B) { benchSystem(b, db, sys.cfg) })
-	}
-}
-
 // BenchmarkConclusion reports the super-tuple row-store simulation from the
-// paper's conclusion (see EXPERIMENTS.md).
+// paper's conclusion (Section 7; `ssb-bench -figure conclusion`).
 func BenchmarkConclusion(b *testing.B) {
 	db := benchDB()
 	for _, sys := range []struct {

@@ -7,20 +7,16 @@
 //	-figure 7          C-Store ablation tICL .. Ticl             (Figure 7)
 //	-figure 8          denormalization Base, PJ variants         (Figure 8)
 //	-figure sizes      storage footprint comparison              (Section 6.2)
-//	-figure projections  redundant sort orders extension         (Section 5.1)
 //	-figure conclusion   super-tuple row-store simulation        (Section 7)
 //	-figure partition  partitioning on/off ablation              (Section 6.1)
-//	-figure fused      fused pipeline vs per-probe extension     (PERFORMANCE.md)
-//	-figure kernels    encoding-native aggregation kernels on vs off:
-//	                   ns/op + decoded-bytes-avoided on the RLE-heavy
-//	                   flight 1 queries                          (PERFORMANCE.md)
-//	-figure segstore   segment store: cold vs warm + budget sweep (PERFORMANCE.md)
-//	-figure all        everything (except kernels and segstore; segstore
-//	                   needs -data *.seg or generates its own temporary
-//	                   segment file)
+//	-figure all        everything
 //
-// Serving throughput and latency under ingest are measured out of process,
-// over real HTTP, by the repository benchmark (BENCHMARK.json, benchmark/).
+// These are the paper's experiments and nothing else. What the serving
+// engine costs — the fused scan per flight and its parallel speedup, the
+// compressed-block kernels, the segment store cold, warm and under a memory
+// budget, throughput and latency under ingest — is measured out of process,
+// over real HTTP on SF=1 data, by the repository benchmark (BENCHMARK.json,
+// benchmark/).
 //
 // Reported numbers are total simulated seconds: measured CPU time plus the
 // I/O the run performed priced at the paper's 180 MB/s striped-disk model.
@@ -33,70 +29,30 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/iosim"
 	"repro/internal/rowexec"
 	"repro/internal/ssb"
 )
 
 var (
-	sfFlag    = flag.Float64("sf", 0.1, "SSBM scale factor (paper uses 10)")
-	dataPath  = flag.String("data", "", "load the dataset from this file (either ssb-gen -out format, sniffed) instead of generating")
-	memBudget = flag.Float64("mem-budget", 0, "buffer-pool budget in MB for segment-store runs (0 = unbounded)")
-	reps      = flag.Int("reps", 1, "repetitions per cell (best time wins)")
-	showCPU   = flag.Bool("cpu", false, "also print measured CPU seconds")
-	showIO    = flag.Bool("io", false, "also print simulated I/O seconds")
-	verify    = flag.Bool("verify", false, "verify every cell against the reference (slow)")
-	csvOut    = flag.Bool("csv", false, "emit figures as CSV instead of aligned tables")
-	figureID  = flag.String("figure", "all", "which experiment to run: 5, 6, 7, 8, sizes, projections, conclusion, partition, fused, kernels, segstore, all")
-	jsonPath  = flag.String("json", "", "write every figure's measurements to this file as a normalized ssb-bench/v2 JSON artifact")
+	sfFlag   = flag.Float64("sf", 0.1, "SSBM scale factor (paper uses 10)")
+	reps     = flag.Int("reps", 1, "repetitions per cell (best time wins)")
+	showCPU  = flag.Bool("cpu", false, "also print measured CPU seconds")
+	showIO   = flag.Bool("io", false, "also print simulated I/O seconds")
+	verify   = flag.Bool("verify", false, "verify every cell against the reference (slow)")
+	csvOut   = flag.Bool("csv", false, "emit figures as CSV instead of aligned tables")
+	figureID = flag.String("figure", "all", "which experiment to run: 5, 6, 7, 8, sizes, conclusion, partition, all")
+	jsonPath = flag.String("json", "", "write every figure's measurements to this file as a normalized ssb-bench/v2 JSON artifact")
 )
-
-// segServable marks the figures a segment-store -data file can serve: only
-// the compressed column engines run without the raw dataset.
-var segServable = map[string]bool{"fused": true, "kernels": true, "segstore": true}
 
 func main() {
 	flag.Parse()
-	var db *core.DB
-	if *dataPath != "" {
-		var err error
-		db, err = core.OpenFile(*dataPath, int64(*memBudget*1e6))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	} else {
-		db = core.Open(*sfFlag)
-	}
-	rows := "?"
-	if db.Data != nil {
-		rows = fmt.Sprint(db.Data.NumLineorders())
-	} else if st := db.SegmentStore(); st != nil {
-		rows = fmt.Sprintf("%d (segment store, %.1f MB compressed)",
-			factRows(db), float64(st.CompressedBytes())/1e6)
-	}
-	fmt.Printf("# SSBM at SF=%g (%s lineorder rows); disk model %.0f MB/s\n",
-		db.SF, rows, db.Disk.SeqMBPerSec)
+	db := core.Open(*sfFlag)
+	fmt.Printf("# SSBM at SF=%g (%d lineorder rows); disk model %.0f MB/s\n",
+		db.SF, db.Data.NumLineorders(), db.Disk.SeqMBPerSec)
 
-	ran := false
 	for _, f := range strings.Split(*figureID, ",") {
-		if db.Data == nil && !segServable[f] {
-			if f == "all" {
-				// A segment store cannot serve the row-store, ablation, or
-				// denormalized figures; run what it can instead of dying
-				// on the first raw-dataset config.
-				fmt.Println("\n(segment-store -data file: raw-dataset figures skipped; running fused + segstore)")
-				runFigure(db, "fused", "Extension: fused morsel-parallel pipeline (see PERFORMANCE.md)", fusedRows(db))
-				runSegstore(db)
-				ran = true
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "figure %q needs the raw dataset; a segment store (-data *.seg) serves only: fused, segstore\n", f)
-			os.Exit(2)
-		}
 		switch f {
 		case "5":
 			runFigure(db, "5", "Figure 5: baseline comparison", figure5Rows(db))
@@ -108,36 +64,22 @@ func main() {
 			runFigure(db, "8", "Figure 8: denormalization", figure8Rows(db))
 		case "sizes":
 			runSizes(db)
-		case "projections":
-			runFigure(db, "projections", "Extension: redundant fact projections (paper Section 5.1)", projectionRows(db))
 		case "conclusion":
 			runFigure(db, "conclusion", "Extension: super-tuple row-store simulation (paper Section 7)", conclusionRows(db))
 		case "partition":
 			runPartition(db)
-		case "fused":
-			runFigure(db, "fused", "Extension: fused morsel-parallel pipeline (see PERFORMANCE.md)", fusedRows(db))
-		case "kernels":
-			runKernels(db)
-		case "segstore":
-			runSegstore(db)
 		case "all":
 			runFigure(db, "5", "Figure 5: baseline comparison", figure5Rows(db))
 			runFigure(db, "6", "Figure 6: row-store physical designs", figure6Rows(db))
 			runFigure(db, "7", "Figure 7: C-Store optimization ablation", figure7Rows(db))
 			runFigure(db, "8", "Figure 8: denormalization", figure8Rows(db))
-			runFigure(db, "projections", "Extension: redundant fact projections (paper Section 5.1)", projectionRows(db))
 			runFigure(db, "conclusion", "Extension: super-tuple row-store simulation (paper Section 7)", conclusionRows(db))
-			runFigure(db, "fused", "Extension: fused morsel-parallel pipeline (see PERFORMANCE.md)", fusedRows(db))
 			runSizes(db)
 			runPartition(db)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", f)
 			os.Exit(2)
 		}
-		ran = true
-	}
-	if !ran {
-		os.Exit(2)
 	}
 	if *jsonPath != "" {
 		if err := writeArtifact(*jsonPath, db.SF); err != nil {
@@ -187,29 +129,12 @@ func figure8Rows(db *core.DB) []row {
 	}
 }
 
-func projectionRows(db *core.DB) []row {
-	return []row{
-		{"CS", core.ColumnStore(exec.FullOpt)},
-		{"CS+proj", core.ColumnStoreProjected(exec.FullOpt)},
-	}
-}
-
 func conclusionRows(db *core.DB) []row {
 	return []row{
 		{"VP (naive)", core.RowStore(rowexec.VerticalPartitioning)},
 		{"VP (super)", core.SuperTupleVP()},
 		{"CS (no compress)", core.ColumnStore(exec.Config{BlockIter: true, InvisibleJoin: true, LateMat: true})},
 		{"CS (full)", core.ColumnStore(exec.FullOpt)},
-	}
-}
-
-func fusedRows(db *core.DB) []row {
-	fusedPar := exec.FusedOpt
-	fusedPar.Workers = 4
-	return []row{
-		{"per-probe", core.ColumnStore(exec.FullOpt)},
-		{"fused", core.ColumnStore(exec.FusedOpt)},
-		{"fused 4w", core.ColumnStore(fusedPar)},
 	}
 }
 
@@ -318,249 +243,6 @@ func runSizes(db *core.DB) {
 	p("column store: fact, compressed", col.Fact.CompressedBytes(), n*17)
 	fmt.Printf("\nPaper: VP needs ~16 bytes/value (8B header + 4B rid + 4B value)\n")
 	fmt.Printf("vs 4 bytes/value uncompressed in C-Store; whole compressed fact ~2.3GB at SF=10.\n")
-}
-
-// factRows returns the fact cardinality for a segment-backed DB.
-func factRows(db *core.DB) int {
-	t, err := db.SegmentStore().Table("lineorder")
-	if err != nil {
-		return 0
-	}
-	return t.NumRows()
-}
-
-// runSegstore produces the segment-store figures: cold-vs-warm scans of all
-// 13 SSBM queries over a pool-backed file, then a budget sweep showing how
-// eviction pressure trades resident memory for repeated disk fetches. If
-// -data is not a segment file, the current dataset is written to a
-// temporary segment file first, so `-figure segstore -sf 0.1` works
-// standalone.
-func runSegstore(db *core.DB) {
-	segDB := db
-	if segDB.SegmentStore() == nil {
-		tmp, err := os.CreateTemp("", "ssb-*.seg")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		tmp.Close()
-		defer os.Remove(tmp.Name())
-		fmt.Printf("\n(writing temporary segment file %s)\n", tmp.Name())
-		if err := exec.SaveSegments(tmp.Name(), db.SF, db.ColumnDB(true)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		segDB, err = core.OpenSegmentStore(tmp.Name(), int64(*memBudget*1e6))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	st := segDB.SegmentStore()
-	fmt.Printf("\n## Segment store: cold vs warm (budget %s; %d segments, %.1f MB compressed, %.1f MB decoded)\n",
-		budgetLabel(st.Pool().Budget()), st.NumSegments(),
-		float64(st.CompressedBytes())/1e6, float64(st.RawBytes())/1e6)
-	cfg := core.ColumnStore(exec.FusedOpt)
-
-	// Each cell is paper-comparable seconds: measured CPU plus the pool's
-	// *physical* fetches for that query priced by the disk model — warm
-	// runs pay no disk at all, which is the point of the figure.
-	queries := ssb.Queries()
-	header := fmt.Sprintf("%-26s", "")
-	for _, q := range queries {
-		header += fmt.Sprintf("%8s", q.ID)
-	}
-	fmt.Println(header + fmt.Sprintf("%10s", "disk MB") + fmt.Sprintf("%8s", "miss") + fmt.Sprintf("%8s", "evict"))
-
-	recordFigure("segstore")
-	pass := func(label string) {
-		start := st.Pool().Stats()
-		line := fmt.Sprintf("%-26s", label)
-		for _, q := range queries {
-			before := st.Pool().Stats()
-			_, stats, err := segDB.Run(q.ID, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			after := st.Pool().Stats()
-			var phys iosim.Stats
-			phys.Read(after.IO.BytesRead - before.IO.BytesRead)
-			phys.AddSeeks(after.IO.Seeks - before.IO.Seeks)
-			cell := stats.Wall.Seconds() + segDB.Disk.Time(phys).Seconds()
-			record("segstore", label, q.ID, "total_s", cell, "lower")
-			line += fmt.Sprintf("%8.3f", cell)
-		}
-		end := st.Pool().Stats()
-		line += fmt.Sprintf("%10.1f%8d%8d",
-			float64(end.BytesRead-start.BytesRead)/1e6,
-			end.Misses-start.Misses, end.Evictions-start.Evictions)
-		fmt.Println(line)
-	}
-	st.Pool().Reset()
-	pass("cold")
-	pass("warm")
-
-	fmt.Printf("\n## Segment store: budget sweep (fused pipeline, all 13 queries per cell)\n")
-	fmt.Printf("%-12s%12s%12s%12s%12s%12s\n", "budget", "total (s)", "disk MB", "misses", "evictions", "peak MB")
-	decoded := st.RawBytes()
-	for _, frac := range []float64{0, 1, 0.5, 0.25, 0.1, 0.05} {
-		budget := int64(0)
-		label := "unbounded"
-		sysKey := "sweep unbounded" // stable across SFs (label embeds a byte count)
-		if frac > 0 {
-			budget = int64(float64(decoded) * frac)
-			label = fmt.Sprintf("%.0f%% (%0.1fMB)", frac*100, float64(budget)/1e6)
-			sysKey = fmt.Sprintf("sweep %.0f%%", frac*100)
-		}
-		sweepDB, err := core.OpenSegmentStore(st.Path(), budget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sp := sweepDB.SegmentStore().Pool()
-		total := 0.0
-		for _, q := range ssb.Queries() {
-			_, stats, err := sweepDB.Run(q.ID, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			total += stats.Wall.Seconds()
-		}
-		ps := sp.Stats()
-		total += sweepDB.Disk.Time(ps.IO).Seconds()
-		record("segstore", sysKey, "", "total_s", total, "lower")
-		fmt.Printf("%-12s%12.3f%12.1f%12d%12d%12.1f\n", label, total,
-			float64(ps.BytesRead)/1e6, ps.Misses, ps.Evictions, float64(ps.Peak)/1e6)
-		sweepDB.SegmentStore().Close()
-	}
-	fmt.Printf("\n(budget %% is of the %0.1f MB decoded dataset; every run computes identical results)\n", float64(decoded)/1e6)
-}
-
-// runKernels measures the Section 5 "operate on compressed data" ablation
-// in isolation: the flight 1 queries (RLE-sorted orderdate predicate, no
-// group-by — the plans where run-native aggregation bites hardest) run
-// with the encoding-native kernels on and off, reporting measured CPU and
-// the bytes each run materialized to raw values (compress.DecodedBytes).
-// Each canonical Qx also runs as a single-measure variant (SUM(revenue)
-// under the same predicates): the canonical flight 1 aggregate is the
-// two-operand SUM(extendedprice*discount), which must gather both inputs
-// in every mode, while the single-measure plans fold entirely inside the
-// wire encoding — their decoded-bytes column is the avoided
-// decompression, not a modeling estimate.
-func runKernels(db *core.DB) {
-	var plans []*ssb.Query
-	for _, id := range []string{"1.1", "1.2", "1.3"} {
-		q := ssb.QueryByID(id)
-		plans = append(plans, q,
-			// Same predicates, single-measure aggregate: the fold kernel's
-			// home turf whenever the selection can stay in bitmap form.
-			&ssb.Query{
-				ID:          id + "Σrev",
-				Aggs:        []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}},
-				FactFilters: q.FactFilters,
-				DimFilters:  q.DimFilters,
-			},
-			// Dimension filter only: on the orderdate-sorted store most
-			// qualifying blocks are fully covered, so the whole aggregate
-			// folds inside the wire encoding — zero values materialized.
-			&ssb.Query{
-				ID:         id + "Σd",
-				Aggs:       []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}},
-				DimFilters: q.DimFilters,
-			})
-	}
-	nkFull, nkFused := exec.FullOpt, exec.FusedOpt
-	nkFull.NoKernels, nkFused.NoKernels = true, true
-	engines := []struct {
-		label   string
-		on, off core.Config
-	}{
-		{"per-probe", core.ColumnStore(exec.FullOpt), core.ColumnStore(nkFull)},
-		{"fused", core.ColumnStore(exec.FusedOpt), core.ColumnStore(nkFused)},
-	}
-
-	// measure runs one (query, config) cell: best CPU over -reps, plus the
-	// decoded-bytes meter for a single run (deterministic per plan). One
-	// untimed warmup run absorbs lazily-built state (dictionaries, pass
-	// sets, pool misses) so row order doesn't bias the comparison.
-	run := func(q *ssb.Query, cfg core.Config) (cpuNs, decoded int64) {
-		compress.ResetDecodedBytes()
-		_, stats, err := db.RunPlan(q, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return stats.Wall.Nanoseconds(), compress.DecodedBytes()
-	}
-	// measureAB runs one query's kernels-on and kernels-off cells with the
-	// reps interleaved (on, off, on, off, ...) so neither mode measures
-	// against a systematically warmer process — running all on-cells before
-	// all off-cells hands the later mode the branch-predictor and
-	// frequency-boost benefit of everything before it. One untimed warmup
-	// per mode absorbs lazily-built state (dictionaries, pass sets, pool
-	// misses); best wall time per mode wins. The decoded-bytes meter is
-	// deterministic per (plan, mode), so any rep's reading serves.
-	measureAB := func(q *ssb.Query, on, off core.Config) (onNs, offNs, onDec, offDec int64) {
-		run(q, on)
-		run(q, off)
-		for rep := 0; rep < *reps; rep++ {
-			if w, d := run(q, on); rep == 0 || w < onNs {
-				onNs, onDec = w, d
-			}
-			if w, d := run(q, off); rep == 0 || w < offNs {
-				offNs, offDec = w, d
-			}
-		}
-		return onNs, offNs, onDec, offDec
-	}
-
-	fmt.Printf("\n## Extension: aggregation on compressed blocks (kernels on vs off, flight 1)\n")
-	recordFigure("kernels")
-	header := fmt.Sprintf("%-22s", "")
-	for _, q := range plans {
-		header += fmt.Sprintf("%12s", q.ID)
-	}
-	fmt.Println(header + fmt.Sprintf("%14s", "decoded MB"))
-	for _, e := range engines {
-		rows := [2]string{
-			fmt.Sprintf("%-22s", e.label+" (kernels)"),
-			fmt.Sprintf("%-22s", e.label+" (-nk)"),
-		}
-		var totalDec [2]int64
-		var avoided int64
-		for _, q := range plans {
-			onNs, offNs, onDec, offDec := measureAB(q, e.on, e.off)
-			rows[0] += fmt.Sprintf("%10.2fms", float64(onNs)/1e6)
-			rows[1] += fmt.Sprintf("%10.2fms", float64(offNs)/1e6)
-			totalDec[0] += onDec
-			totalDec[1] += offDec
-			avoided += offDec - onDec
-			record("kernels", e.label+" (kernels)", q.ID, "cpu_ns", float64(onNs), "lower")
-			record("kernels", e.label+" (kernels)", q.ID, "decoded_bytes", float64(onDec), "lower")
-			record("kernels", e.label+" (-nk)", q.ID, "cpu_ns", float64(offNs), "lower")
-			record("kernels", e.label+" (-nk)", q.ID, "decoded_bytes", float64(offDec), "lower")
-		}
-		for mi := range rows {
-			rows[mi] += fmt.Sprintf("%14.1f", float64(totalDec[mi])/1e6)
-		}
-		fmt.Println(rows[0])
-		fmt.Println(rows[1])
-		fmt.Printf("%-22s  decoded bytes avoided: %.2f MB\n", "", float64(avoided)/1e6)
-	}
-	fmt.Println("\n(decoded MB = bytes materialized to raw 4 B values across the six runs;")
-	fmt.Println(" QxΣrev is Qx's predicates with single-measure SUM(revenue) — the plans the")
-	fmt.Println(" fold kernel serves without materializing; results are pinned bit-identical")
-	fmt.Println(" across modes by TestDifferential)")
-}
-
-// budgetLabel renders a pool budget.
-func budgetLabel(b int64) string {
-	if b <= 0 {
-		return "unbounded"
-	}
-	return fmt.Sprintf("%.1fMB", float64(b)/1e6)
 }
 
 // runPartition reproduces the Section 6.1 partitioning ablation: the

@@ -6,27 +6,24 @@
 //
 //	ssb-gen [-sf 0.1] [-verify] [-encodings]
 //	ssb-gen -sf 1 -out ssb_sf1.seg     # compressed segment store
-//	ssb-gen -sf 1 -out ssb_sf1.dat     # v1 raw columnar dump
 //	ssb-gen -append 100000 -seed 7 -out ssb_sf1.seg  # append seeded rows
 //	                                   # to an existing segment store via
 //	                                   # the write path (WS -> compaction)
 //
-// -out writes one of two formats, chosen by extension (override with
-// -format): files ending in .seg get the segment-store format — the
+// -out writes the segment-store format, whatever the file is called: the
 // physical compressed column layout with per-segment zone maps, which
-// ssb-query/ssb-bench scan lazily through a buffer pool under -mem-budget —
-// while anything else gets the v1 raw dump, which loads wholesale and
-// serves every engine family (row stores, denormalized tables, ablations).
+// ssb-serve and ssb-query scan lazily through a buffer pool under
+// -mem-budget. It is the only persistent format; the engines that need the
+// raw dataset (row stores, denormalized tables, ablations) regenerate it
+// from -sf, of which it is a pure function.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/datafile"
 	"repro/internal/exec"
 	"repro/internal/rowexec"
 	"repro/internal/ssb"
@@ -35,11 +32,10 @@ import (
 
 func main() {
 	sf := flag.Float64("sf", 0.1, "SSBM scale factor (paper uses 10)")
-	out := flag.String("out", "", "write the generated dataset to this file (.seg -> segment store, else v1 raw dump)")
-	format := flag.String("format", "", "force the -out format: v1 or seg (default: by file extension)")
+	out := flag.String("out", "", "write the generated dataset to this file as a compressed segment store")
 	verify := flag.Bool("verify", false, "check measured selectivities against the paper's published values")
 	encodings := flag.Bool("encodings", false, "print per-column encodings of the compressed column store")
-	appendRows := flag.Int("append", 0, "append this many seeded fact rows to the existing -out .seg file via the write path (no regeneration)")
+	appendRows := flag.Int("append", 0, "append this many seeded fact rows to the existing -out segment store via the write path (no regeneration)")
 	appendSeed := flag.Int64("seed", 1, "seed for -append row generation")
 	walPath := flag.String("wal", "", "with -append: route the batch through a write-ahead log at this path (durable ingest; replays any leftover log first)")
 	flag.Parse()
@@ -54,8 +50,9 @@ func main() {
 
 	fmt.Printf("Generating SSBM at SF=%g ...\n", *sf)
 	d := ssb.Generate(*sf)
+	col := exec.BuildDB(d, true)
 	if *out != "" {
-		if err := save(*out, *format, d, *sf); err != nil {
+		if err := exec.SaveSegments(*out, *sf, col); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -69,7 +66,6 @@ func main() {
 	fmt.Printf("  part:      %10d rows\n", len(d.Part.Key))
 	fmt.Printf("  dwdate:    %10d rows\n", d.NumDates())
 
-	col := exec.BuildDB(d, true)
 	colPlain := exec.BuildDB(d, false)
 	fmt.Printf("\nColumn-store fact table: %.1f MB compressed, %.1f MB raw (%.2fx)\n",
 		mb(col.Fact.CompressedBytes()), mb(colPlain.Fact.CompressedBytes()),
@@ -122,16 +118,13 @@ func mb(b int64) float64 { return float64(b) / 1e6 }
 // earlier run is replayed into the write store before the new rows land.
 func appendToSeg(path string, rows int, seed int64, walPath string) error {
 	if path == "" {
-		return fmt.Errorf("ssb-gen: -append needs -out pointing at an existing .seg file")
+		return fmt.Errorf("ssb-gen: -append needs -out pointing at an existing segment store")
 	}
-	db, err := core.OpenFile(path, 0)
+	db, err := core.OpenSegmentStore(path, 0)
 	if err != nil {
 		return err
 	}
 	st := db.SegmentStore()
-	if st == nil {
-		return fmt.Errorf("ssb-gen: -append works on segment stores only; %s is a v1 raw dump", path)
-	}
 	before := db.ColumnDB(true).NumRows()
 	if err := db.EnableIngestWAL(false, 0, walPath, wal.Options{}); err != nil {
 		return err
@@ -167,26 +160,4 @@ func appendToSeg(path string, rows int, seed int64, walPath string) error {
 		fmt.Printf("file is now %.1f MB\n", float64(fi.Size())/1e6)
 	}
 	return st.Close()
-}
-
-// save writes the dataset in the requested format: "seg" builds the
-// compressed physical column store and persists it as a zone-mapped segment
-// file; "v1" (the back-compatible default) dumps the raw logical columns.
-func save(path, format string, d *ssb.Data, sf float64) error {
-	if format == "" {
-		if strings.HasSuffix(path, ".seg") {
-			format = "seg"
-		} else {
-			format = "v1"
-		}
-	}
-	switch format {
-	case "v1":
-		return datafile.Save(path, d)
-	case "seg":
-		db := exec.BuildDB(d, true)
-		return exec.SaveSegments(path, sf, db)
-	default:
-		return fmt.Errorf("unknown -format %q (want v1 or seg)", format)
-	}
 }

@@ -8,10 +8,10 @@
 //	ssb-query -data ssb.seg -mem-budget 16 -q 2.1 -system CS-FUSED
 //	ssb-query -data ssb.seg -golden internal/core/testdata/golden_sf001.json
 //
-// -data accepts both on-disk formats (sniffed by magic): a v1 raw dump
-// loads wholesale and serves every system; a segment store (.seg) serves
-// the compressed column-store systems through a buffer pool bounded by
-// -mem-budget, printing pool hit/miss/eviction statistics after the run.
+// -data opens a segment store (ssb-gen -out), which serves the compressed
+// column-store systems through a buffer pool bounded by -mem-budget,
+// printing pool hit/miss/eviction statistics after the run; every other
+// system needs the raw dataset and runs on a generated one (-sf).
 // -golden runs all 13 SSBM queries and checks every result against a
 // pinned golden JSON file (the CI round-trip check for segment files).
 //
@@ -39,12 +39,12 @@ import (
 
 func main() {
 	sf := flag.Float64("sf", 0.1, "SSBM scale factor")
-	dataPath := flag.String("data", "", "load the dataset from this file (written by ssb-gen -out) instead of generating")
+	dataPath := flag.String("data", "", "open this segment store (written by ssb-gen -out) instead of generating")
 	queryID := flag.String("q", "2.1", "SSBM query id (1.1 .. 4.3)")
 	sqlText := flag.String("sql", "", "ad-hoc SQL in the SSBM dialect (overrides -q); supports any dimension/measure predicates, group-by sets and sum/count/min/max aggregate lists")
 	system := flag.String("system", "CS", "system under test (see doc comment)")
 	workers := flag.Int("workers", 0, "morsel worker count of the fused scan; applies to -system CS-FUSED only (0 = single-threaded)")
-	memBudget := flag.Float64("mem-budget", 0, "buffer-pool budget in MB for segment-store -data files (0 = unbounded)")
+	memBudget := flag.Float64("mem-budget", 0, "buffer-pool budget in MB for the -data segment store (0 = unbounded)")
 	golden := flag.String("golden", "", "run all 13 SSBM queries and check results against this golden JSON file")
 	verify := flag.Bool("verify", false, "also check against the brute-force reference")
 	explain := flag.Bool("explain", false, "print the physical plan; column-store systems then execute once and print a per-stage trace (EXPLAIN ANALYZE)")
@@ -166,12 +166,12 @@ func explainAnalyze(db *core.DB, plan *ssb.Query, cfg core.Config) error {
 	return nil
 }
 
-// openDB loads a saved dataset (either format, sniffed) or generates one.
+// openDB opens a saved segment store or generates a dataset.
 func openDB(path string, sf float64, memBudget int64) (*core.DB, error) {
 	if path == "" {
 		return core.Open(sf), nil
 	}
-	return core.OpenFile(path, memBudget)
+	return core.OpenSegmentStore(path, memBudget)
 }
 
 // printPoolStats reports buffer-pool activity for segment-backed DBs.

@@ -62,7 +62,7 @@ import (
 
 func main() {
 	sf := flag.Float64("sf", 0.1, "SSBM scale factor when generating (no -data)")
-	dataPath := flag.String("data", "", "serve this dataset file (ssb-gen -out format, sniffed)")
+	dataPath := flag.String("data", "", "serve this segment store (written by ssb-gen -out)")
 	memBudget := flag.Float64("mem-budget", 0, "buffer-pool budget in MB for segment-store -data files (0 = unbounded)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "per-query fused worker count")
@@ -89,7 +89,7 @@ func main() {
 		// Route the store's recovery diagnostics through the daemon's own
 		// log line format; the note also stays queryable on /stats for
 		// operators who join after startup.
-		db, err = core.OpenFileWith(*dataPath, segstore.OpenOptions{
+		db, err = core.OpenSegmentStoreWith(*dataPath, segstore.OpenOptions{
 			MemBudget: int64(*memBudget * 1e6),
 			Log: func(msg string) {
 				fmt.Fprintf(os.Stderr, "ssb-serve: %s: %s\n", time.Now().Format(time.RFC3339), msg)
@@ -325,8 +325,8 @@ func goldenSelfTest(db *core.DB, srv *server.Server, goldenPath string, n int, i
 			return fmt.Errorf("%d delta rows still unflushed after drain", ds.PendingRows)
 		}
 		// Cold reopen: every inserted row must be in the file.
-		if dataPath != "" && db.SegmentStore() != nil {
-			cold, err := core.OpenFile(dataPath, 0)
+		if dataPath != "" {
+			cold, err := core.OpenSegmentStore(dataPath, 0)
 			if err != nil {
 				return fmt.Errorf("reopening %s after drain: %w", dataPath, err)
 			}

@@ -144,8 +144,6 @@ func parseSystem(s string) (core.Config, error) {
 	switch strings.ToUpper(s) {
 	case "CS":
 		return core.ColumnStore(exec.FullOpt), nil
-	case "CS-PROJ":
-		return core.ColumnStoreProjected(exec.FullOpt), nil
 	case "RS":
 		return core.RowStore(rowexec.Traditional), nil
 	case "RS-TB":

@@ -447,9 +447,9 @@ func (c *Column) AggSelectPositions(ctx context.Context, positions *vector.Posit
 			}
 		default:
 			// Per-position code-space folds: a materializing op for the
-			// trace, but no bytes decoded (Get never hits the decode
-			// meter), keeping Stats.DecodedBytes an exact mirror of the
-			// global compress.DecodedBytes() delta.
+			// trace, but no bytes decoded — Stats.DecodedBytes counts
+			// values written out as raw int32s (AppendTo, Gather,
+			// GatherSelect), and Get writes none.
 			st.Gathered()
 			for _, i := range idx {
 				acc.Observe(blk.Get(int(i)), 1)
@@ -570,14 +570,9 @@ func chargePositional(blk compress.IntBlock, idx []int32, st *iosim.Stats) {
 	st.Read(charged)
 }
 
-// forEachCandidateBlock groups sorted candidate positions by block, charges
-// I/O for the pages the candidates touch, and invokes fn with block-local
-// indexes. Blocks with no candidates are never acquired.
-func (c *Column) forEachCandidateBlock(candidates *vector.Positions, st *iosim.Stats, fn func(base int32, blk compress.IntBlock, idx []int32), scratch *[]int32) {
-	c.forEachCandidateBlockCtx(context.Background(), candidates, st, fn, scratch)
-}
-
-// forEachCandidateBlockCtx is forEachCandidateBlock with cancellation: once
+// forEachCandidateBlockCtx groups sorted candidate positions by block,
+// charges I/O for the pages the candidates touch, and invokes fn with
+// block-local indexes. Blocks with no candidates are never acquired. Once
 // ctx is done, no further block is acquired (the remaining candidate
 // positions are still walked, but only to group them — pure CPU, no pins,
 // no I/O).

@@ -83,7 +83,6 @@ func (b *BitPackBlock) unpack(pos int, g *group) int {
 
 // AppendTo implements IntBlock.
 func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(b.n)
 	var g group
 	for pos := 0; pos < b.n; pos += groupLen {
 		dst = append(dst, g[:b.unpack(pos, &g)]...)
@@ -121,7 +120,6 @@ func (b *BitPackBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.B
 
 // Gather implements IntBlock.
 func (b *BitPackBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	n := len(dst)
 	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
 	// Locals, so the stores to dst cannot force a reload of the fields.
@@ -179,11 +177,9 @@ func (b *BitPackBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) [
 	if sel == nil {
 		return b.AppendTo(dst)
 	}
-	n := len(dst)
 	for pos := range selWords(sel, base, b.n) {
 		dst = append(dst, int32(int64(b.min)+int64(b.get(pos))))
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

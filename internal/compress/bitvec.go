@@ -87,7 +87,6 @@ func (b *BitVecBlock) Cardinality() int { return len(b.vals) }
 
 // AppendTo implements IntBlock.
 func (b *BitVecBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(b.n)
 	out := dst
 	start := len(dst)
 	out = append(out, make([]int32, b.n)...)
@@ -146,7 +145,6 @@ func (b *BitVecBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *
 
 // Gather implements IntBlock.
 func (b *BitVecBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	for _, i := range idx {
 		dst = append(dst, b.Get(int(i)))
 	}
@@ -182,7 +180,6 @@ func (b *BitVecBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []
 	if total == 0 {
 		return dst
 	}
-	countDecoded(total)
 	if sel == nil {
 		start := len(dst)
 		dst = append(dst, make([]int32, total)...)

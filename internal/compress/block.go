@@ -3,19 +3,9 @@ package compress
 import (
 	"math"
 	mathbits "math/bits"
-	"sync/atomic"
 
 	"repro/internal/bitmap"
 )
-
-// decodedBytes counts bytes materialized as raw int32 values by AppendTo,
-// Gather and GatherSelect across every block. It is a measurement counter
-// for the "operate directly on compressed data" experiments (the paper's
-// Section 5 ablation) — deliberately NOT part of iosim.Stats, whose values
-// the differential harness compares bit-for-bit across configurations: the
-// kernels change how many bytes are decoded without changing how many are
-// read.
-var decodedBytes atomic.Int64
 
 // selWords yields the block-local position i-base for every set bit i of
 // sel within [base, base+n), walking the selection's words with
@@ -49,15 +39,6 @@ func selWords(sel *bitmap.Bitmap, base, n int) func(yield func(int) bool) {
 		}
 	}
 }
-
-// DecodedBytes returns the total bytes decoded to raw values since the last
-// ResetDecodedBytes (4 bytes per materialized value).
-func DecodedBytes() int64 { return decodedBytes.Load() }
-
-// ResetDecodedBytes zeroes the decoded-bytes counter.
-func ResetDecodedBytes() { decodedBytes.Store(0) }
-
-func countDecoded(nVals int) { decodedBytes.Add(int64(nVals) * 4) }
 
 // AggAcc accumulates sum/count/min/max over the values an aggregation
 // kernel visits. Sums are widened to int64 once per block (encodings that
@@ -232,7 +213,6 @@ func (b *PlainBlock) MinMax() (int32, int32) { return b.min, b.max }
 
 // AppendTo implements IntBlock.
 func (b *PlainBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(len(b.vals))
 	return append(dst, b.vals...)
 }
 
@@ -258,7 +238,6 @@ func (b *PlainBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *b
 
 // Gather implements IntBlock.
 func (b *PlainBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	for _, i := range idx {
 		dst = append(dst, b.vals[i])
 	}
@@ -280,14 +259,11 @@ func (b *PlainBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
 // GatherSelect implements IntBlock.
 func (b *PlainBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int32 {
 	if sel == nil {
-		countDecoded(len(b.vals))
 		return append(dst, b.vals...)
 	}
-	n := len(dst)
 	for pos := range selWords(sel, base, len(b.vals)) {
 		dst = append(dst, b.vals[pos])
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

@@ -112,7 +112,6 @@ func (b *DeltaBlock) unpack(pos int, v int32, g *group) (int, int32) {
 
 // AppendTo implements IntBlock.
 func (b *DeltaBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(b.n)
 	var g group
 	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
 		k, v = b.unpack(pos, v, &g)
@@ -163,7 +162,6 @@ func (b *DeltaBlock) FilterFunc(match func(int32) bool, base int, bm *bitmap.Bit
 // Gather implements IntBlock with one forward decode pass (idx is sorted),
 // which stops at the last position asked for.
 func (b *DeltaBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	var g group
 	for pos, k, v := 0, 0, int32(0); len(idx) > 0 && pos < b.n; pos += k {
 		k, v = b.unpack(pos, v, &g)
@@ -198,7 +196,6 @@ func (b *DeltaBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []i
 	if sel == nil {
 		return b.AppendTo(dst)
 	}
-	n := len(dst)
 	var g group
 	for pos, k, v := 0, 0, int32(0); pos < b.n; pos += k {
 		k, v = b.unpack(pos, v, &g)
@@ -208,7 +205,6 @@ func (b *DeltaBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []i
 			}
 		}
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

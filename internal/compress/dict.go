@@ -116,12 +116,3 @@ func (d *Dict) lowerBound(s string) int32 {
 func (d *Dict) upperBound(s string) int32 {
 	return int32(sort.Search(len(d.vals), func(i int) bool { return d.vals[i] > s }))
 }
-
-// BytesSize approximates the dictionary's storage footprint.
-func (d *Dict) BytesSize() int64 {
-	var n int64
-	for _, v := range d.vals {
-		n += int64(len(v)) + 4
-	}
-	return n
-}

@@ -71,7 +71,6 @@ func (b *RLEBlock) Runs() []Run { return b.runs }
 
 // AppendTo implements IntBlock.
 func (b *RLEBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(b.n)
 	for _, r := range b.runs {
 		for k := int32(0); k < r.Len; k++ {
 			dst = append(dst, r.Val)
@@ -109,7 +108,6 @@ func (b *RLEBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bit
 // Gather implements IntBlock with a merge walk: positions are sorted, so a
 // single forward pass over runs suffices.
 func (b *RLEBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	ri := 0
 	for _, i := range idx {
 		for b.runs[ri].Start+b.runs[ri].Len <= i {
@@ -138,7 +136,6 @@ func (b *RLEBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
 // copies of the run value to emit, so output cost is proportional to the
 // selection, never the block.
 func (b *RLEBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int32 {
-	n := len(dst)
 	for _, r := range b.runs {
 		cnt := int(r.Len)
 		if sel != nil {
@@ -148,7 +145,6 @@ func (b *RLEBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int
 			dst = append(dst, r.Val)
 		}
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/datafile"
 	"repro/internal/exec"
 	"repro/internal/iosim"
 	"repro/internal/rowexec"
@@ -56,10 +55,6 @@ type Config struct {
 	Partitioning bool
 	// Denorm selects the denormalized storage variant (KindDenorm).
 	Denorm exec.DenormMode
-	// UseProjections lets the column executor pick among redundant fact
-	// projections (KindColumn; the extension experiment the paper left
-	// out in Section 5.1).
-	UseProjections bool
 	// SuperTuples replaces the naive (position, value) vertical
 	// partitions with super-tuple column tables and positional merge
 	// joins (KindRow with Design VerticalPartitioning only) — the
@@ -69,12 +64,6 @@ type Config struct {
 
 // ColumnStore returns a column-engine config.
 func ColumnStore(c exec.Config) Config { return Config{Kind: KindColumn, Col: c} }
-
-// ColumnStoreProjected returns a column-engine config that may answer
-// queries from redundant fact projections in other sort orders.
-func ColumnStoreProjected(c exec.Config) Config {
-	return Config{Kind: KindColumn, Col: c, UseProjections: true}
-}
 
 // RowMV returns the CS (Row-MV) config.
 func RowMV() Config { return Config{Kind: KindColumnRowMV} }
@@ -101,9 +90,6 @@ func (c Config) Label() string {
 		code := c.Col.Code()
 		if c.Col.Fused {
 			code += "+fused"
-		}
-		if c.UseProjections {
-			return "CS:" + code + "+proj"
 		}
 		return "CS:" + code
 	case KindColumnRowMV:
@@ -189,7 +175,6 @@ type DB struct {
 	oncePlain sync.Once
 	onceSX    sync.Once
 	onceRowMV sync.Once
-	onceProj  sync.Once
 	onceSuper sync.Once
 	superVPs  map[string]*rowexec.SuperVP
 	muDenorm  sync.Mutex
@@ -201,8 +186,7 @@ func Open(sf float64) *DB {
 	return OpenData(ssb.Generate(sf))
 }
 
-// OpenData wraps an existing dataset (e.g. loaded from a file written by
-// internal/datafile) instead of generating one.
+// OpenData wraps an existing dataset instead of generating one.
 func OpenData(d *ssb.Data) *DB {
 	return &DB{
 		SF:      d.SF,
@@ -212,8 +196,8 @@ func OpenData(d *ssb.Data) *DB {
 	}
 }
 
-// OpenSegmentStore opens a segment-store file (written by ssb-gen -out
-// *.seg) with the given buffer-pool byte budget (<= 0 for unbounded). The
+// OpenSegmentStore opens a segment-store file (written by ssb-gen -out)
+// with the given buffer-pool byte budget (<= 0 for unbounded). The
 // returned DB executes the compressed column-store configurations over
 // pool-backed columns; engines that need the raw dataset are rejected at
 // validation.
@@ -241,31 +225,6 @@ func OpenSegmentStoreWith(path string, opts segstore.OpenOptions) (*DB, error) {
 // SegmentStore returns the backing segment store (pool statistics, segment
 // counts), or nil for in-memory DBs.
 func (db *DB) SegmentStore() *segstore.Store { return db.seg }
-
-// OpenFile loads a -data file of either on-disk format, sniffing the magic:
-// a segment store (ssb-gen -out *.seg) opens lazily behind a buffer pool
-// with the given byte budget; a v1 datafile loads the raw dataset wholesale
-// into memory (budget ignored).
-func OpenFile(path string, memBudget int64) (*DB, error) {
-	return OpenFileWith(path, segstore.OpenOptions{MemBudget: memBudget})
-}
-
-// OpenFileWith is OpenFile with full segment-store open options (the
-// recovery-log sink only applies when the file sniffs as a segment store).
-func OpenFileWith(path string, opts segstore.OpenOptions) (*DB, error) {
-	isSeg, err := segstore.IsSegmentFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if isSeg {
-		return OpenSegmentStoreWith(path, opts)
-	}
-	d, err := datafile.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return OpenData(d), nil
-}
 
 // ColumnDB returns the column store with compressed (true) or plain storage.
 // For a segment-backed DB the compressed store's columns fault through the
@@ -305,22 +264,6 @@ func (db *DB) RowDB() *rowexec.SystemX {
 		db.sx.WorkMemBytes = wm
 	})
 	return db.sx
-}
-
-// enableProjections builds one redundant projection per foreign-key sort
-// order on the compressed column store (the "more aggressive redundancy"
-// the paper declined to use).
-func (db *DB) enableProjections() {
-	db.onceProj.Do(func() {
-		col := db.ColumnDB(true)
-		for _, sortCol := range []string{"suppkey", "partkey", "custkey"} {
-			p, err := col.BuildProjection("lineorder_by_"+sortCol, []string{sortCol})
-			if err != nil {
-				panic(err) // static column names; cannot fail
-			}
-			col.AddProjection(p)
-		}
-	})
 }
 
 // rowMV returns the per-flight row-oriented MV.
@@ -493,16 +436,6 @@ func (db *DB) RunPlanCtx(ctx context.Context, q *ssb.Query, cfg Config) (*ssb.Re
 	switch cfg.Kind {
 	case KindColumn:
 		col := db.ColumnDB(cfg.Col.Compression)
-		if cfg.UseProjections && cfg.Col.Compression {
-			db.enableProjections()
-			start = time.Now()
-			var err error
-			res, _, err = col.RunBestCtx(ctx, q, cfg.Col, &st)
-			if err != nil {
-				return nil, RunStats{}, err
-			}
-			break
-		}
 		start = time.Now() // exclude lazy build
 		var err error
 		res, err = col.RunCtx(ctx, q, cfg.Col, &st)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -152,14 +154,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestProjectedConfigMatchesReference(t *testing.T) {
-	for _, id := range []string{"1.1", "2.1", "2.3", "3.4", "4.2"} {
-		if err := testDB.Verify(id, ColumnStoreProjected(exec.FullOpt)); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 func TestSuperTupleVPMatchesReference(t *testing.T) {
 	for _, id := range []string{"1.1", "2.2", "3.3", "4.1"} {
 		if err := testDB.Verify(id, SuperTupleVP()); err != nil {
@@ -168,5 +162,42 @@ func TestSuperTupleVPMatchesReference(t *testing.T) {
 	}
 	if SuperTupleVP().Label() != "RS:VP(super)" {
 		t.Error("super-tuple label wrong")
+	}
+}
+
+// TestOpenSegmentStoreRejectsNonStores is the -data boundary of ssb-serve,
+// ssb-query and ssb-gen -append: whatever a path holds that is not a segment
+// store — a raw dump from before the segment store was the only format, an
+// empty file, a directory, nothing — the caller gets one error naming the
+// path and no DB.
+func TestOpenSegmentStoreRejectsNonStores(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, content []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name, path string
+		notAStore  bool
+	}{
+		{"v1 raw dump", write("old.dat", append([]byte("SSBREPR1"), make([]byte, 64)...)), true},
+		{"empty file", write("empty.seg", nil), true},
+		{"directory", dir, true},
+		{"missing path", filepath.Join(dir, "missing.seg"), false},
+	} {
+		db, err := OpenSegmentStore(tc.path, 0)
+		if err == nil || db != nil {
+			t.Errorf("%s: OpenSegmentStore = %v, %v; want no DB and an error", tc.name, db, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.path) {
+			t.Errorf("%s: error does not name the path %s: %v", tc.name, tc.path, err)
+		}
+		if tc.notAStore && !strings.Contains(err.Error(), "segment store") {
+			t.Errorf("%s: error does not say the path is not a segment store: %v", tc.name, err)
+		}
 	}
 }

@@ -44,21 +44,17 @@ type DB struct {
 	dateKeyMin   int32
 	numRows      int
 
-	// projections are optional redundant sort orders of the fact table
-	// (see projection.go).
-	projections []*Projection
-
 	// fusedPool recycles fused-scan worker state (selection bitmaps,
 	// gather scratch, dense aggregation arrays) across queries; see
 	// fused.go. Workers scrub their aggregation cells sparsely before
 	// returning, so a pooled worker's arrays are always all-zero. A
-	// pointer so projection clones (withFact) share one pool.
+	// pointer so the sealed-store copies the tuple mover publishes
+	// (ingest.go) share one pool.
 	fusedPool *sync.Pool
 
 	// footCache memoizes per-column maximum block bytes for
-	// EstimateFootprint (footprint.go); a pointer so projection clones
-	// share it, keyed by column pointer so same-named projection columns
-	// stay distinct.
+	// EstimateFootprint (footprint.go), keyed by column pointer; a pointer
+	// so the tuple mover's copy of the DB can carry a fresh one.
 	footCache *footprintCache
 
 	// seg is the backing segment store for file-backed DBs (nil for

@@ -205,3 +205,54 @@ func TestDifferentialMultiAggShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsAvoidDecoding pins, as exact counters, what operating directly
+// on compressed blocks buys: each engine against its NoKernels twin on the
+// flight 1 plans, where the orderdate-sorted store leaves most qualifying
+// blocks fully covered. With only the dimension filter and a one-operand
+// SUM(revenue), the aggregate folds inside the wire encoding and almost
+// nothing is materialized; the canonical two-operand
+// SUM(extendedprice*discount) must gather both inputs in every mode, so the
+// kernels buy parity there, not a win. iosim.Stats.DecodedBytes is the only
+// meter of this, and a Config.NoKernels that is ignored makes the two modes
+// equal on the first table.
+func TestKernelsAvoidDecoding(t *testing.T) {
+	for _, tc := range []struct {
+		id            string
+		dimOn, dimOff int64 // dimension filter only, SUM(revenue)
+		canonical     int64 // the SSBM query as written, either mode
+	}{
+		{"1.1", 0, 68924, 106628},
+		{"1.2", 0, 5796, 8020},
+		{"1.3", 196, 1340, 1680},
+	} {
+		q := ssb.QueryByID(tc.id)
+		dimOnly := &ssb.Query{
+			ID:         tc.id + "-dim-sum-revenue",
+			Aggs:       []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}},
+			DimFilters: q.DimFilters,
+		}
+		for _, on := range []Config{FullOpt, FusedOpt} {
+			off := on
+			off.NoKernels = true
+			for _, p := range []struct {
+				q               *ssb.Query
+				wantOn, wantOff int64
+			}{
+				{dimOnly, tc.dimOn, tc.dimOff},
+				{q, tc.canonical, tc.canonical},
+			} {
+				var stOn, stOff iosim.Stats
+				resOn := testDBC.Run(p.q, on, &stOn)
+				resOff := testDBC.Run(p.q, off, &stOff)
+				if !resOn.Equal(resOff) {
+					t.Errorf("%s [%s fused=%v]: kernels changed the result\n%s", p.q.ID, on.Code(), on.Fused, resOff.Diff(resOn))
+				}
+				if stOn.DecodedBytes != p.wantOn || stOff.DecodedBytes != p.wantOff {
+					t.Errorf("%s [%s fused=%v]: decoded %d B with kernels, %d B without; want %d and %d",
+						p.q.ID, on.Code(), on.Fused, stOn.DecodedBytes, stOff.DecodedBytes, p.wantOn, p.wantOff)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"context"
-
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -382,5 +382,34 @@ func TestFactFKRemapPreservesAttributes(t *testing.T) {
 		if got != want {
 			t.Fatalf("fact row %d: supplier nation %q want %q", i, got, want)
 		}
+	}
+}
+
+func TestExplainOutputs(t *testing.T) {
+	q := ssb.QueryByID("3.1")
+	out := testDBC.Explain(q, FullOpt)
+	for _, want := range []string{"BETWEEN", "sorted column", "direct array extraction", "datekey lookup", "sum(lo_revenue)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Explain(3.1, tICL) missing %q:\n%s", want, out)
+		}
+	}
+	// Hash fallback shows up for city IN queries.
+	out = testDBC.Explain(ssb.QueryByID("3.3"), FullOpt)
+	if !strings.Contains(out, "hash probe") {
+		t.Errorf("Explain(3.3) should mention hash probe:\n%s", out)
+	}
+	// i-config switches group extraction to hash tables.
+	cfg := FullOpt
+	cfg.InvisibleJoin = false
+	out = testDBC.Explain(q, cfg)
+	if !strings.Contains(out, "via hash table") {
+		t.Errorf("Explain(3.1, tiCL) should mention hash extraction:\n%s", out)
+	}
+	// Early materialization plan.
+	cfg = FullOpt
+	cfg.LateMat = false
+	out = testDBC.Explain(q, cfg)
+	if !strings.Contains(out, "EARLY MATERIALIZATION") {
+		t.Errorf("Explain(Ticl-ish) should mention early materialization:\n%s", out)
 	}
 }

@@ -416,10 +416,8 @@ func (db *DB) compactOnce(all bool) (int64, error) {
 	nd.Fact = newFact
 	nd.numRows = sdb.numRows + int(survivors)
 	nd.ingest = nil
-	// Projections index the pre-append row space and the footprint memo is
-	// keyed by column pointers that just changed; both rebuild from scratch
-	// on the new sealed DB.
-	nd.projections = nil
+	// The footprint memo is keyed by column pointers that just changed; it
+	// rebuilds from scratch on the new sealed DB.
 	nd.footCache = &footprintCache{max: map[*colstore.Column]int64{}}
 
 	ig.mu.Lock()

@@ -52,8 +52,9 @@ type Stats struct {
 	BlocksPruned  int64
 	BlocksCovered int64
 	// DecodedBytes counts bytes materialized as raw int32 values (4 bytes
-	// per value) — the per-query mirror of the global
-	// compress.DecodedBytes() ablation meter.
+	// per value), charged by the engine beside each AppendTo, Gather and
+	// GatherSelect — the one meter of what the compressed-block kernels
+	// avoid decoding.
 	DecodedBytes int64
 	// KernelFolds counts operator applications executed natively on the
 	// compressed representation (Filter/FilterSet/FilterFunc/AggSelect);

@@ -36,7 +36,7 @@ type StageCounters struct {
 	// BytesRead is the simulated compressed I/O charged to the stage.
 	BytesRead int64 `json:"bytes_read"`
 	// DecodedBytes counts bytes materialized as raw int32 values (4 bytes
-	// per value) — the per-query attribution of compress.DecodedBytes().
+	// per value): this stage's share of iosim.Stats.DecodedBytes.
 	DecodedBytes int64 `json:"decoded_bytes"`
 	// KernelFolds counts operations executed natively on the compressed
 	// representation (Filter/FilterSet/FilterFunc/AggSelect); Gathers

@@ -47,8 +47,8 @@ import (
 	"repro/internal/compress"
 )
 
-// Magic identifies a segment-store file; it differs from the v1 datafile
-// magic ("SSBREPR1") so loaders can sniff which format a -data file is.
+// Magic identifies a segment-store file: the first and the last eight bytes
+// of every store. Open rejects a file that does not begin with it.
 const Magic = "SSBSEGM1"
 
 // segMeta is one segment's zone-map entry.

@@ -29,12 +29,11 @@ type Store struct {
 	path     string
 	sf       float64
 	writable bool
-	// recovered marks that Open found a torn/corrupt tail and fell back to
-	// the previous valid trailer (rows past it were discarded);
-	// recoveryNote is the human-readable account of what was discarded,
-	// kept on the store so serving layers can surface it (e.g. on /stats)
-	// after the open-time log line has scrolled away.
-	recovered    bool
+	// recoveryNote is set when Open found a torn/corrupt tail and fell
+	// back to the previous valid trailer (rows past it were discarded): the
+	// human-readable account of what was discarded, kept on the store so
+	// serving layers can surface it (e.g. on /stats) after the open-time
+	// log line has scrolled away.
 	recoveryNote string
 
 	// mu guards the live directory (tables, cols, phys, payloadEnd).
@@ -119,6 +118,9 @@ func open(f *os.File, path string, memBudget int64, writable bool, logf func(msg
 	if err != nil {
 		return nil, err
 	}
+	if fi.IsDir() {
+		return nil, fmt.Errorf("segstore: %s: is a directory, not a segment store", path)
+	}
 	size := fi.Size()
 	minSize := int64(len(Magic)+8) + int64(4+8+len(Magic))
 	if size < minSize {
@@ -163,7 +165,6 @@ func open(f *os.File, path string, memBudget int64, writable bool, logf func(msg
 
 	s := &Store{f: f, path: path, sf: sf, tables: map[string]*tableMeta{}}
 	s.writeEnd = contentEnd
-	s.recovered = recovered
 	s.recoveryNote = recoveryNote
 	payloadRegionEnd := contentEnd - int64(4+8+len(Magic)) - int64(len(footer))
 	var maxPlen int64
@@ -282,25 +283,10 @@ func (s *Store) SF() float64 { return s.sf }
 // Path returns the file path the store was opened from.
 func (s *Store) Path() string { return s.path }
 
-// Writable reports whether the file was opened read-write (the append path
-// requires it).
-func (s *Store) Writable() bool { return s.writable }
-
-// Recovered reports whether Open had to discard a torn or corrupted tail
-// and fall back to the previous valid directory.
-func (s *Store) Recovered() bool { return s.recovered }
-
 // RecoveryNote returns the torn-tail recovery diagnostic from Open, or ""
 // if the file opened clean. Serving layers surface it on /stats so the
 // evidence of a repaired append outlives the daemon's startup log.
 func (s *Store) RecoveryNote() string { return s.recoveryNote }
-
-// TableNames returns the stored table names in file order.
-func (s *Store) TableNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...)
-}
 
 // NumSegments returns the total live segment count across all columns.
 func (s *Store) NumSegments() int {
@@ -308,21 +294,6 @@ func (s *Store) NumSegments() int {
 	defer s.mu.RUnlock()
 	n := 0
 	for _, c := range s.cols {
-		n += len(c.segs)
-	}
-	return n
-}
-
-// TableSegments returns the live segment count of one table (0 when absent).
-func (s *Store) TableSegments(name string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, c := range t.cols {
 		n += len(c.segs)
 	}
 	return n
@@ -467,19 +438,4 @@ func (c *colSource) SegBytes(i int) int64 { return int64(c.meta.segs[i].cbytes) 
 // by the segment's physical frame id.
 func (c *colSource) Acquire(i int) (compress.IntBlock, func(), error) {
 	return c.store.pool.Acquire(SegKey{Col: c.meta.ord, Seg: c.meta.segs[i].pid})
-}
-
-// IsSegmentFile reports whether the file at path starts with the segment
-// store magic.
-func IsSegmentFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	head := make([]byte, len(Magic))
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return false, nil // too short to be either format; let the v1 loader report
-	}
-	return string(head) == Magic, nil
 }

@@ -288,19 +288,3 @@ func TestSaveAtomic(t *testing.T) {
 		t.Fatal("temp file left behind")
 	}
 }
-
-// TestIsSegmentFile distinguishes the two on-disk formats.
-func TestIsSegmentFile(t *testing.T) {
-	tab := buildTestTable(t, 100)
-	_, path := saveTestStore(t, tab, 0)
-	if ok, err := IsSegmentFile(path); err != nil || !ok {
-		t.Fatalf("IsSegmentFile(seg) = %v, %v", ok, err)
-	}
-	other := filepath.Join(t.TempDir(), "v1.dat")
-	if err := os.WriteFile(other, []byte("SSBREPR1 something"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := IsSegmentFile(other); err != nil || ok {
-		t.Fatalf("IsSegmentFile(v1) = %v, %v", ok, err)
-	}
-}

@@ -1,80 +1,16 @@
-// Package vector provides the typed value blocks and position-list
-// representations that the column-oriented executor operates on.
+// Package vector provides the position-list representations that the
+// column-oriented executor operates on, and the per-value iterator the
+// Figure 7 ablation degrades block iteration to.
 //
-// A Vector is a batch of values from a single column; operators exchange
-// vectors rather than tuples, which is the "block iteration" optimization
-// from Section 5.3 of the paper. Position lists (Positions) are the
-// intermediate results of predicate evaluation under late materialization
-// (Section 5.2): ordinal offsets into a column, represented either as a
-// contiguous range, an explicit sorted array, or a bitmap.
+// Operators exchange blocks of int32 values ([]int32) rather than tuples,
+// which is the "block iteration" optimization from Section 5.3 of the
+// paper. Position lists (Positions) are the intermediate results of
+// predicate evaluation under late materialization (Section 5.2): ordinal
+// offsets into a column, represented either as a contiguous range, an
+// explicit sorted array, or a bitmap.
 package vector
 
 import "repro/internal/bitmap"
-
-// Type identifies the value type of a Vector or column.
-type Type uint8
-
-const (
-	// Int32 is the workhorse type: every SSBM attribute is either a small
-	// integer or a dictionary-encoded string whose codes are int32.
-	Int32 Type = iota
-	// Int64 is used for aggregate accumulators (sums of revenue etc.).
-	Int64
-	// String is used at the edges: dictionary decode and row construction.
-	String
-)
-
-// String returns a human-readable type name.
-func (t Type) String() string {
-	switch t {
-	case Int32:
-		return "int32"
-	case Int64:
-		return "int64"
-	case String:
-		return "string"
-	default:
-		return "unknown"
-	}
-}
-
-// Vector is a typed batch of column values. Exactly one of the value slices
-// is populated, according to Typ. Vectors are reused across operator calls;
-// callers must copy data they retain.
-type Vector struct {
-	Typ Type
-	I32 []int32
-	I64 []int64
-	Str []string
-}
-
-// NewInt32 returns an Int32 vector wrapping vals.
-func NewInt32(vals []int32) *Vector { return &Vector{Typ: Int32, I32: vals} }
-
-// NewInt64 returns an Int64 vector wrapping vals.
-func NewInt64(vals []int64) *Vector { return &Vector{Typ: Int64, I64: vals} }
-
-// NewString returns a String vector wrapping vals.
-func NewString(vals []string) *Vector { return &Vector{Typ: String, Str: vals} }
-
-// Len returns the number of values in the vector.
-func (v *Vector) Len() int {
-	switch v.Typ {
-	case Int32:
-		return len(v.I32)
-	case Int64:
-		return len(v.I64)
-	default:
-		return len(v.Str)
-	}
-}
-
-// Reset truncates the vector to length zero, retaining capacity.
-func (v *Vector) Reset() {
-	v.I32 = v.I32[:0]
-	v.I64 = v.I64[:0]
-	v.Str = v.Str[:0]
-}
 
 // Int32Iterator is the tuple-at-a-time ("getNext") access path over a block
 // of int32 values. It exists so the Figure 7 ablation can degrade block

@@ -9,32 +9,6 @@ import (
 	"repro/internal/bitmap"
 )
 
-func TestVectorLenAndReset(t *testing.T) {
-	v := NewInt32([]int32{1, 2, 3})
-	if v.Len() != 3 || v.Typ != Int32 {
-		t.Fatalf("int32 vector: len=%d typ=%v", v.Len(), v.Typ)
-	}
-	v.Reset()
-	if v.Len() != 0 {
-		t.Fatalf("after Reset len=%d", v.Len())
-	}
-	if NewInt64([]int64{1}).Len() != 1 {
-		t.Fatal("int64 len")
-	}
-	if NewString([]string{"a", "b"}).Len() != 2 {
-		t.Fatal("string len")
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	if Int32.String() != "int32" || Int64.String() != "int64" || String.String() != "string" {
-		t.Fatal("Type.String mismatch")
-	}
-	if Type(99).String() != "unknown" {
-		t.Fatal("unknown type name")
-	}
-}
-
 func TestSliceIter(t *testing.T) {
 	it := NewSliceIter([]int32{5, 6, 7})
 	var got []int32
