@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/colstore"
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/rowexec"
@@ -34,7 +36,7 @@ func main() {
 	sf := flag.Float64("sf", 0.1, "SSBM scale factor (paper uses 10)")
 	out := flag.String("out", "", "write the generated dataset to this file as a compressed segment store")
 	verify := flag.Bool("verify", false, "check measured selectivities against the paper's published values")
-	encodings := flag.Bool("encodings", false, "print per-column encodings of the compressed column store")
+	encodings := flag.Bool("encodings", false, "print per-column block encodings of every table of the compressed column store, and a TOTAL census line")
 	appendRows := flag.Int("append", 0, "append this many seeded fact rows to the existing -out segment store via the write path (no regeneration)")
 	appendSeed := flag.Int64("seed", 1, "seed for -append row generation")
 	walPath := flag.String("wal", "", "with -append: route the batch through a write-ahead log at this path (durable ingest; replays any leftover log first)")
@@ -84,9 +86,31 @@ func main() {
 
 	if *encodings {
 		fmt.Println("\nPer-column encodings (compressed column store):")
-		for _, line := range col.Fact.EncodingSummary() {
-			fmt.Println("  " + line)
+		tables := []*colstore.Table{col.Fact}
+		for dim := ssb.DimCustomer; dim <= ssb.DimDate; dim++ {
+			tables = append(tables, col.Dims[dim])
 		}
+		total := map[compress.Encoding]int{}
+		for _, t := range tables {
+			fmt.Printf("%s:\n", t.Name)
+			for _, line := range t.EncodingSummary() {
+				fmt.Println("  " + line)
+			}
+			for _, name := range t.ColumnNames() {
+				for e, n := range t.MustColumn(name).Encodings() {
+					total[e] += n
+				}
+			}
+		}
+		// The census of block encodings over the whole store, one count
+		// per live tag (zeros included).
+		fmt.Print("TOTAL:")
+		blocks := 0
+		for e := compress.Plain; e.Valid() == nil; e++ {
+			fmt.Printf(" %s x%d", e, total[e])
+			blocks += total[e]
+		}
+		fmt.Printf(" (%d blocks)\n", blocks)
 	}
 
 	if *verify {

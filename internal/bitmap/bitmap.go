@@ -208,14 +208,16 @@ func (b *Bitmap) NextSet(from int) int {
 // accounting layer when bitmaps are materialized by index-only plans.
 func (b *Bitmap) SizeBytes() int64 { return int64(len(b.words) * 8) }
 
-// Words exposes the backing word slice for serialization (internal/compress
-// persists bit-vector blocks word-for-word). The slice is live: callers must
-// not mutate it.
+// Words exposes the backing word slice: the compressed-block kernels walk
+// selections and dense sets word by word, and the WAL's base record persists
+// the deletion vector word-for-word. The slice is live: callers must not
+// mutate it.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // FromWords reconstructs a bitmap of length n over the given backing words
-// (the inverse of Words, used when deserializing persisted blocks). The
-// slice is retained. Bits beyond n are cleared so Count stays exact.
+// (the inverse of Words, used when deserializing the persisted deletion
+// vector). The slice is retained. Bits beyond n are cleared so Count stays
+// exact.
 func FromWords(words []uint64, n int) *Bitmap {
 	b := &Bitmap{words: words, n: n}
 	b.clearTail()
@@ -251,11 +253,12 @@ func (b *Bitmap) CountRange(start, end int) int {
 
 // AndCountAt returns the popcount of b AND other, where other is shifted
 // left by off bits relative to b (bit i of other aligns with bit off+i of
-// b). Neither bitmap is modified. The bit-vector aggregation kernel uses it
-// to count, per distinct value, how many of that value's occurrences fall
-// in a selection bitmap — one AND-popcount pass per word instead of a
-// per-position probe. Arbitrary (non-word-aligned) offsets are handled by
-// stitching adjacent words of other.
+// b). Neither bitmap is modified. It was the bit-vector aggregation kernel's
+// primitive; with that encoding retired (PR 24) its only remaining caller is
+// the frozen benchmark ladder's bitmap.and_count_ns_per_kbit rung, so the
+// next benchmark-archetype PR can drop the rung and this method together.
+// Arbitrary (non-word-aligned) offsets are handled by stitching adjacent
+// words of other.
 func (b *Bitmap) AndCountAt(other *Bitmap, off int) int {
 	if off%wordBits == 0 {
 		wo := off / wordBits
@@ -297,32 +300,15 @@ func (b *Bitmap) OrWord(pos int, w uint64) {
 }
 
 // AndNotWordsFrom clears, in b, every bit that is set in other, treating
-// other as starting at word offset wordOff of b (the AndNot analogue of
-// OrWordsAt). The fused executor uses it to mask a block-local selection
-// bitmap against the column-global deletion vector; fact blocks are 64-bit
-// aligned by construction so the offset is always whole words.
+// other as starting at word offset wordOff of b. The fused executor uses it
+// to mask a block-local selection bitmap against the column-global deletion
+// vector; fact blocks are 64-bit aligned by construction so the offset is
+// always whole words.
 func (b *Bitmap) AndNotWordsFrom(other *Bitmap, wordOff int) {
 	for i := range b.words {
 		if wordOff+i >= len(other.words) {
 			return
 		}
 		b.words[i] &^= other.words[wordOff+i]
-	}
-}
-
-// OrWordsAt ORs other into b starting at the given word offset (bit offset
-// wordOff*64). It lets a block-local bitmap be merged into a column-global
-// one without per-bit shifting; column blocks are 64-bit aligned by
-// construction. The destination tail is NOT re-masked: callers must ensure
-// other has no bits beyond the destination length (true for block-local
-// bitmaps, whose length never exceeds the remaining destination bits).
-// This keeps the operation word-local so parallel scans over disjoint
-// blocks need no synchronization.
-func (b *Bitmap) OrWordsAt(wordOff int, other *Bitmap) {
-	for i, w := range other.words {
-		if wordOff+i >= len(b.words) {
-			return
-		}
-		b.words[wordOff+i] |= w
 	}
 }

@@ -231,23 +231,6 @@ func BenchmarkCount(b *testing.B) {
 	}
 }
 
-func TestOrWordsAt(t *testing.T) {
-	dst := New(256)
-	src := New(128)
-	src.Set(0)
-	src.Set(127)
-	dst.OrWordsAt(2, src) // bit offset 128
-	if !dst.Get(128) || !dst.Get(255) || dst.Count() != 2 {
-		t.Fatalf("OrWordsAt wrong: count=%d", dst.Count())
-	}
-	// Clipped at destination end.
-	dst2 := New(64)
-	dst2.OrWordsAt(0, src)
-	if !dst2.Get(0) || dst2.Count() != 1 {
-		t.Fatalf("OrWordsAt clip wrong: count=%d", dst2.Count())
-	}
-}
-
 // TestOrWord: the 64 bits land at [pos, pos+64) for aligned and unaligned
 // pos, pre-set bits survive, nothing else moves, and a word whose spill is
 // empty never reaches for a word past the end.

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -226,6 +227,40 @@ func TestStringColumnWithDict(t *testing.T) {
 	cInt := NewColumn("k", []int32{42}, nil, Unsorted, true)
 	if cInt.ValueString(0) != "42" {
 		t.Fatal("ValueString without dict wrong")
+	}
+}
+
+// TestEncodingSummaryListsEveryEncoding: a table with one column per live
+// encoding reports each exactly once, on its own column's line. (The summary
+// used to iterate a hand-written encoding list that had already fallen one
+// member behind the enum.)
+func TestEncodingSummaryListsEveryEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 1000
+	constant, narrow, wide := make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := 0; i < n; i++ {
+		constant[i] = 7
+		narrow[i] = rng.Int31n(11)
+		wide[i] = rng.Int31() - rng.Int31()
+	}
+	tb := NewTable("t")
+	tb.AddColumn(NewColumn("a_wide", wide, nil, Unsorted, true))
+	tb.AddColumn(NewColumn("b_constant", constant, nil, Unsorted, true))
+	tb.AddColumn(NewColumn("c_narrow", narrow, nil, Unsorted, true))
+	lines := tb.EncodingSummary()
+	if len(lines) != 3 {
+		t.Fatalf("EncodingSummary has %d lines, want 3: %q", len(lines), lines)
+	}
+	for i, enc := range []compress.Encoding{compress.Plain, compress.RLE, compress.BitPack} {
+		want := "[" + enc.String() + " x1]"
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %q, want it to contain %q", i, lines[i], want)
+		}
+		for j, line := range lines {
+			if j != i && strings.Contains(line, enc.String()+" x") {
+				t.Errorf("%v also shows on line %d: %q", enc, j, line)
+			}
+		}
 	}
 }
 

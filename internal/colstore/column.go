@@ -407,26 +407,24 @@ func (c *Column) GatherSelectBlock(bi int, sel *bitmap.Bitmap, dst []int32, st *
 
 // AggSelectPositions folds the column's values at the given positions into
 // acc. Blocks with no selected positions are never acquired, and I/O is
-// charged exactly as Gather at the same positions would charge it. RLE and
-// bit-vector blocks aggregate natively on their compressed representation
-// (value x selected-run-length, AND-popcount per distinct value);
-// random-access encodings fold per position in code space; only
-// delta-encoded blocks (prefix sums — no random access) gather the
-// selected values and fold them scalar-wise.
+// charged exactly as Gather at the same positions would charge it. RLE
+// blocks aggregate natively on their compressed representation (value x
+// selected-run-length); the random-access encodings (plain, bit-packed)
+// fold per position in code space. No encoding has to decode to aggregate.
 func (c *Column) AggSelectPositions(ctx context.Context, positions *vector.Positions, st *iosim.Stats, acc *compress.AggAcc) {
-	var scratchIdx, scratchVals []int32
+	var scratchIdx []int32
 	var sel *bitmap.Bitmap
 	c.forEachCandidateBlockCtx(ctx, positions, st, func(base int32, blk compress.IntBlock, idx []int32) {
 		if len(idx) == blk.Len() {
 			// Fully covered block: every encoding folds natively (RLE by
-			// run, BitVec by popcount, Dict/BitPack in code space) without
-			// materializing a single value.
+			// run, Dict/BitPack in code space) without materializing a
+			// single value.
 			st.KernelFold()
 			blk.AggSelect(nil, 0, acc)
 			return
 		}
 		switch blk.Encoding() {
-		case compress.RLE, compress.BitVec:
+		case compress.RLE:
 			if sel == nil {
 				sel = bitmap.New(BlockSize)
 			}
@@ -437,13 +435,6 @@ func (c *Column) AggSelectPositions(ctx context.Context, positions *vector.Posit
 			blk.AggSelect(sel, 0, acc)
 			for _, i := range idx {
 				sel.Clear(int(i))
-			}
-		case compress.Delta:
-			st.Gathered()
-			st.Decoded(int64(len(idx)) * 4)
-			scratchVals = blk.Gather(idx, scratchVals[:0])
-			for _, v := range scratchVals {
-				acc.Observe(v, 1)
 			}
 		default:
 			// Per-position code-space folds: a materializing op for the

@@ -2,9 +2,9 @@ package colstore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-
-	"repro/internal/compress"
 )
 
 // Table is a set of equal-length columns matched by position.
@@ -93,12 +93,12 @@ func (t *Table) EncodingSummary() []string {
 	var out []string
 	for _, name := range names {
 		c := t.cols[name]
+		// Rendered from the census's own keys, in tag order, so an encoding
+		// this function has never heard of still shows up.
 		encs := c.Encodings()
 		var kinds []string
-		for _, e := range []compress.Encoding{compress.Plain, compress.RLE, compress.BitPack, compress.Delta} {
-			if n := encs[e]; n > 0 {
-				kinds = append(kinds, fmt.Sprintf("%s x%d", e, n))
-			}
+		for _, e := range slices.Sorted(maps.Keys(encs)) {
+			kinds = append(kinds, fmt.Sprintf("%s x%d", e, encs[e]))
 		}
 		out = append(out, fmt.Sprintf("%s: %v (%d bytes)", name, kinds, c.CompressedBytes()))
 	}

@@ -14,8 +14,8 @@ const benchBlockLen = 1 << 16
 // benchShapes are the value shapes of BenchmarkFilterKernels, one per
 // encoding: n values spanning [vmin, vmin+2^width) with a negative vmin. The
 // value-at-a-time encodings get uniform noise (the worst case for a
-// data-dependent branch); RLE gets 16 sorted runs and bit-vector 5 distinct
-// values, the shapes the chooser picks them for.
+// data-dependent branch); RLE gets 16 sorted runs, the shape the chooser
+// picks it for.
 var benchShapes = []struct {
 	name  string
 	vals  func(rng *rand.Rand, n int, vmin int32, span int64) []int32
@@ -23,7 +23,6 @@ var benchShapes = []struct {
 }{
 	{"plain", uniformVals, func(v []int32) IntBlock { return NewPlainBlock(v) }},
 	{"bitpack", uniformVals, func(v []int32) IntBlock { return NewBitPackBlock(v) }},
-	{"delta", uniformVals, func(v []int32) IntBlock { return NewDeltaBlock(v) }},
 	{"rle", func(_ *rand.Rand, n int, vmin int32, span int64) []int32 {
 		vals := make([]int32, n)
 		for i := range vals {
@@ -31,13 +30,6 @@ var benchShapes = []struct {
 		}
 		return vals
 	}, func(v []int32) IntBlock { return NewRLEBlock(v) }},
-	{"bitvec", func(rng *rand.Rand, n int, vmin int32, span int64) []int32 {
-		vals := make([]int32, n)
-		for i := range vals {
-			vals[i] = int32(int64(vmin) + rng.Int63n(5)*span/4)
-		}
-		return vals
-	}, func(v []int32) IntBlock { return NewBitVecBlock(v) }},
 }
 
 func uniformVals(rng *rand.Rand, n int, vmin int32, span int64) []int32 {

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	mathbits "math/bits"
 
@@ -78,23 +79,22 @@ func (a *AggAcc) observe(v int32, cnt int64) {
 }
 
 // Encoding identifies a physical compression scheme for an int32 block.
+// The values are the wire tags segment footers store, so they never change.
+// Tags 3 (delta) and 4 (bit-vector) belonged to encodings retired in PR 24:
+// no store ever held more than a handful of such blocks. They stay reserved
+// — a new encoding takes 5 or above — so that a file written by an older
+// build is rejected by Valid instead of being misread.
 type Encoding uint8
 
 const (
 	// Plain stores values as a raw []int32 (4 bytes/value).
-	Plain Encoding = iota
+	Plain Encoding = 0
 	// RLE stores (value, start, runLength) triples; ideal for sorted or
 	// secondarily sorted columns.
-	RLE
+	RLE Encoding = 1
 	// BitPack stores values offset from the block minimum in the fewest
 	// bits that cover the value range.
-	BitPack
-	// Delta stores the first value plus bit-packed deltas; good for
-	// near-monotonic sequences such as order keys.
-	Delta
-	// BitVec stores one position bitmap per distinct value; predicate
-	// application is a word-level OR of matching bitmaps.
-	BitVec
+	BitPack Encoding = 2
 )
 
 // String returns the encoding name used in stats output.
@@ -106,12 +106,23 @@ func (e Encoding) String() string {
 		return "rle"
 	case BitPack:
 		return "bitpack"
-	case Delta:
-		return "delta"
-	case BitVec:
-		return "bitvec"
 	default:
 		return "unknown"
+	}
+}
+
+// Valid returns nil when e is the tag of a live encoding, and otherwise an
+// error saying whether the tag is retired or was never assigned. It is the
+// one definition of "known tag": DecodeBlock and the segment footer parse
+// both reject through it.
+func (e Encoding) Valid() error {
+	switch e {
+	case Plain, RLE, BitPack:
+		return nil
+	case 3, 4:
+		return fmt.Errorf("compress: encoding tag %d: written with a retired encoding (delta/bitvec) — regenerate the store with ssb-gen -out", uint8(e))
+	default:
+		return fmt.Errorf("compress: unknown encoding tag %d", uint8(e))
 	}
 }
 
@@ -137,8 +148,8 @@ type IntBlock interface {
 	// base+i in bm for every value v at index i whose bit (v-setMin) is
 	// set in set. Values outside [setMin, setMin+set.Len()) never match.
 	// Implementations probe membership directly on the compressed
-	// representation (RLE tests one bit per run, bit-vector encoding ORs
-	// whole value bitmaps), which is what makes the fused executor's
+	// representation (RLE tests one bit per run, bit-packed blocks test 64
+	// codes per result word), which is what makes the fused executor's
 	// join probes branch-light.
 	FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap)
 	// Gather appends the values at the given sorted block-local indexes
@@ -146,10 +157,9 @@ type IntBlock interface {
 	Gather(idx []int32, dst []int32) []int32
 	// AggSelect folds every value whose bit base+i is set in sel into acc
 	// (sum, count, min, max) without materializing the block: RLE prices a
-	// run as value x selected-run-length, bit-vector encoding AND-popcounts
-	// words per distinct value, and bit-packed encodings accumulate in code
-	// space and widen once per block. sel may be nil, meaning every value
-	// is selected.
+	// run as value x selected-run-length, and bit-packed blocks accumulate
+	// in code space and widen once per block. sel may be nil, meaning every
+	// value is selected.
 	AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc)
 	// GatherSelect appends the values at the selected positions (bits
 	// base+i of sel, ascending) to dst — Gather driven by a bitmap instead

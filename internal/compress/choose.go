@@ -2,60 +2,26 @@ package compress
 
 import "math/bits"
 
-// Choose selects the cheapest encoding for vals by estimating the encoded
-// size of each candidate, mirroring how a column-store's storage manager
-// picks a per-segment scheme. Forced Plain (compression disabled) is
-// expressed by calling NewPlainBlock directly.
+// Choose encodes vals with the smallest of the three encodings — plain,
+// RLE, bit-packed — mirroring how a column-store's storage manager picks a
+// per-segment scheme; nothing but CompressedBytes decides, and a tie goes to
+// the earlier of that order. The sizes are computed without building the
+// candidates (TestChoosePicksSensibly pins that they equal the blocks' own
+// CompressedBytes). Forced Plain (compression disabled) is expressed by
+// calling NewPlainBlock directly.
 func Choose(vals []int32) IntBlock {
 	n := len(vals)
-	if n == 0 {
-		return NewPlainBlock(vals)
-	}
 	plainBytes := int64(n) * 4
-
-	runs := CountRuns(vals)
-	rleBytes := int64(runs) * 12
-
+	rleBytes := int64(CountRuns(vals)) * 12
 	mn, mx := minMax(vals)
-	span := uint64(int64(mx) - int64(mn))
-	packWidth := uint(bits.Len64(span))
-	if packWidth == 0 {
-		packWidth = 1
-	}
-	packBytes := int64((uint(n)*packWidth+63)/64)*8 + 16
-
-	deltaWidth := DeltaWidth(vals)
-	deltaBytes := int64((uint(n-0)*deltaWidth+63)/64)*8 + 24
-
-	best := plainBytes
-	choice := Plain
-	if rleBytes < best {
-		best, choice = rleBytes, RLE
-	}
-	if packBytes < best {
-		best, choice = packBytes, BitPack
-	}
-	if deltaBytes < best {
-		best, choice = deltaBytes, Delta
-	}
-	// Bit-vector encoding only beats bit-packing on size for binary-ish
-	// columns, but its predicate path is free; prefer it when it is
-	// size-competitive and the cardinality is tiny.
-	if span <= maxBitVecValues && DistinctSmall(vals, 8) {
-		bvBytes := int64(8) * int64((n+63)/64) * int64(8) // worst case 8 values
-		if bvBytes <= best*2 {
-			return NewBitVecBlock(vals)
-		}
-	}
-
-	switch choice {
-	case RLE:
-		return NewRLEBlock(vals)
-	case BitPack:
-		return NewBitPackBlock(vals)
-	case Delta:
-		return NewDeltaBlock(vals)
-	default:
+	packWidth := max(bits.Len64(uint64(int64(mx)-int64(mn))), 1)
+	packBytes := int64((n*packWidth+63)/64)*8 + 16
+	switch {
+	case plainBytes <= rleBytes && plainBytes <= packBytes:
 		return NewPlainBlock(vals)
+	case rleBytes <= packBytes:
+		return NewRLEBlock(vals)
+	default:
+		return NewBitPackBlock(vals)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // fuzzDecodeValues turns raw fuzz bytes into a value slice plus predicate
 // operands. The first byte biases the value range (small domains exercise
-// RLE/BitVec run and bitmap paths, large ones BitPack/Delta width logic).
+// the RLE run paths and narrow bit-pack widths, large ones the wide widths).
 func fuzzDecodeValues(data []byte) (vals []int32, a, b int32) {
 	if len(data) == 0 {
 		return nil, 0, 0
@@ -21,7 +21,7 @@ func fuzzDecodeValues(data []byte) (vals []int32, a, b int32) {
 		v := int32(binary.LittleEndian.Uint32(data[:4]))
 		switch mode % 4 {
 		case 0:
-			v = v % 8 // tiny domain: RLE / bit-vector territory
+			v = v % 8 // tiny domain: RLE territory
 		case 1:
 			v = v % 1024
 		case 2:
@@ -39,22 +39,15 @@ func fuzzDecodeValues(data []byte) (vals []int32, a, b int32) {
 	return vals, a, b
 }
 
-// encodersFor returns every encoding construction of vals: the five
-// explicit constructors plus the storage manager's Choose. Bit-vector
-// encoding is defined only for tiny cardinalities (its constructor treats
-// more as a chooser bug), so it is gated exactly like the chooser gates it.
+// encodersFor returns every encoding construction of vals: the three
+// explicit constructors plus the storage manager's Choose.
 func encodersFor(vals []int32) map[string]IntBlock {
-	m := map[string]IntBlock{
+	return map[string]IntBlock{
 		"plain":   NewPlainBlock(vals),
 		"rle":     NewRLEBlock(vals),
 		"bitpack": NewBitPackBlock(vals),
-		"delta":   NewDeltaBlock(vals),
 		"choose":  Choose(vals),
 	}
-	if DistinctSmall(vals, maxBitVecValues) {
-		m["bitvec"] = NewBitVecBlock(vals)
-	}
-	return m
 }
 
 // checkBlockOracle compares one encoded block against the plain-slice
@@ -198,7 +191,7 @@ func checkKernelOracle(t *testing.T, name string, blk IntBlock, vals []int32, se
 	}
 }
 
-// FuzzRoundTrip is the native fuzz target shared by all five encodings:
+// FuzzRoundTrip is the native fuzz target shared by all three encodings:
 // whatever bytes arrive, encode -> decode/Filter/FilterSet/Gather must
 // agree with the plain-slice oracle on every scheme.
 func FuzzRoundTrip(f *testing.F) {

@@ -2,8 +2,8 @@ package compress
 
 import "repro/internal/bitmap"
 
-// Every whole-block pass over a value-at-a-time encoding (plain, bit-packed,
-// delta) works on groups of 64 values: decoded onto the stack, tested without
+// Every whole-block pass over a value-at-a-time encoding (plain, bit-packed)
+// works on groups of 64 values: decoded onto the stack, tested without
 // a data-dependent branch into one 64-bit result word, delivered with one
 // Bitmap.OrWord. The cost of a selection is then the bytes read and the
 // unpack, whatever the selectivity.

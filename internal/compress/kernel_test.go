@@ -29,8 +29,7 @@ import (
 
 // widthVals returns n values spanning exactly [vmin, vmin+2^width-1] with a
 // negative vmin (the full int32 range at width 32). card > 0 draws them from
-// that many distinct values, the shape run-length and bit-vector blocks are
-// for.
+// that many distinct values, the shape run-length blocks are for.
 func widthVals(rng *rand.Rand, n int, width uint, card int) (vals []int32, vmin, vmax int32) {
 	span := int64(1)<<width - 1
 	lo := -span/2 - 1
@@ -48,37 +47,12 @@ func widthVals(rng *rand.Rand, n int, width uint, card int) (vals []int32, vmin,
 	return vals, mn, mx
 }
 
-// wideDeltaBlock delta-encodes vals with fields wider than NewDeltaBlock
-// would pick: the wire format admits delta widths to 34, the constructor
-// stops at 33.
-func wideDeltaBlock(vals []int32, width uint) *DeltaBlock {
-	b := NewDeltaBlock(vals)
-	if b.width > width {
-		panic("wideDeltaBlock: narrower than the data")
-	}
-	wide := &DeltaBlock{first: b.first, width: width, minDelta: b.minDelta, n: b.n, min: b.min, max: b.max}
-	wide.deltas = make([]uint64, (uint(max(b.n-1, 0))*width+63)/64)
-	for i := 0; i < b.n-1; i++ {
-		d := field(b.deltas, b.width, i)
-		bitPos := uint(i) * width
-		w, off := bitPos/64, bitPos%64
-		wide.deltas[w] |= d << off
-		if off+width > 64 {
-			wide.deltas[w+1] |= d >> (64 - off)
-		}
-	}
-	return wide
-}
-
 // contractForms returns every block form of vals under test: each encoding
 // that can hold them, and each of those decoded back from its wire payload.
 func contractForms(t *testing.T, vals []int32) map[string]IntBlock {
 	t.Helper()
 	forms := encodersFor(vals)
 	delete(forms, "choose") // one of the others
-	for _, width := range []uint{33, 34} {
-		forms[fmt.Sprintf("delta%d", width)] = wideDeltaBlock(vals, width)
-	}
 	for _, name := range slices.Collect(maps.Keys(forms)) {
 		blk := forms[name]
 		dec, err := DecodeBlock(blk.Encoding(), blk.Len(), AppendBlock(blk, nil))

@@ -1,6 +1,6 @@
 // Package compress implements the column-oriented compression schemes from
-// Section 5.1 of the paper — run-length encoding, bit-packing, delta
-// encoding, and order-preserving dictionary encoding — together with the
+// Section 5.1 of the paper — run-length encoding, bit-packing, and
+// order-preserving dictionary encoding — together with the
 // "direct operation on compressed data" access paths (predicate application
 // and value gather without full decompression).
 package compress

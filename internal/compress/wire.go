@@ -3,8 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/bitmap"
 )
 
 // This file is the wire format for encoded blocks: the byte layout a block
@@ -40,28 +38,6 @@ func AppendBlock(b IntBlock, dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.words)))
 		for _, w := range blk.words {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
-	case *DeltaBlock:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(blk.first))
-		dst = append(dst, byte(blk.width))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(blk.minDelta))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(blk.min))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(blk.max))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.deltas)))
-		for _, w := range blk.deltas {
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
-	case *BitVecBlock:
-		dst = append(dst, byte(len(blk.vals)))
-		for _, v := range blk.vals {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-		}
-		for _, bm := range blk.maps {
-			words := bm.Words()
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(words)))
-			for _, w := range words {
-				dst = binary.LittleEndian.AppendUint64(dst, w)
-			}
 		}
 	default:
 		panic(fmt.Sprintf("compress: no wire format for %T", b))
@@ -180,52 +156,8 @@ func DecodeBlock(enc Encoding, rows int, data []byte) (IntBlock, error) {
 			return nil, fmt.Errorf("compress: bitpack has %d words, want %d for %d rows at width %d", nwords, want, rows, width)
 		}
 		return &BitPackBlock{words: words, width: width, n: rows, min: mn, max: mx}, nil
-	case Delta:
-		first := int32(r.u32())
-		width := uint(r.u8())
-		minDelta := int64(r.u64())
-		mn, mx := int32(r.u32()), int32(r.u32())
-		nwords := int(r.u32())
-		words := r.words(nwords)
-		// Delta widths can exceed 32 bits: two int32 extremes differ by up
-		// to 2^32-1 in either direction, so the delta span needs up to 34.
-		if !r.done() || width < 1 || width > 34 {
-			return nil, fmt.Errorf("compress: malformed delta payload (%d bytes, width %d)", len(data), width)
-		}
-		wantRows := rows - 1
-		if rows == 0 {
-			wantRows = 0
-		}
-		if want := int((uint(wantRows)*width + 63) / 64); nwords != want {
-			return nil, fmt.Errorf("compress: delta has %d words, want %d for %d rows at width %d", nwords, want, rows, width)
-		}
-		return &DeltaBlock{first: first, deltas: words, width: width, minDelta: minDelta, n: rows, min: mn, max: mx}, nil
-	case BitVec:
-		card := int(r.u8())
-		if card < 1 || card > maxBitVecValues {
-			return nil, fmt.Errorf("compress: bitvec cardinality %d out of range", card)
-		}
-		b := &BitVecBlock{n: rows, vals: make([]int32, card), maps: make([]*bitmap.Bitmap, card)}
-		for i := range b.vals {
-			b.vals[i] = int32(r.u32())
-			if i > 0 && b.vals[i] <= b.vals[i-1] {
-				return nil, fmt.Errorf("compress: bitvec values not strictly ascending")
-			}
-		}
-		wantWords := (rows + 63) / 64
-		for i := range b.maps {
-			nwords := int(r.u32())
-			if nwords != wantWords {
-				return nil, fmt.Errorf("compress: bitvec map %d has %d words, want %d for %d rows", i, nwords, wantWords, rows)
-			}
-			b.maps[i] = bitmap.FromWords(r.words(nwords), rows)
-		}
-		if !r.done() {
-			return nil, fmt.Errorf("compress: malformed bitvec payload (%d bytes)", len(data))
-		}
-		b.min, b.max = b.vals[0], b.vals[card-1]
-		return b, nil
 	default:
-		return nil, fmt.Errorf("compress: unknown encoding tag %d", enc)
+		// Every live tag has an arm above, so this is always an error.
+		return nil, enc.Valid()
 	}
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -97,20 +98,30 @@ func TestWireRoundTrip(t *testing.T) {
 		checkWireRoundTrip(t, name+"/plain", NewPlainBlock(vals), vals)
 		checkWireRoundTrip(t, name+"/rle", NewRLEBlock(vals), vals)
 		checkWireRoundTrip(t, name+"/bitpack", NewBitPackBlock(vals), vals)
-		checkWireRoundTrip(t, name+"/delta", NewDeltaBlock(vals), vals)
-		if DistinctSmall(vals, maxBitVecValues) {
-			checkWireRoundTrip(t, name+"/bitvec", NewBitVecBlock(vals), vals)
-		}
 	}
 }
 
+// retiredPayloads are the wire payloads of {1,2,3,4,5,5,5,9} under the two
+// encodings retired in PR 24, byte for byte as the last build that had them
+// wrote them (and decoded them without error): what an old store's tag-3 or
+// tag-4 segment holds.
+var retiredPayloads = map[Encoding][]byte{
+	3: []byte("\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x09\x00\x00\x00" +
+		"\x01\x00\x00\x00\x49\x02\x10\x00\x00\x00\x00\x00"), // delta: first, width, minDelta, min, max, nwords, words
+	4: []byte("\x06\x01\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00" + // bitvec: card, values
+		"\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // one (nwords, words) bitmap per value
+		"\x01\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00\x70\x00\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00"),
+}
+
 // TestWireRejectsMalformed feeds corrupted payloads to every decoder; all
-// must fail loudly rather than build a block over bad state.
+// must fail loudly rather than build a block over bad state. So must a
+// well-formed payload of a retired encoding, with an error that says what
+// to do about it.
 func TestWireRejectsMalformed(t *testing.T) {
 	vals := []int32{1, 2, 3, 4, 5, 5, 5, 9}
 	for _, blk := range []IntBlock{
 		NewPlainBlock(vals), NewRLEBlock(vals), NewBitPackBlock(vals),
-		NewDeltaBlock(vals), NewBitVecBlock(vals),
 	} {
 		payload := AppendBlock(blk, nil)
 		if _, err := DecodeBlock(blk.Encoding(), blk.Len(), payload[:len(payload)-1]); err == nil {
@@ -120,15 +131,21 @@ func TestWireRejectsMalformed(t *testing.T) {
 			t.Errorf("%v: oversized payload accepted", blk.Encoding())
 		}
 		// +64 keeps the mismatch visible to every encoding's structural
-		// checks (bit-vector maps are sized in 64-bit words, so a +1 row
-		// miscount lands in the same word count and only the CRC layer
-		// above can catch it).
+		// checks (bit-packed payloads are sized in 64-bit words, so a +1
+		// row miscount can land in the same word count and only the CRC
+		// layer above can catch it).
 		if _, err := DecodeBlock(blk.Encoding(), blk.Len()+64, payload); err == nil {
 			t.Errorf("%v: wrong row count accepted", blk.Encoding())
 		}
 	}
 	if _, err := DecodeBlock(Encoding(99), 8, nil); err == nil {
 		t.Error("unknown encoding accepted")
+	}
+	for enc, payload := range retiredPayloads {
+		_, err := DecodeBlock(enc, len(vals), payload)
+		if err == nil || !strings.Contains(err.Error(), "retired encoding") || !strings.Contains(err.Error(), "ssb-gen -out") {
+			t.Errorf("tag %d: a retired encoding's payload must be refused with the regenerate hint, got %v", enc, err)
+		}
 	}
 }
 
@@ -139,6 +156,9 @@ func FuzzWireDecode(f *testing.F) {
 	for _, vals := range wireShapes() {
 		blk := Choose(vals)
 		f.Add(uint8(blk.Encoding()), uint16(blk.Len()), AppendBlock(blk, nil))
+	}
+	for enc, payload := range retiredPayloads {
+		f.Add(uint8(enc), uint16(8), payload)
 	}
 	f.Fuzz(func(t *testing.T, enc uint8, rows uint16, data []byte) {
 		blk, err := DecodeBlock(Encoding(enc), int(rows), data)

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/compress"
 	"repro/internal/exec"
 	"repro/internal/rowexec"
+	"repro/internal/segstore"
 	"repro/internal/ssb"
 )
 
@@ -168,8 +172,9 @@ func TestSuperTupleVPMatchesReference(t *testing.T) {
 // TestOpenSegmentStoreRejectsNonStores is the -data boundary of ssb-serve,
 // ssb-query and ssb-gen -append: whatever a path holds that is not a segment
 // store — a raw dump from before the segment store was the only format, an
-// empty file, a directory, nothing — the caller gets one error naming the
-// path and no DB.
+// empty file, a directory, nothing — or a segment store this build can no
+// longer read (a segment tagged with a retired encoding), the caller gets
+// one error naming the path and no DB.
 func TestOpenSegmentStoreRejectsNonStores(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, content []byte) string {
@@ -179,14 +184,36 @@ func TestOpenSegmentStoreRejectsNonStores(t *testing.T) {
 		}
 		return path
 	}
+	// A valid one-table, one-column store with its only segment's encoding
+	// tag rewritten to 3 (delta, retired) and the footer CRC recomputed.
+	// The footer is: ntables u32, "t" u16+1, ncols u32, "c" u16+1, sort u8,
+	// dict flag u8, nsegs u32, then off, plen, cbytes u64 and the tag byte.
+	tab := colstore.NewTable("t")
+	tab.AddColumn(colstore.NewColumn("c", []int32{1, 2, 3, 4, 5, 5, 5, 9}, nil, colstore.Unsorted, true))
+	retired := filepath.Join(dir, "retired.seg")
+	if err := segstore.Save(retired, 0.01, []*colstore.Table{tab}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerLen := int(binary.LittleEndian.Uint64(raw[len(raw)-16 : len(raw)-8]))
+	footer := raw[len(raw)-20-footerLen : len(raw)-20]
+	footer[4+3+4+3+1+1+4+24] = 3
+	binary.LittleEndian.PutUint32(raw[len(raw)-20:], crc32.ChecksumIEEE(footer))
+	write("retired.seg", raw)
+
+	const notAStore = "segment store"
 	for _, tc := range []struct {
 		name, path string
-		notAStore  bool
+		want       string // besides the path
 	}{
-		{"v1 raw dump", write("old.dat", append([]byte("SSBREPR1"), make([]byte, 64)...)), true},
-		{"empty file", write("empty.seg", nil), true},
-		{"directory", dir, true},
-		{"missing path", filepath.Join(dir, "missing.seg"), false},
+		{"v1 raw dump", write("old.dat", append([]byte("SSBREPR1"), make([]byte, 64)...)), notAStore},
+		{"empty file", write("empty.seg", nil), notAStore},
+		{"directory", dir, notAStore},
+		{"missing path", filepath.Join(dir, "missing.seg"), ""},
+		{"retired encoding tag", retired, `table "t" column "c" segment 0: compress: encoding tag 3: written with a retired encoding (delta/bitvec) — regenerate the store with ssb-gen -out`},
 	} {
 		db, err := OpenSegmentStore(tc.path, 0)
 		if err == nil || db != nil {
@@ -196,8 +223,8 @@ func TestOpenSegmentStoreRejectsNonStores(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.path) {
 			t.Errorf("%s: error does not name the path %s: %v", tc.name, tc.path, err)
 		}
-		if tc.notAStore && !strings.Contains(err.Error(), "segment store") {
-			t.Errorf("%s: error does not say the path is not a segment store: %v", tc.name, err)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error does not say %q: %v", tc.name, tc.want, err)
 		}
 	}
 }

@@ -499,7 +499,7 @@ func (db *DB) aggregate(ctx context.Context, plan *Plan, pos *vector.Positions, 
 
 	// Ungrouped single-operand aggregates fold directly on the compressed
 	// blocks: each distinct input column is walked once with AggSelect
-	// (run/bit-vector blocks never decode a value) instead of gathering a
+	// (no encoding decodes a value for it) instead of gathering a
 	// per-row value column. I/O accounting is unchanged — the kernel walks
 	// the same candidate blocks the gather would.
 	if plan.foldsBlocks() {

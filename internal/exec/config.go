@@ -67,7 +67,7 @@ type Config struct {
 	// kernels (AggSelect/GatherSelect/FilterFunc): membership probes decode
 	// blocks before testing, aggregation always gathers its inputs, and
 	// the fused pipeline degrades its selection to an index list at the
-	// first non-run/bit-vector probe. The zero value (kernels ON) is the
+	// first non-run-length probe. The zero value (kernels ON) is the
 	// production path; set this for the operate-on-compressed ablation
 	// (Section 5) and for the kernels-on/off differential harness.
 	NoKernels bool

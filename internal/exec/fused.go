@@ -28,8 +28,8 @@ import (
 //  2. While the selection is still the whole block, probes execute
 //     directly on the compressed representation — IntBlock.Filter for
 //     value predicates and IntBlock.FilterSet for dense-bitmap membership
-//     (RLE tests one bit per run, bit-vector encoding ORs whole value
-//     bitmaps) — into a block-local selection bitmap, word-ANDed into the
+//     (RLE tests one bit per run, bit-packed blocks 64 codes per result
+//     word) — into a block-local selection bitmap, word-ANDed into the
 //     running selection while it stays dense.
 //  3. Once the selection is sparse, probes switch to gather-and-test over
 //     the explicit survivor index list.
@@ -55,10 +55,10 @@ const fusedWorkerDenseLimit = 1 << 20
 
 // wholeBlockCheap reports whether filtering the entire block directly on
 // its compressed representation is cheaper than gathering at the current
-// survivor list: true for run-length and bit-vector blocks, whose Filter
-// is O(runs) / O(distinct values) word-level work rather than O(block
-// length) per-value decode. It takes the encoding tag (available from the
-// zone map without loading the block) so the decision costs no I/O.
+// survivor list: true for run-length blocks, whose Filter is O(runs)
+// word-level work rather than O(block length) per-value decode. It takes the
+// encoding tag (available from the zone map without loading the block) so
+// the decision costs no I/O.
 //
 // The gate is deliberately unchanged by the group-of-64 kernels, though they
 // moved its premise: a whole-block Filter over a bit-packed block now costs
@@ -67,14 +67,7 @@ const fusedWorkerDenseLimit = 1 << 20
 // selection denser than about three in four is already cheaper to re-filter
 // than to gather. Widening the gate or reordering probes changes which bytes
 // are read and charged — the iostats goldens — and is its own change.
-func wholeBlockCheap(enc compress.Encoding) bool {
-	switch enc {
-	case compress.RLE, compress.BitVec:
-		return true
-	default:
-		return false
-	}
-}
+func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
 
 // fusedGroupSpace bounds the composite group cardinality from catalog
 // metadata only (dictionary sizes, block min/max), without charging I/O or

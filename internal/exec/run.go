@@ -296,7 +296,7 @@ func dimFilterGroups(q *ssb.Query) (order []ssb.Dim, byDim map[ssb.Dim][]ssb.Dim
 // dimPositions evaluates one dimension's filters against the dimension
 // table (join phase 1) and returns the qualifying dimension positions. With
 // kernels on, predicates run natively on the compressed dimension columns
-// (run/bit-vector blocks filter without decoding); with kernels off every
+// (run-length blocks filter without decoding); with kernels off every
 // filtered column is decoded in full and tested value by value, as a row
 // store would.
 func (db *DB) dimPositions(dim ssb.Dim, filters []ssb.DimFilter, kernels bool, st *iosim.Stats) *vector.Positions {
@@ -479,11 +479,10 @@ func (db *DB) tupleFilter(ctx context.Context, col *colstore.Column, pred compre
 			st.BlockFetched()
 			st.Read(blk.CompressedBytes())
 			if !cfg.NoKernels && wholeBlockCheap(blk.Encoding()) {
-				// Run/bit-vector blocks filter natively in O(runs) /
-				// O(distinct values): paying a getNext call per value
-				// on top of that would simulate work the storage never
-				// does. The ablation's per-value iterator cost is kept
-				// for every other encoding.
+				// Run-length blocks filter natively in O(runs): paying a
+				// getNext call per value on top of that would simulate
+				// work the storage never does. The ablation's per-value
+				// iterator cost is kept for every other encoding.
 				st.KernelFold()
 				blk.Filter(pred, base, out)
 				base += blk.Len()

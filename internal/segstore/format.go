@@ -24,6 +24,19 @@
 // Every segment except a column's last holds exactly colstore.BlockSize
 // rows, which positional addressing relies on.
 //
+// Encoding tags (compress.Encoding, one byte per zone-map entry):
+//
+//	0  plain
+//	1  rle
+//	2  bitpack
+//	3  retired (delta)       never reuse: stores written before PR 24
+//	4  retired (bit-vector)  may hold such a segment, and Open must keep
+//	                         rejecting them by tag
+//
+// A footer naming a retired or unassigned tag fails Open (compress.Valid
+// is the one definition of "known"); a retired one says to regenerate the
+// store with ssb-gen -out.
+//
 // The format stores the *physical* database — dimension tables sorted by
 // their attribute hierarchies, fact foreign keys rewritten to dimension
 // positions, strings dictionary-encoded — so opening a file yields tables
@@ -253,8 +266,8 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 				s.min = int32(r.u32())
 				s.max = int32(r.u32())
 				s.crc = r.u32()
-				if s.enc > compress.BitVec {
-					return nil, fmt.Errorf("segstore: table %q column %q segment %d: unknown encoding tag %d", t.name, c.name, i, s.enc)
+				if err := s.enc.Valid(); err != nil {
+					return nil, fmt.Errorf("segstore: table %q column %q segment %d: %w", t.name, c.name, i, err)
 				}
 				// Positional addressing requires full blocks everywhere
 				// but the tail.

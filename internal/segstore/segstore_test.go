@@ -276,6 +276,59 @@ func TestSegmentBoundsOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsRetiredEncodingTags re-encodes a valid store's footer with
+// one segment's encoding tag changed (footer CRC recomputed, so only the tag
+// check can object). Tags 3 and 4 are what a store written before the delta
+// and bit-vector encodings were retired can hold: Open must refuse the file
+// — no partial *Store, no error deferred to the first query that reaches the
+// block — naming the file, table, column and segment and saying to
+// regenerate. A tag never assigned is refused as unknown.
+func TestOpenRejectsRetiredEncodingTags(t *testing.T) {
+	tab := buildTestTable(t, 500)
+	_, path := saveTestStore(t, tab, 0)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerLen := int(binary.LittleEndian.Uint64(raw[len(raw)-16 : len(raw)-8]))
+	footerStart := len(raw) - 20 - footerLen
+	for tag, wantErr := range map[compress.Encoding]string{
+		3:  "retired encoding (delta/bitvec) — regenerate the store with ssb-gen -out",
+		4:  "retired encoding (delta/bitvec) — regenerate the store with ssb-gen -out",
+		99: "unknown encoding tag 99",
+	} {
+		metas, err := decodeFooter(raw[footerStart : footerStart+footerLen])
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas[0].cols[2].segs[0].enc = tag // t.mono, segment 0
+		buf := append([]byte(nil), raw...)
+		footer := encodeFooter(metas)
+		if len(footer) != footerLen {
+			t.Fatalf("re-encoded footer is %d bytes, was %d", len(footer), footerLen)
+		}
+		copy(buf[footerStart:], footer)
+		binary.LittleEndian.PutUint32(buf[len(buf)-20:], crc32.ChecksumIEEE(footer))
+		bad := filepath.Join(t.TempDir(), "retired.seg")
+		if err := os.WriteFile(bad, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(bad, 0)
+		if err == nil {
+			st.Close()
+			t.Fatalf("tag %d: store opened", tag)
+		}
+		if st != nil {
+			t.Errorf("tag %d: Open returned a store beside its error", tag)
+		}
+		for _, want := range []string{bad, `table "t" column "mono" segment 0`, wantErr} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("tag %d: error %q does not contain %q", tag, err, want)
+			}
+		}
+	}
+}
+
 // TestSaveAtomic verifies a failed save leaves no temp file and Save is
 // atomic.
 func TestSaveAtomic(t *testing.T) {
