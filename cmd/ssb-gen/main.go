@@ -1,6 +1,7 @@
 // Command ssb-gen generates an SSBM dataset and reports its shape: table
-// cardinalities, storage footprints under each physical design, per-column
-// encodings, and measured vs published query selectivities.
+// cardinalities, per-column encodings, and measured vs published query
+// selectivities. Storage footprints under each physical design (the
+// paper's §6.2 size table) are `ssb-bench -figure sizes`.
 //
 // Usage:
 //
@@ -27,7 +28,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/rowexec"
 	"repro/internal/ssb"
 	"repro/internal/wal"
 )
@@ -67,22 +67,6 @@ func main() {
 	fmt.Printf("  supplier:  %10d rows\n", len(d.Supplier.Key))
 	fmt.Printf("  part:      %10d rows\n", len(d.Part.Key))
 	fmt.Printf("  dwdate:    %10d rows\n", d.NumDates())
-
-	colPlain := exec.BuildDB(d, false)
-	fmt.Printf("\nColumn-store fact table: %.1f MB compressed, %.1f MB raw (%.2fx)\n",
-		mb(col.Fact.CompressedBytes()), mb(colPlain.Fact.CompressedBytes()),
-		float64(colPlain.Fact.CompressedBytes())/float64(col.Fact.CompressedBytes()))
-
-	sx := rowexec.Build(d, rowexec.BuildOptions{MVs: true, VP: true})
-	fmt.Printf("Row-store fact heap:     %.1f MB (%d pages)\n", mb(sx.Fact.HeapBytes()), sx.Fact.NumPages())
-	var vpBytes int64
-	for _, vt := range sx.VP {
-		vpBytes += vt.HeapBytes()
-	}
-	fmt.Printf("Vertical partitions:     %.1f MB across %d column-tables\n", mb(vpBytes), len(sx.VP))
-	for f := 1; f <= 4; f++ {
-		fmt.Printf("MV flight %d:             %.1f MB (%v)\n", f, mb(sx.MVs[f].HeapBytes()), ssb.FlightMVColumns(f))
-	}
 
 	if *encodings {
 		fmt.Println("\nPer-column encodings (compressed column store):")
@@ -131,8 +115,6 @@ func main() {
 		fmt.Println("all selectivities within tolerance")
 	}
 }
-
-func mb(b int64) float64 { return float64(b) / 1e6 }
 
 // appendToSeg exercises the full write path from the CLI: open an existing
 // segment file, push a seeded batch through the write store, and flush so

@@ -6,14 +6,13 @@
 //
 //	ssb-query [-sf 0.1] -q 2.1 -system CS
 //	ssb-query -data ssb.seg -mem-budget 16 -q 2.1 -system CS-FUSED
-//	ssb-query -data ssb.seg -golden internal/core/testdata/golden_sf001.json
 //
 // -data opens a segment store (ssb-gen -out), which serves the compressed
 // column-store systems through a buffer pool bounded by -mem-budget,
 // printing pool hit/miss/eviction statistics after the run; every other
-// system needs the raw dataset and runs on a generated one (-sf).
-// -golden runs all 13 SSBM queries and checks every result against a
-// pinned golden JSON file (the CI round-trip check for segment files).
+// system needs the raw dataset and runs on a generated one (-sf). -verify
+// needs the raw dataset too; segment stores are checked against the pinned
+// golden file by `go test ./internal/core -run TestGoldenSegmentStore`.
 //
 // Systems: CS (full column store), CS-FUSED (fused morsel-parallel
 // pipeline, see PERFORMANCE.md), CS:<code> (Figure 7 configuration such
@@ -23,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +43,6 @@ func main() {
 	system := flag.String("system", "CS", "system under test (see doc comment)")
 	workers := flag.Int("workers", 0, "morsel worker count of the fused scan; applies to -system CS-FUSED only (0 = single-threaded)")
 	memBudget := flag.Float64("mem-budget", 0, "buffer-pool budget in MB for the -data segment store (0 = unbounded)")
-	golden := flag.String("golden", "", "run all 13 SSBM queries and check results against this golden JSON file")
 	verify := flag.Bool("verify", false, "also check against the brute-force reference")
 	explain := flag.Bool("explain", false, "print the physical plan; column-store systems then execute once and print a per-stage trace (EXPLAIN ANALYZE)")
 	fuzzSeed := flag.Int64("fuzz-seed", 0, "run the seeded random query with this seed (overrides -q and -sql; see ssb-fuzz)")
@@ -65,14 +62,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *golden != "" {
-		if err := checkGolden(db, cfg, *golden); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		printPoolStats(db)
-		fmt.Printf("golden check passed: 13/13 queries match %s under %s\n", *golden, cfg.Label())
-		return
+	if *verify && db.Data == nil {
+		fmt.Fprintln(os.Stderr, "-verify needs the raw dataset (-sf, not -data); segment stores are checked by go test ./internal/core -run TestGoldenSegmentStore")
+		os.Exit(2)
 	}
 	var res *ssb.Result
 	var stats core.RunStats
@@ -188,46 +180,6 @@ func printPoolStats(db *core.DB) {
 	fmt.Printf("pool: budget=%s hits=%d misses=%d evictions=%d disk-read=%.1fMB resident=%.1fMB peak=%.1fMB (%d segment fetches, file has %d segments)\n",
 		budget, ps.Hits, ps.Misses, ps.Evictions, float64(ps.BytesRead)/1e6,
 		float64(ps.Resident)/1e6, float64(ps.Peak)/1e6, ps.Misses, st.NumSegments())
-}
-
-// goldenRow mirrors the golden file's row schema (see internal/core's
-// golden tests, which write the file).
-type goldenRow struct {
-	Keys []string `json:"keys,omitempty"`
-	Aggs []int64  `json:"aggs"`
-}
-
-// checkGolden runs all 13 SSBM queries under cfg and compares each result
-// with the pinned golden rows.
-func checkGolden(db *core.DB, cfg core.Config, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading golden file: %w", err)
-	}
-	var g map[string][]goldenRow
-	if err := json.Unmarshal(raw, &g); err != nil {
-		return fmt.Errorf("golden file corrupt: %w", err)
-	}
-	for _, q := range ssb.Queries() {
-		want, ok := g[q.ID]
-		if !ok {
-			return fmt.Errorf("golden file has no entry for query %s", q.ID)
-		}
-		res, _, err := db.RunPlan(q, cfg)
-		if err != nil {
-			return fmt.Errorf("Q%s: %w", q.ID, err)
-		}
-		if len(res.Rows) != len(want) {
-			return fmt.Errorf("Q%s: %d rows, golden has %d", q.ID, len(res.Rows), len(want))
-		}
-		for i, w := range want {
-			r := res.Rows[i]
-			if fmt.Sprint(w.Keys) != fmt.Sprint(r.Keys) || fmt.Sprint(w.Aggs) != fmt.Sprint(r.AggValues()) {
-				return fmt.Errorf("Q%s row %d: got %v=%v, golden %v=%v", q.ID, i, r.Keys, r.AggValues(), w.Keys, w.Aggs)
-			}
-		}
-	}
-	return nil
 }
 
 // parseSystem maps a CLI name to a core.Config.

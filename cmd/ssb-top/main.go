@@ -85,8 +85,7 @@ type statsPayload struct {
 			PendingBytes int64 `json:"pending_bytes"`
 		} `json:"delta"`
 		WAL struct {
-			Syncs    int64 `json:"syncs"`
-			Appended int64 `json:"appended"`
+			Syncs int64 `json:"syncs"`
 		} `json:"wal"`
 	} `json:"server"`
 	Pool *struct {

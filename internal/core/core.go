@@ -542,7 +542,7 @@ func (db *DB) ExplainPlan(q *ssb.Query, cfg Config) (string, error) {
 // brute-force reference, returning an error describing any mismatch.
 func (db *DB) Verify(queryID string, cfg Config) error {
 	if db.Data == nil {
-		return fmt.Errorf("core: verification needs the raw dataset; segment stores are checked against the pinned golden file instead (ssb-query -golden)")
+		return fmt.Errorf("core: verification needs the raw dataset; segment stores are checked against the pinned golden file instead (go test ./internal/core -run TestGoldenSegmentStore)")
 	}
 	got, _, err := db.Run(queryID, cfg)
 	if err != nil {

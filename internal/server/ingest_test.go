@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/ssb"
 )
 
@@ -360,7 +361,8 @@ func TestIngestDisabled(t *testing.T) {
 // TestConcurrentInsertQueryStress races inserters against query clients on
 // one shared server (run with -race in CI): every count observation must be
 // batch-aligned and monotone, the final state must account for every row,
-// and Close must flush the remainder with zero pinned frames.
+// and Close must flush the remainder with zero pinned frames, so that a cold
+// reopen of the segment file holds every row.
 func TestConcurrentInsertQueryStress(t *testing.T) {
 	srv, data := newIngestServer(t, Options{Workers: 2, CacheEntries: 64})
 	base := int64(data.NumLineorders())
@@ -440,11 +442,19 @@ func TestConcurrentInsertQueryStress(t *testing.T) {
 	ds := srv.DB().IngestStats()
 	want := int64(inserters * batches * batchRows)
 	if ds.Epoch != want || ds.PendingRows != 0 {
-		t.Fatalf("after close: epoch=%d pending=%d, want %d/0", ds.Epoch, ds.PendingRows, want)
+		t.Errorf("after close: epoch=%d pending=%d, want %d/0", ds.Epoch, ds.PendingRows, want)
 	}
-	if seg := srv.DB().SegmentStore(); seg != nil {
-		if p := seg.Pool().PinnedFrames(); p != 0 {
-			t.Errorf("%d frames pinned after close", p)
-		}
+	seg := srv.DB().SegmentStore()
+	if p := seg.Pool().PinnedFrames(); p != 0 {
+		t.Errorf("%d frames pinned after close", p)
+	}
+	// Cold reopen: Close must have flushed every inserted row into the file.
+	cold, err := core.OpenSegmentStore(seg.Path(), 0)
+	if err != nil {
+		t.Fatalf("reopening %s after close: %v", seg.Path(), err)
+	}
+	defer cold.SegmentStore().Close()
+	if got := int64(cold.ColumnDB(true).NumRows()); got != base+want {
+		t.Fatalf("cold reopen holds %d rows, want %d (base %d + %d inserted): unflushed-delta loss", got, base+want, base, want)
 	}
 }

@@ -36,7 +36,10 @@ func (c *logCapture) all() []string {
 }
 
 // scrape fetches /metrics and returns the parsed samples, failing the test
-// on anything a Prometheus scraper would reject.
+// on anything a Prometheus scraper would reject: an empty line, a malformed
+// # TYPE, an unparseable value, an unterminated label set, or a sample whose
+// family (after stripping a histogram's _bucket/_sum/_count) no preceding
+// # TYPE declared.
 func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -54,8 +57,20 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	declared := map[string]bool{}
 	values := map[string]float64{}
 	for i, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		if line == "" {
+			t.Fatalf("line %d is empty", i+1)
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			f := strings.Fields(line)
+			if len(f) != 4 {
+				t.Fatalf("line %d malformed TYPE: %q", i+1, line)
+			}
+			declared[f[2]] = true
+			continue
+		}
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -67,7 +82,25 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 		if err != nil {
 			t.Fatalf("line %d value unparseable: %q", i+1, line)
 		}
-		values[line[:sp]] = v
+		sample := line[:sp]
+		name := sample
+		if b := strings.IndexByte(sample, '{'); b >= 0 {
+			if !strings.HasSuffix(sample, "}") {
+				t.Fatalf("line %d unterminated labels: %q", i+1, line)
+			}
+			name = sample[:b]
+		}
+		fam := name
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if cut, ok := strings.CutSuffix(name, suf); ok && declared[cut] {
+				fam = cut
+				break
+			}
+		}
+		if !declared[fam] {
+			t.Fatalf("line %d sample %q has no preceding # TYPE", i+1, name)
+		}
+		values[sample] = v
 	}
 	return values
 }
@@ -102,6 +135,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ssb_pool_resident_bytes", "ssb_pool_resident_logical_bytes",
 		"ssb_pool_pinned_frames", "ssb_ws_pending_bytes",
 		"ssb_ws_full_rejects_total", "ssb_retry_after_sent_total",
+		"ssb_admission_wait_seconds_count",
 	} {
 		if _, ok := v[fam]; !ok {
 			t.Errorf("family %s missing from scrape", fam)
