@@ -294,11 +294,10 @@ func TestStatsUptimeGoroutines(t *testing.T) {
 			t.Fatalf("/stats lacks %s: %.300s", key, body)
 		}
 	}
-	var parsed struct {
-		Server Stats           `json:"server"`
-		Pool   json.RawMessage `json:"pool"`
-	}
-	if err := json.Unmarshal(b, &parsed); err != nil {
+	var parsed statsDoc
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&parsed); err != nil {
 		t.Fatal(err)
 	}
 	if parsed.Server.UptimeSeconds <= 0 {

@@ -117,8 +117,8 @@ func TestHTTPQueryEndpoints(t *testing.T) {
 
 	// Stats: queries counted, pool present for the segment-backed store,
 	// nothing pinned between requests.
-	var st statsResponse
-	if code := getJSON(t, ts.Client(), ts.URL+"/stats", &st); code != http.StatusOK {
+	var st statsDoc
+	if code := getStrictJSON(t, ts.Client(), ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("/stats: status %d", code)
 	}
 	if st.Server.Queries == 0 || st.Server.CacheHits == 0 {

@@ -106,7 +106,7 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	if _, misses, _ := srv.cache.counters(); misses != resultMisses+1 {
 		t.Fatalf("result-cache misses %d->%d, want +1 (the post-insert lookup)", resultMisses, misses)
 	}
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.Inserts != 2 || st.InsertedRows != 2600 || !st.Delta.Enabled || st.Delta.Epoch != 2600 {
 		t.Fatalf("stats after insert: %+v", st)
 	}
@@ -277,7 +277,7 @@ func TestDeleteHTTP(t *testing.T) {
 
 	// Two accepted operations (the second tombstoned nothing), one batch of
 	// rows actually removed.
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.Deletes != 2 || st.DeletedRows != matching {
 		t.Fatalf("stats after delete: deletes=%d deleted_rows=%d, want 2/%d", st.Deletes, st.DeletedRows, matching)
 	}

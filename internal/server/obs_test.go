@@ -35,12 +35,13 @@ func (c *logCapture) all() []string {
 	return append([]string(nil), c.lines...)
 }
 
-// scrape fetches /metrics and returns the parsed samples, failing the test
-// on anything a Prometheus scraper would reject: an empty line, a malformed
-// # TYPE, an unparseable value, an unterminated label set, or a sample whose
-// family (after stripping a histogram's _bucket/_sum/_count) no preceding
-// # TYPE declared.
-func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+// scrape fetches /metrics and returns the parsed samples and the declared
+// families as "name type" in exposition order, failing the test on anything
+// a Prometheus scraper would reject: an empty line, a malformed # TYPE, an
+// unparseable value, an unterminated label set, or a sample whose family
+// (after stripping a histogram's _bucket/_sum/_count) no preceding # TYPE
+// declared.
+func scrape(t *testing.T, ts *httptest.Server) (map[string]float64, []string) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -58,6 +59,7 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 		t.Fatal(err)
 	}
 	declared := map[string]bool{}
+	var fams []string
 	values := map[string]float64{}
 	for i, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
 		if line == "" {
@@ -69,6 +71,7 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 				t.Fatalf("line %d malformed TYPE: %q", i+1, line)
 			}
 			declared[f[2]] = true
+			fams = append(fams, f[2]+" "+f[3])
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -102,7 +105,7 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 		}
 		values[sample] = v
 	}
-	return values
+	return values, fams
 }
 
 // TestMetricsEndpoint drives real traffic and pins the scrape against the
@@ -126,20 +129,34 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	v := scrape(t, ts)
-	for _, fam := range []string{
-		"ssb_queries_total", "ssb_query_errors_total", "ssb_cache_hits_total",
-		"ssb_cache_misses_total", "ssb_admission_rejects_total",
-		"ssb_inserts_total", "ssb_deletes_total", "ssb_wal_fsyncs_total",
-		"ssb_pool_evictions_total", "ssb_in_flight_queries",
-		"ssb_pool_resident_bytes", "ssb_pool_resident_logical_bytes",
-		"ssb_pool_pinned_frames", "ssb_ws_pending_bytes",
-		"ssb_ws_full_rejects_total", "ssb_retry_after_sent_total",
-		"ssb_admission_wait_seconds_count",
-	} {
-		if _, ok := v[fam]; !ok {
-			t.Errorf("family %s missing from scrape", fam)
-		}
+	v, fams := scrape(t, ts)
+	// Every family, its type and the exposition order are frozen.
+	want := []string{
+		"ssb_queries_total counter",
+		"ssb_query_errors_total counter",
+		"ssb_cache_hits_total counter",
+		"ssb_cache_misses_total counter",
+		"ssb_admission_rejects_total counter",
+		"ssb_inserts_total counter",
+		"ssb_inserted_rows_total counter",
+		"ssb_deletes_total counter",
+		"ssb_deleted_rows_total counter",
+		"ssb_ws_full_rejects_total counter",
+		"ssb_retry_after_sent_total counter",
+		"ssb_wal_fsyncs_total counter",
+		"ssb_pool_evictions_total counter",
+		"ssb_in_flight_queries gauge",
+		"ssb_cache_entries gauge",
+		"ssb_pool_resident_bytes gauge",
+		"ssb_pool_resident_logical_bytes gauge",
+		"ssb_pool_pinned_frames gauge",
+		"ssb_ws_pending_bytes gauge",
+		"ssb_ws_pending_rows gauge",
+		"ssb_query_duration_seconds histogram",
+		"ssb_admission_wait_seconds histogram",
+	}
+	if strings.Join(fams, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("families:\n%s\nwant:\n%s", strings.Join(fams, "\n"), strings.Join(want, "\n"))
 	}
 	if v["ssb_queries_total"] != 2 || v["ssb_cache_hits_total"] != 1 || v["ssb_cache_misses_total"] != 1 {
 		t.Fatalf("counters: queries=%g hits=%g misses=%g",
@@ -163,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if v2 := scrape(t, ts); v2["ssb_queries_total"] != 3 {
+	if v2, _ := scrape(t, ts); v2["ssb_queries_total"] != 3 {
 		t.Fatalf("second scrape queries=%g, want 3", v2["ssb_queries_total"])
 	}
 }
@@ -324,11 +341,11 @@ func TestBackpressureCounters(t *testing.T) {
 			t.Fatalf("insert over cap: %d", code)
 		}
 	}
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.WSFullRejects != 2 || st.RetryAfterSent != 2 {
 		t.Fatalf("ws_full_rejects=%d retry_after_sent=%d, want 2/2", st.WSFullRejects, st.RetryAfterSent)
 	}
-	v := scrape(t, ts)
+	v, _ := scrape(t, ts)
 	if v["ssb_ws_full_rejects_total"] != 2 || v["ssb_retry_after_sent_total"] != 2 {
 		t.Fatalf("metrics: ws_full=%g retry_after=%g", v["ssb_ws_full_rejects_total"], v["ssb_retry_after_sent_total"])
 	}

@@ -147,7 +147,7 @@ func TestServeStressRace(t *testing.T) {
 	if n := segDB.SegmentStore().Pool().PinnedFrames(); n != 0 {
 		t.Fatalf("%d frames still pinned at shutdown", n)
 	}
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.Queries != clients*plansPerClient {
 		t.Fatalf("served %d queries, want %d", st.Queries, clients*plansPerClient)
 	}
@@ -242,7 +242,7 @@ func TestServeGoldenConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.CacheHits == 0 {
 		t.Fatal("no cache hits across 8 clients x 4 repetitions of 13 queries")
 	}
@@ -270,7 +270,7 @@ func TestExecuteCancellation(t *testing.T) {
 	if _, err := srv.Execute(context.Background(), ssb.QueryByID("1.1")); err != nil {
 		t.Fatalf("execute after cancellation: %v", err)
 	}
-	st := srv.Stats()
+	st := readStats(t, srv).Server
 	if st.Errors != 1 {
 		t.Fatalf("errors = %d want 1", st.Errors)
 	}
