@@ -14,7 +14,8 @@
 //	                   trace=1 adds a per-stage execution trace to the
 //	                   response (cache hits carry none).
 //	GET      /stats    server counters (cache, admission, logical I/O
-//	                   totals) and buffer-pool state.
+//	                   totals) and buffer-pool state; printed once more
+//	                   to stdout on shutdown.
 //	GET      /metrics  Prometheus text exposition: query/cache/ingest
 //	                   counters, pool and write-store gauges, admission-wait
 //	                   and execution-latency histograms.
@@ -167,10 +168,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *ingest {
-		fmt.Printf("write store drained: %d pending rows flushed, %d total inserted\n",
-			pending, srv.DB().Epoch())
+		fmt.Printf("write store drained: %d pending rows flushed\n", pending)
 	}
-	printFinalStats(db, srv)
+	// The session summary is the final /stats document.
+	if err := srv.Metrics().WriteJSON(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 // budgetLabel renders a pool budget.
@@ -179,16 +183,4 @@ func budgetLabel(b int64) string {
 		return "unbounded"
 	}
 	return fmt.Sprintf("%.1fMB", float64(b)/1e6)
-}
-
-// printFinalStats summarizes a serving session on shutdown.
-func printFinalStats(db *core.DB, srv *server.Server) {
-	st := srv.Stats()
-	fmt.Printf("served %d queries (%d errors), cache %d/%d hit/miss, %.1fMB logical read\n",
-		st.Queries, st.Errors, st.CacheHits, st.CacheMisses, float64(st.Logical.BytesRead)/1e6)
-	if seg := db.SegmentStore(); seg != nil {
-		ps := seg.Pool().Stats()
-		fmt.Printf("pool: hits=%d misses=%d evictions=%d disk-read=%.1fMB pinned=%d\n",
-			ps.Hits, ps.Misses, ps.Evictions, float64(ps.BytesRead)/1e6, seg.Pool().PinnedFrames())
-	}
 }

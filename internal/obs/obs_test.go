@@ -112,11 +112,55 @@ func TestRegistryPanics(t *testing.T) {
 		}()
 		f()
 	}
+	zero := func() int64 { return 0 }
 	r := NewRegistry()
-	r.CounterFunc("dup_total", "d", func() int64 { return 0 })
-	mustPanic("duplicate", func() { r.GaugeFunc("dup_total", "d", func() int64 { return 0 }) })
-	mustPanic("bad name", func() { r.CounterFunc("9starts_with_digit", "d", func() int64 { return 0 }) })
+	r.CounterFunc("dup_total", "a.dup", "d", zero)
+	mustPanic("duplicate", func() { r.GaugeFunc("dup_total", "", "d", zero) })
+	mustPanic("bad name", func() { r.CounterFunc("9starts_with_digit", "", "d", zero) })
 	mustPanic("unsorted bounds", func() { r.NewHistogram("h_seconds", "h", []float64{2, 1}) })
+	mustPanic("duplicate key", func() { r.CounterFunc("other_total", "a.dup", "d", zero) })
+	mustPanic("key holds a key", func() { r.ValueFunc("a", func() any { return 1 }) })
+	mustPanic("key inside a key", func() { r.ValueFunc("a.dup.x", func() any { return 1 }) })
+	r.ValueFunc("a.dupe", func() any { return 1 }) // a shared prefix that is not a path is fine
+}
+
+// TestRegistryJSON pins WriteJSON: dotted keys nest, counters and gauges
+// with a key appear beside JSON-only values, a nil value omits its key, and
+// values are read at render time.
+func TestRegistryJSON(t *testing.T) {
+	r := NewRegistry()
+	var n int64
+	var note any
+	r.CounterFunc("q_total", "server.queries", "q", func() int64 { return n })
+	r.GaugeFunc("g_bytes", "", "g", func() int64 { return 42 })
+	r.ValueFunc("server.io", func() any { return struct{ BytesRead int64 }{7} })
+	r.ValueFunc("server.up", func() any { return 1.5 })
+	r.ValueFunc("note", func() any { return note })
+	r.NewHistogram("lat_seconds", "latency", ExpBuckets(1e-3, 2, 3))
+
+	render := func() string {
+		var b strings.Builder
+		if err := r.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	n = 3
+	if got, want := render(), `{"server":{"io":{"BytesRead":7},"queries":3,"up":1.5}}`+"\n"; got != want {
+		t.Fatalf("got %s want %s", got, want)
+	}
+	n, note = 4, "a<b"
+	if got, want := render(), `{"note":"a<b","server":{"io":{"BytesRead":7},"queries":4,"up":1.5}}`+"\n"; got != want {
+		t.Fatalf("got %s want %s", got, want)
+	}
+	// JSON-only values stay off the Prometheus surfaces.
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "server") || len(r.Sample()) != 4 {
+		t.Fatalf("JSON-only values leaked into the exposition:\n%s", b.String())
+	}
 }
 
 // TestRegistryExposition validates the full exposition the way a scraper
@@ -126,8 +170,8 @@ func TestRegistryPanics(t *testing.T) {
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	var n int64
-	r.CounterFunc("q_total", "queries\nwith newline", func() int64 { return n })
-	r.GaugeFunc("g_bytes", "resident", func() int64 { return 42 })
+	r.CounterFunc("q_total", "", "queries\nwith newline", func() int64 { return n })
+	r.GaugeFunc("g_bytes", "", "resident", func() int64 { return 42 })
 	h := r.NewHistogram("lat_seconds", "latency", ExpBuckets(1e-3, 2, 3))
 	h.ObserveDuration(0)
 

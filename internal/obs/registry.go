@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -13,18 +14,22 @@ import (
 	"time"
 )
 
-// Registry is a minimal metrics registry that renders the Prometheus text
-// exposition format (version 0.0.4). It supports exactly what the serving
-// layer needs — function-backed counters and gauges plus log-bucketed
-// histograms — with no dependency outside the standard library.
+// Registry is the one list of a server's numbers. It renders them as the
+// Prometheus text exposition format (version 0.0.4, WritePrometheus), as
+// history samples of the same families (Sample), and as one nested JSON
+// document (WriteJSON, the /stats endpoint). It supports
+// exactly what the serving layer needs — function-backed counters and
+// gauges, log-bucketed histograms, and JSON-only values — with no dependency
+// outside the standard library.
 //
-// Counters and gauges are read at scrape time from the callback, so the
-// server registers closures over its existing atomic counters instead of
+// Every number is read at render time from its callback, so the server
+// registers closures over its existing atomic counters instead of
 // maintaining a second set.
 type Registry struct {
 	mu    sync.Mutex
 	fams  []*family
 	names map[string]struct{}
+	vals  []value // the JSON document's leaves, in registration order
 }
 
 type family struct {
@@ -34,12 +39,20 @@ type family struct {
 	hist       *Histogram
 }
 
+// value is one JSON leaf: a dotted key and the callback that reads it.
+type value struct {
+	key string
+	fn  func() any
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
 
-func (r *Registry) add(f *family) {
+// add registers a Prometheus family and, when key is non-empty, the same
+// number as a JSON leaf.
+func (r *Registry) add(f *family, key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !validMetricName(f.name) {
@@ -48,8 +61,22 @@ func (r *Registry) add(f *family) {
 	if _, dup := r.names[f.name]; dup {
 		panic("obs: duplicate metric name " + f.name)
 	}
+	if key != "" {
+		r.addValue(key, func() any { return f.intFn() })
+	}
 	r.names[f.name] = struct{}{}
 	r.fams = append(r.fams, f)
+}
+
+// addValue registers a JSON leaf. A key equal to another, or naming an
+// object that holds another, would make the document ambiguous. holds mu.
+func (r *Registry) addValue(key string, fn func() any) {
+	for _, v := range r.vals {
+		if v.key == key || strings.HasPrefix(v.key, key+".") || strings.HasPrefix(key, v.key+".") {
+			panic("obs: key " + key + " collides with " + v.key)
+		}
+	}
+	r.vals = append(r.vals, value{key, fn})
 }
 
 func validMetricName(s string) bool {
@@ -71,14 +98,24 @@ func validMetricName(s string) bool {
 }
 
 // CounterFunc registers a monotonically increasing counter whose value is
-// read from fn at scrape time.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.add(&family{name: name, help: help, typ: "counter", intFn: fn})
+// read from fn at render time, exported as name and, unless key is empty,
+// as the JSON leaf key.
+func (r *Registry) CounterFunc(name, key, help string, fn func() int64) {
+	r.add(&family{name: name, help: help, typ: "counter", intFn: fn}, key)
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.add(&family{name: name, help: help, typ: "gauge", intFn: fn})
+// GaugeFunc registers a gauge whose value is read from fn at render time,
+// exported as name and, unless key is empty, as the JSON leaf key.
+func (r *Registry) GaugeFunc(name, key, help string, fn func() int64) {
+	r.add(&family{name: name, help: help, typ: "gauge", intFn: fn}, key)
+}
+
+// ValueFunc registers a JSON-only leaf: fn's result, encoded with
+// encoding/json, at key. A nil result omits the key from the document.
+func (r *Registry) ValueFunc(key string, fn func() any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.addValue(key, fn)
 }
 
 // Histogram accumulates observations into fixed buckets. Concurrency-safe;
@@ -97,7 +134,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 		panic("obs: histogram bounds must be ascending: " + name)
 	}
 	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds))}
-	r.add(&family{name: name, help: help, typ: "histogram", hist: h})
+	r.add(&family{name: name, help: help, typ: "histogram", hist: h}, "")
 	return h
 }
 
@@ -182,4 +219,35 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteJSON renders every keyed number as one JSON object, HTML escaping
+// off. A dotted key nests: "server.wal" is field "wal" of object "server".
+func (r *Registry) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	vals := make([]value, len(r.vals))
+	copy(vals, r.vals)
+	r.mu.Unlock()
+
+	doc := map[string]any{}
+	for _, v := range vals {
+		x := v.fn()
+		if x == nil {
+			continue
+		}
+		obj := doc
+		path := strings.Split(v.key, ".")
+		for _, p := range path[:len(path)-1] {
+			child, ok := obj[p].(map[string]any)
+			if !ok {
+				child = map[string]any{}
+				obj[p] = child
+			}
+			obj = child
+		}
+		obj[path[len(path)-1]] = x
+	}
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(doc)
 }

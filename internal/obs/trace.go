@@ -1,7 +1,8 @@
 // Package obs is the observability layer: a per-query execution trace
 // (the data behind EXPLAIN ANALYZE, /query?trace=1 and the slow-query
-// log) and a dependency-free metrics registry that renders Prometheus
-// text exposition format for /metrics.
+// log) and a dependency-free metrics registry that renders one list of
+// numbers as Prometheus text exposition format for /metrics and as the
+// JSON document served at /stats.
 //
 // The package deliberately imports nothing but the standard library so
 // every layer of the engine — compress, colstore, exec, server — can

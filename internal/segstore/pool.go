@@ -21,31 +21,31 @@ type SegKey struct {
 // PoolStats reports what the buffer pool has done since its last reset.
 type PoolStats struct {
 	// Hits counts Acquire calls answered by a resident segment.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// Misses counts Acquire calls that had to fetch from storage. With an
 	// unbounded budget every distinct segment misses exactly once, so
 	// Misses is also the count of distinct segments ever read.
-	Misses int64
+	Misses int64 `json:"misses"`
 	// Evictions counts segments dropped to stay under the byte budget.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// BytesRead is the total payload bytes fetched from storage.
-	BytesRead int64
+	BytesRead int64 `json:"bytes_read"`
 	// Resident is the current resident byte total; Peak its high-water
 	// mark (may exceed the budget when every frame is pinned). Frames hold
 	// wire-native blocks, so Resident counts compressed payload bytes —
 	// the bytes the budget is spent on.
-	Resident int64
-	Peak     int64
+	Resident int64 `json:"resident"`
+	Peak     int64 `json:"peak"`
 	// ResidentLogical is the decoded (4 B/value) size of the same resident
 	// segments — what a pool that eagerly decoded on load would need for
 	// this working set. ResidentLogical / Resident is the pool's effective
 	// compression ratio; the gap is capacity the wire-native design wins.
-	ResidentLogical int64
+	ResidentLogical int64 `json:"resident_logical"`
 	// Appends counts Store.Append calls (tuple-mover compactions landing
 	// on this file); AppendedBytes their total payload bytes. Reset zeroes
 	// them with the rest of the epoch's counters.
-	Appends       int64
-	AppendedBytes int64
+	Appends       int64 `json:"appends"`
+	AppendedBytes int64 `json:"appended_bytes"`
 	// IO prices the pool's physical storage traffic in the simulated-disk
 	// model: payload bytes plus one seek per miss (segments are fetched by
 	// random offset, not sequentially). This is the *physical* side of the
@@ -53,7 +53,7 @@ type PoolStats struct {
 	// own iosim.Stats exactly as the in-memory engines do, so results and
 	// logical I/O stay bit-identical, while the pool records what actually
 	// hit "disk" (cold misses only, not warm hits).
-	IO iosim.Stats
+	IO iosim.Stats `json:"-"`
 }
 
 // fetchFunc loads and decodes one segment, returning the block and its

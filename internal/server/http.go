@@ -149,38 +149,6 @@ type insertResponse struct {
 	PendingBytes int64 `json:"pending_bytes"`
 }
 
-// statsResponse is the JSON shape of /stats.
-type statsResponse struct {
-	Server Stats      `json:"server"`
-	Pool   *poolStats `json:"pool,omitempty"`
-	// Recovery is the segment store's torn-tail recovery diagnostic, set
-	// when Open discarded a corrupted append and fell back to the previous
-	// valid directory. Surfaced here so the evidence outlives the daemon's
-	// startup log.
-	Recovery string `json:"recovery,omitempty"`
-}
-
-// poolStats is the segment-store buffer pool's view (absent for in-memory
-// stores).
-type poolStats struct {
-	Budget    int64 `json:"budget"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	BytesRead int64 `json:"bytes_read"`
-	// Resident counts compressed payload bytes (frames hold wire-native
-	// blocks); ResidentLogical is the decoded 4 B/value size of the same
-	// working set — their ratio is the pool's effective compression win.
-	Resident        int64 `json:"resident"`
-	ResidentLogical int64 `json:"resident_logical"`
-	Peak            int64 `json:"peak"`
-	Pinned          int   `json:"pinned_frames"`
-	// Appends/AppendedBytes count tuple-mover compactions landing on the
-	// backing file and their payload bytes.
-	Appends       int64 `json:"appends"`
-	AppendedBytes int64 `json:"appended_bytes"`
-}
-
 // Handler returns the HTTP API: POST or GET /query (id= | sql= | seed=,
 // plus trace=1 for a per-stage execution trace), GET /stats, GET /metrics
 // (Prometheus text exposition), and the observability read endpoints
@@ -635,28 +603,11 @@ func (r *queryRequest) plan() (*ssb.Query, error) {
 	}
 }
 
-// handleStats renders server counters plus pool state for segment-backed
-// stores.
+// handleStats renders the registry's /stats document: server counters,
+// plus pool state for segment-backed stores.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := statsResponse{Server: s.Stats()}
-	if st := s.db.SegmentStore(); st != nil {
-		ps := st.Pool().Stats()
-		out.Pool = &poolStats{
-			Budget:          st.Pool().Budget(),
-			Hits:            ps.Hits,
-			Misses:          ps.Misses,
-			Evictions:       ps.Evictions,
-			BytesRead:       ps.BytesRead,
-			Resident:        ps.Resident,
-			ResidentLogical: ps.ResidentLogical,
-			Peak:            ps.Peak,
-			Pinned:          st.Pool().PinnedFrames(),
-			Appends:         ps.Appends,
-			AppendedBytes:   ps.AppendedBytes,
-		}
-		out.Recovery = st.RecoveryNote()
-	}
-	writeJSON(w, http.StatusOK, out)
+	w.Header()["Content-Type"] = jsonContentType
+	_ = s.metrics.WriteJSON(w) // a failed write is a gone client; nothing to report
 }
 
 // httpError writes a JSON error envelope.

@@ -1,77 +1,109 @@
 package server
 
-import "repro/internal/obs"
+import (
+	"runtime"
+	"time"
 
-// initMetrics builds the /metrics registry. Every counter and gauge is a
-// closure over state the server already maintains (its atomics, the cache,
-// the buffer pool, the write store), read at scrape time — serving traffic
-// pays nothing for the endpoint's existence. Only the two latency
-// histograms are populated on the query path, two atomic adds per query.
+	"repro/internal/obs"
+	"repro/internal/segstore"
+)
+
+// initMetrics builds the registry that /metrics, /metrics/history and
+// /stats all render. Each number is registered once: its Prometheus name
+// (CounterFunc/GaugeFunc) and its /stats key, the dotted path of a frozen
+// JSON name that the benchmark and ssb-top decode (ValueFunc for what only
+// /stats shows). Every number is a closure over state the server already
+// maintains (its atomics, the cache, the buffer pool, the write store),
+// read at render time — serving traffic pays nothing for the endpoints'
+// existence. Only the two latency histograms are populated on the query
+// path, two atomic adds per query.
 //
 // Pool- and ingest-backed families register unconditionally and report zero
 // when the store is in-memory or ingest is off, so the exposition shape is
 // stable across deployments and scrapers never see families come and go.
+// /stats reports the same numbers inside the "pool", "server.delta" and
+// "server.wal" objects; "pool" is absent for an in-memory store.
 func (s *Server) initMetrics() {
 	r := obs.NewRegistry()
 	s.metrics = r
+	seg := s.db.SegmentStore()
+	pool := func() segstore.PoolStats {
+		if seg == nil {
+			return segstore.PoolStats{}
+		}
+		return seg.Pool().Stats()
+	}
 
-	r.CounterFunc("ssb_queries_total", "Execute calls accepted, including cache hits and failed runs.",
+	r.ValueFunc("server.uptime_seconds", func() any { return time.Since(s.start).Seconds() })
+	r.ValueFunc("server.goroutines", func() any { return runtime.NumGoroutine() })
+	r.CounterFunc("ssb_queries_total", "server.queries", "Execute calls accepted, including cache hits and failed runs.",
 		s.queries.Load)
-	r.CounterFunc("ssb_query_errors_total", "Queries that returned an error (admission cancellation included).",
+	r.CounterFunc("ssb_query_errors_total", "server.errors", "Queries that returned an error (admission cancellation included).",
 		s.errors.Load)
-	r.CounterFunc("ssb_cache_hits_total", "Result-cache hits.",
+	r.CounterFunc("ssb_cache_hits_total", "server.cache_hits", "Result-cache hits.",
 		func() int64 { h, _, _ := s.cache.counters(); return h })
-	r.CounterFunc("ssb_cache_misses_total", "Result-cache misses.",
+	r.CounterFunc("ssb_cache_misses_total", "server.cache_misses", "Result-cache misses.",
 		func() int64 { _, m, _ := s.cache.counters(); return m })
-	r.CounterFunc("ssb_admission_rejects_total", "Admission waits that ended in cancellation instead of a grant.",
+	r.ValueFunc("server.admit_waits", func() any { return s.waits.Load() })
+	r.ValueFunc("server.admit_wait_ns", func() any { return s.waitNs.Load() })
+	r.CounterFunc("ssb_admission_rejects_total", "server.admit_rejects", "Admission waits that ended in cancellation instead of a grant.",
 		s.admitRejects.Load)
-	r.CounterFunc("ssb_inserts_total", "Accepted insert batches.", s.inserts.Load)
-	r.CounterFunc("ssb_inserted_rows_total", "Rows across accepted insert batches.", s.insertedRows.Load)
-	r.CounterFunc("ssb_deletes_total", "Accepted delete operations.", s.deletes.Load)
-	r.CounterFunc("ssb_deleted_rows_total", "Rows tombstoned by accepted deletes.", s.deletedRows.Load)
-	r.CounterFunc("ssb_ws_full_rejects_total", "Inserts bounced because the write store hit its byte cap.",
+	r.ValueFunc("server.admit_bytes", func() any { return s.sem.cap })
+	r.ValueFunc("server.logical_io", func() any { return s.logical.Snapshot() })
+	r.CounterFunc("ssb_inserts_total", "server.inserts", "Accepted insert batches.", s.inserts.Load)
+	r.CounterFunc("ssb_inserted_rows_total", "server.inserted_rows", "Rows across accepted insert batches.", s.insertedRows.Load)
+	r.CounterFunc("ssb_deletes_total", "server.deletes", "Accepted delete operations.", s.deletes.Load)
+	r.CounterFunc("ssb_deleted_rows_total", "server.deleted_rows", "Rows tombstoned by accepted deletes.", s.deletedRows.Load)
+	r.ValueFunc("server.delta", func() any { return s.db.IngestStats() })
+	r.CounterFunc("ssb_ws_full_rejects_total", "server.ws_full_rejects", "Inserts bounced because the write store hit its byte cap.",
 		s.wsFullRejects.Load)
-	r.CounterFunc("ssb_retry_after_sent_total", "HTTP 503 responses that carried a Retry-After backpressure hint.",
+	r.CounterFunc("ssb_retry_after_sent_total", "server.retry_after_sent", "HTTP 503 responses that carried a Retry-After backpressure hint.",
 		s.retryAfters.Load)
-	r.CounterFunc("ssb_wal_fsyncs_total", "WAL fsyncs (group commits); zero when no WAL is attached.",
+	r.ValueFunc("server.wal", func() any { return s.db.WALStats() })
+	r.CounterFunc("ssb_wal_fsyncs_total", "", "WAL fsyncs (group commits); zero when no WAL is attached.",
 		func() int64 { return s.db.WALStats().Syncs })
-	r.CounterFunc("ssb_pool_evictions_total", "Buffer-pool frame evictions; zero for in-memory stores.",
-		func() int64 {
-			if st := s.db.SegmentStore(); st != nil {
-				return st.Pool().Stats().Evictions
-			}
-			return 0
-		})
+	r.CounterFunc("ssb_pool_evictions_total", "", "Buffer-pool frame evictions; zero for in-memory stores.",
+		func() int64 { return pool().Evictions })
 
-	r.GaugeFunc("ssb_in_flight_queries", "Queries currently executing or queued for admission.",
+	r.GaugeFunc("ssb_in_flight_queries", "server.in_flight", "Queries currently executing or queued for admission.",
 		s.inFlight.Load)
-	r.GaugeFunc("ssb_cache_entries", "Result-cache entries resident.",
+	r.GaugeFunc("ssb_cache_entries", "server.cache_entries", "Result-cache entries resident.",
 		func() int64 { _, _, e := s.cache.counters(); return int64(e) })
-	r.GaugeFunc("ssb_pool_resident_bytes", "Compressed payload bytes resident in the buffer pool.",
+	r.GaugeFunc("ssb_pool_resident_bytes", "", "Compressed payload bytes resident in the buffer pool.",
+		func() int64 { return pool().Resident })
+	r.GaugeFunc("ssb_pool_resident_logical_bytes", "", "Decoded (4 B/value) size of the pool's resident working set.",
+		func() int64 { return pool().ResidentLogical })
+	r.GaugeFunc("ssb_pool_pinned_frames", "", "Buffer-pool frames currently pinned by executing queries.",
 		func() int64 {
-			if st := s.db.SegmentStore(); st != nil {
-				return st.Pool().Stats().Resident
+			if seg == nil {
+				return 0
 			}
-			return 0
+			return int64(seg.Pool().PinnedFrames())
 		})
-	r.GaugeFunc("ssb_pool_resident_logical_bytes", "Decoded (4 B/value) size of the pool's resident working set.",
-		func() int64 {
-			if st := s.db.SegmentStore(); st != nil {
-				return st.Pool().Stats().ResidentLogical
-			}
-			return 0
-		})
-	r.GaugeFunc("ssb_pool_pinned_frames", "Buffer-pool frames currently pinned by executing queries.",
-		func() int64 {
-			if st := s.db.SegmentStore(); st != nil {
-				return int64(st.Pool().PinnedFrames())
-			}
-			return 0
-		})
-	r.GaugeFunc("ssb_ws_pending_bytes", "Write-store bytes awaiting compaction; zero when ingest is off.",
+	r.GaugeFunc("ssb_ws_pending_bytes", "", "Write-store bytes awaiting compaction; zero when ingest is off.",
 		func() int64 { return s.db.IngestStats().PendingBytes })
-	r.GaugeFunc("ssb_ws_pending_rows", "Write-store rows awaiting compaction; zero when ingest is off.",
+	r.GaugeFunc("ssb_ws_pending_rows", "", "Write-store rows awaiting compaction; zero when ingest is off.",
 		func() int64 { return s.db.IngestStats().PendingRows })
+
+	r.ValueFunc("pool", func() any {
+		if seg == nil {
+			return nil
+		}
+		return struct {
+			segstore.PoolStats
+			Budget int64 `json:"budget"`
+			Pinned int   `json:"pinned_frames"`
+		}{seg.Pool().Stats(), seg.Pool().Budget(), seg.Pool().PinnedFrames()}
+	})
+	// The segment store's torn-tail recovery diagnostic, set when Open
+	// discarded a corrupted append and fell back to the previous valid
+	// directory, so the evidence outlives the daemon's startup log.
+	r.ValueFunc("recovery", func() any {
+		if seg == nil || seg.RecoveryNote() == "" {
+			return nil
+		}
+		return seg.RecoveryNote()
+	})
 
 	// 100µs..~3.3s and 10µs..~5.2s: log-spaced so the histogram stays 16
 	// buckets while covering cache-warm sub-millisecond queries and
@@ -84,6 +116,6 @@ func (s *Server) initMetrics() {
 		obs.ExpBuckets(10e-6, 2, 20))
 }
 
-// Metrics exposes the registry (the HTTP layer's /metrics renders it; tests
-// scrape it directly).
+// Metrics exposes the registry (the HTTP layer's /metrics and /stats render
+// it; tests scrape it directly).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }

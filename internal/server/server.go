@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,8 +122,8 @@ type Server struct {
 
 	queries      atomic.Int64
 	errors       atomic.Int64
-	waits        atomic.Int64 // queries that blocked in admission
-	waitNs       atomic.Int64
+	waits        atomic.Int64 // queries that blocked >1ms in admission
+	waitNs       atomic.Int64 // total time all queries spent queued
 	admitRejects atomic.Int64 // acquires that ended in cancellation
 	inFlight     atomic.Int64
 
@@ -409,79 +408,6 @@ func (s *Server) execute(ctx context.Context, q *ssb.Query, sql string) (e *cach
 		s.cache.put(key, e)
 	}
 	return e, false, wait, nil
-}
-
-// Stats is a snapshot of the server's counters.
-type Stats struct {
-	// UptimeSeconds is time since the server was built; Goroutines the
-	// process's live goroutine count — the liveness basics ssb-top needs
-	// without a second endpoint.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Goroutines    int     `json:"goroutines"`
-	// Queries counts Execute calls accepted (including cache hits and
-	// failed runs); Errors the subset that returned an error.
-	Queries int64 `json:"queries"`
-	Errors  int64 `json:"errors"`
-	// InFlight is the number of queries currently executing or queued.
-	InFlight int64 `json:"in_flight"`
-	// CacheHits/CacheMisses/CacheEntries describe the result cache.
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	CacheEntries int   `json:"cache_entries"`
-	// AdmitWaits counts queries that blocked >1ms in admission;
-	// AdmitWaitNs is total time all queries spent queued; AdmitRejects the
-	// queries whose wait ended in cancellation instead of a grant.
-	AdmitWaits   int64 `json:"admit_waits"`
-	AdmitWaitNs  int64 `json:"admit_wait_ns"`
-	AdmitRejects int64 `json:"admit_rejects"`
-	// AdmitBytes is the admission budget.
-	AdmitBytes int64 `json:"admit_bytes"`
-	// Logical is the summed per-query logical I/O of completed queries.
-	Logical iosim.Stats `json:"logical_io"`
-	// Inserts/InsertedRows count accepted insert batches and their rows;
-	// Deletes/DeletedRows the accepted delete operations and the rows they
-	// tombstoned; Delta is the write store's state (zero value when ingest
-	// is off).
-	Inserts      int64           `json:"inserts"`
-	InsertedRows int64           `json:"inserted_rows"`
-	Deletes      int64           `json:"deletes"`
-	DeletedRows  int64           `json:"deleted_rows"`
-	Delta        exec.DeltaStats `json:"delta"`
-	// WSFullRejects counts inserts bounced because the write store hit its
-	// byte cap (ErrWriteStoreFull); RetryAfterSent the HTTP 503 responses
-	// that carried the matching Retry-After backpressure hint.
-	WSFullRejects  int64 `json:"ws_full_rejects"`
-	RetryAfterSent int64 `json:"retry_after_sent"`
-	// WAL is the durability log's state (zero value when no WAL).
-	WAL exec.WALStats `json:"wal"`
-}
-
-// Stats returns the current counters.
-func (s *Server) Stats() Stats {
-	hits, misses, entries := s.cache.counters()
-	return Stats{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Goroutines:     runtime.NumGoroutine(),
-		Queries:        s.queries.Load(),
-		Errors:         s.errors.Load(),
-		InFlight:       s.inFlight.Load(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheEntries:   entries,
-		AdmitWaits:     s.waits.Load(),
-		AdmitWaitNs:    s.waitNs.Load(),
-		AdmitRejects:   s.admitRejects.Load(),
-		AdmitBytes:     s.sem.cap,
-		Logical:        s.logical.Snapshot(),
-		Inserts:        s.inserts.Load(),
-		InsertedRows:   s.insertedRows.Load(),
-		Deletes:        s.deletes.Load(),
-		DeletedRows:    s.deletedRows.Load(),
-		Delta:          s.db.IngestStats(),
-		WSFullRejects:  s.wsFullRejects.Load(),
-		RetryAfterSent: s.retryAfters.Load(),
-		WAL:            s.db.WALStats(),
-	}
 }
 
 // Close stops accepting queries and inserts, waits for every in-flight one
