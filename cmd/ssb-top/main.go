@@ -79,7 +79,6 @@ type statsPayload struct {
 		CacheEntries  int     `json:"cache_entries"`
 		AdmitWaits    int64   `json:"admit_waits"`
 		AdmitRejects  int64   `json:"admit_rejects"`
-		AdmitBytes    int64   `json:"admit_bytes"`
 		Delta         struct {
 			PendingRows  int64 `json:"pending_rows"`
 			PendingBytes int64 `json:"pending_bytes"`

@@ -616,7 +616,8 @@ func (db *DB) CloseDelta() {
 type DeltaStats struct {
 	// Enabled reports whether the DB has a write store at all.
 	Enabled bool `json:"enabled"`
-	// Epoch is the rows ever inserted (the data version).
+	// Epoch is the data version: rows ever inserted plus delete operations
+	// ever applied (DB.Epoch).
 	Epoch int64 `json:"epoch"`
 	// PendingRows/PendingBytes are the live, unsealed delta.
 	PendingRows  int64 `json:"pending_rows"`

@@ -126,31 +126,6 @@ func (r *Recorder) Snapshot(n int) []QueryRecord {
 	return out
 }
 
-// Resize grows or shrinks the ring to capacity (minimum 1), keeping the
-// newest records.
-func (r *Recorder) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if capacity == len(r.buf) {
-		return
-	}
-	keep := r.n
-	if keep > capacity {
-		keep = capacity
-	}
-	buf := make([]QueryRecord, capacity)
-	// Copy the newest `keep` records oldest-first into the new ring.
-	for i := 0; i < keep; i++ {
-		buf[i] = r.buf[(r.next-keep+i+len(r.buf))%len(r.buf)]
-	}
-	r.buf = buf
-	r.n = keep
-	r.next = keep % capacity
-}
-
 // SummaryGroup is one engine×flight cell of the windowed summary.
 // Percentiles are over engine execution wall time (ExecNs) of successful,
 // non-cached runs; Count/Errors/CacheHits count every record in the cell.

@@ -48,7 +48,7 @@ func TestRecorderRing(t *testing.T) {
 
 // TestRecorderBoundedMemory asserts the overflow contract the "always-on"
 // promise rests on: after any number of records, the ring holds exactly
-// cap entries and Resize keeps only the newest.
+// cap entries, the newest ones.
 func TestRecorderBoundedMemory(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 10_000; i++ {
@@ -60,37 +60,14 @@ func TestRecorderBoundedMemory(t *testing.T) {
 	if newest := r.Snapshot(1)[0]; newest.Query != "9999" || newest.Seq != 10_000 {
 		t.Fatalf("newest = %+v", newest)
 	}
-
-	r.Resize(3)
-	if r.Len() != 3 || r.Cap() != 3 {
-		t.Fatalf("after shrink: len=%d cap=%d", r.Len(), r.Cap())
-	}
-	snap := r.Snapshot(0)
-	for i, want := range []string{"9999", "9998", "9997"} {
-		if snap[i].Query != want {
-			t.Fatalf("post-shrink snapshot[%d] = %s, want %s", i, snap[i].Query, want)
-		}
-	}
-	r.Resize(16)
-	if r.Len() != 3 || r.Cap() != 16 {
-		t.Fatalf("after grow: len=%d cap=%d", r.Len(), r.Cap())
-	}
-	r.Record(QueryRecord{Query: "new"})
-	if snap := r.Snapshot(0); len(snap) != 4 || snap[0].Query != "new" || snap[3].Query != "9997" {
-		t.Fatalf("post-grow snapshot: %+v", snap)
-	}
-	// Degenerate capacities clamp to 1 instead of panicking.
-	r.Resize(0)
-	if r.Cap() != 1 || r.Len() != 1 {
-		t.Fatalf("Resize(0): cap=%d len=%d", r.Cap(), r.Len())
-	}
+	// A degenerate capacity clamps to 1 instead of panicking.
 	if NewRecorder(-5).Cap() != 1 {
 		t.Fatal("NewRecorder(-5) must clamp to 1")
 	}
 }
 
 // TestRecorderConcurrent is the -race hammer: concurrent Record, Snapshot,
-// Summary, and Resize must be safe and leave a consistent ring.
+// and Summary must be safe and leave a consistent ring.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(64)
 	var wg sync.WaitGroup
@@ -109,7 +86,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
@@ -128,19 +105,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			_ = r.Summary(1<<40, 0)
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		sizes := []int{16, 64, 8, 128, 32}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r.Resize(sizes[i%len(sizes)])
-		}
-	}()
-	// Give the writers time to finish, then halt the readers/resizer.
+	// Give the writers time to finish, then halt the reader.
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -223,8 +188,8 @@ func TestQueryRecordFlight(t *testing.T) {
 func TestHistoryRing(t *testing.T) {
 	var queries, resident int64
 	reg := NewRegistry()
-	reg.CounterFunc("q_total", "q", func() int64 { return queries })
-	reg.GaugeFunc("res_bytes", "r", func() int64 { return resident })
+	reg.CounterFunc("q_total", "", "q", func() int64 { return queries })
+	reg.GaugeFunc("res_bytes", "", "r", func() int64 { return resident })
 	h := NewHistory(reg, 3)
 
 	queries, resident = 10, 100
@@ -291,7 +256,7 @@ func TestHistorySampleRegistryHistograms(t *testing.T) {
 // and Stop joins cleanly (twice).
 func TestHistoryStartStop(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterFunc("x_total", "x", func() int64 { return time.Now().UnixNano() })
+	reg.CounterFunc("x_total", "", "x", func() int64 { return time.Now().UnixNano() })
 	h := NewHistory(reg, 8)
 	h.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)

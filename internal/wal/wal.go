@@ -314,10 +314,11 @@ type Options struct {
 	// issuing the group's fsync. Zero syncs immediately (each group still
 	// covers every frame written by the time the sync runs).
 	Window time.Duration
-	// FlushBytes cuts a leader's window short once this many unsynced
-	// bytes have accumulated. 0 means 1 MB.
-	FlushBytes int64
 }
+
+// flushBytes cuts a commit leader's window short once this many unsynced
+// bytes have accumulated.
+const flushBytes = 1 << 20
 
 // Stats is a snapshot of the log's counters.
 type Stats struct {
@@ -372,9 +373,6 @@ type Log struct {
 // Log is unpublished until Open returns, so this goroutine has exclusive
 // access without locking.
 func Open(path string, opts Options) (*Log, []Record, error) {
-	if opts.FlushBytes <= 0 {
-		opts.FlushBytes = 1 << 20
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -474,7 +472,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.appends++
 	l.bytes += int64(len(frame))
 	l.unsynced += int64(len(frame))
-	if l.unsynced >= l.opts.FlushBytes {
+	if l.unsynced >= flushBytes {
 		select {
 		case l.bigWrite <- struct{}{}:
 		default:
@@ -485,7 +483,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 
 // Commit blocks until every record up to and including lsn is durable. The
 // first blocked committer leads the group: it waits the configured window
-// (cut short when FlushBytes accumulate), then issues one fsync covering
+// (cut short when flushBytes accumulate), then issues one fsync covering
 // all frames written so far and wakes everyone it covered.
 func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
