@@ -63,14 +63,14 @@ func main() {
 	cacheEntries := flag.Int("cache", 256, "result cache capacity in entries (negative disables)")
 	ingest := flag.Bool("ingest", false, "enable the write path: POST /insert, snapshot-isolated queries, background compaction into the segment store")
 	ingestMB := flag.Float64("ingest-mb", 0, "write-store memory cap in MB (0 = 256 MB default; inserts past it get 503 backpressure)")
-	walPath := flag.String("wal", "", "write-ahead log path (requires -ingest): inserts and deletes are durable before they are acked, and replayed on restart")
+	walPath := flag.String("wal", "", "write-ahead log path (requires -ingest and -data, whose footer is the log's checkpoint): inserts and deletes are durable before they are acked, and replayed on restart")
 	walWindowMS := flag.Float64("wal-window-ms", 1, "group-commit window in milliseconds (0 = fsync per commit)")
 	slowMS := flag.Float64("slow-ms", 0, "log a compact trace line for queries slower than this many milliseconds (0 disables)")
 	accessLog := flag.Bool("access-log", false, "log one line per HTTP request (method, path, query selector, status, wait, latency)")
 	debugAddr := flag.String("debug-addr", "", "opt-in debug listener (pprof + /debug/queries + /debug/summary + /metrics/history) on a separate address, e.g. 127.0.0.1:6060")
 	flag.Parse()
-	if *walPath != "" && !*ingest {
-		fmt.Fprintln(os.Stderr, "-wal requires -ingest")
+	if *walPath != "" && (!*ingest || *dataPath == "") {
+		fmt.Fprintln(os.Stderr, "-wal requires -ingest and -data")
 		os.Exit(2)
 	}
 

@@ -209,15 +209,13 @@ func (b *Bitmap) NextSet(from int) int {
 func (b *Bitmap) SizeBytes() int64 { return int64(len(b.words) * 8) }
 
 // Words exposes the backing word slice: the compressed-block kernels walk
-// selections and dense sets word by word, and the WAL's base record persists
-// the deletion vector word-for-word. The slice is live: callers must not
-// mutate it.
+// selections and dense sets word by word. The slice is live: callers must
+// not mutate it.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // FromWords reconstructs a bitmap of length n over the given backing words
-// (the inverse of Words, used when deserializing the persisted deletion
-// vector). The slice is retained. Bits beyond n are cleared so Count stays
-// exact.
+// (the inverse of Words). The slice is retained. Bits beyond n are cleared so
+// Count stays exact.
 func FromWords(words []uint64, n int) *Bitmap {
 	b := &Bitmap{words: words, n: n}
 	b.clearTail()

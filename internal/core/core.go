@@ -380,8 +380,9 @@ func (db *DB) CloseIngest() {
 	}
 }
 
-// Epoch is the data version: rows ever inserted plus delete operations
-// ever applied (0 for frozen DBs).
+// Epoch is the data version: rows inserted plus delete operations applied
+// since ingest was enabled, replayed log records included (0 for frozen
+// DBs).
 func (db *DB) Epoch() int64 {
 	if !db.ingestOn.Load() {
 		return 0

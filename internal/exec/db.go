@@ -60,6 +60,10 @@ type DB struct {
 	// seg is the backing segment store for file-backed DBs (nil for
 	// in-memory builds); the tuple mover appends frozen delta blocks to it.
 	seg *segstore.Store
+	// ckpt is the fact table's checkpoint as the footer recorded it at open
+	// (zero for in-memory builds): read-only DBs mask its deletion vector,
+	// and EnableDelta starts the write path from it.
+	ckpt segstore.Checkpoint
 	// ingest is the write half of the WS/RS split (nil for read-only DBs):
 	// the delta store, the current sealed snapshot, and the tuple mover.
 	// See ingest.go.

@@ -13,35 +13,39 @@ import (
 // in front of the delta store, replay-on-open that reconstructs the exact
 // pre-crash write-store state, and deletion vectors.
 //
-// Log shape. Every log generation starts with one Base record anchoring it
-// to a known sealed state (file row count + sealed deletion vector), then
-// Insert records (one per accepted batch, columns positionally in
-// factColOrder), Delete records (sealed row indexes + WAL-relative delta
-// row indexes), and Checkpoint records written by the tuple mover after a
-// compaction lands. After each compaction the log is atomically rewritten
-// to just the live tail — Base + pending inserts + live WS tombstones — so
-// it stays proportional to the unflushed delta, not to history.
+// The checkpoint is the segment footer, not a log record. Every footer the
+// tuple mover writes records the fact table's segstore.Checkpoint: LogRows,
+// how many logged insert rows the file has absorbed, and the sealed-side
+// deletion vector. Log rows are numbered from 0 in insert order over the
+// store's life, and delta row g is log row logBase+g, where logBase is the
+// checkpoint's LogRows when the write store was enabled.
 //
-// Recovery. Replay folds the records into (sealed watermark, pending
-// batches, deletion vectors) and compares the checkpointed file row count
-// against the actual segment file. A crash can lose at most the very last
-// compaction's checkpoint (passes serialize under compactMu and each commits
-// its checkpoint before releasing it), so any surplus file rows are exactly
-// one un-checkpointed pass: the watermark advances over the shortest pending
-// prefix containing that many live rows. Acked rows are therefore replayed
-// exactly once — either they are under the watermark (already in the file)
-// or they are rebuilt into the delta — and un-acked rows at the torn tail
-// are dropped by the WAL's CRC scan.
+// Write-ahead rule. A pass makes the log durable up to every row it seals
+// before the footer that claims them is written, so the file never holds a
+// row the log could lose. After the footer lands, the log is rewritten to
+// the live tail — pending inserts and live write-store tombstones — only to
+// keep it short: recovery does not depend on the rewrite.
+//
+// Recovery. Open the store, read the footer's checkpoint, replay the log
+// past it: insert rows numbered below LogRows are skipped (they are in the
+// file, or were purged as deleted on the way), sealed tombstones are set
+// (again, if the footer already has them), and write-store tombstones below
+// LogRows are skipped with the rows they named. A crash between the footer
+// and the log rewrite therefore replays a longer log to the same state, and
+// un-acked records at the torn tail are dropped by the WAL's CRC scan.
 
-// EnableWAL attaches a write-ahead log to a DB that already has a write
-// store (EnableDelta) with no rows in it, replaying any existing log at
-// path into the delta store and deletion vectors first. Call it before
-// StartCompactor and before serving traffic; after it returns, every
+// EnableWAL attaches a write-ahead log to a segment-store DB that already
+// has a write store (EnableDelta) with no rows in it, replaying any existing
+// log at path into the delta store and deletion vectors first. Call it
+// before StartCompactor and before serving traffic; after it returns, every
 // accepted Insert/Delete is group-committed to disk before acking.
 func (db *DB) EnableWAL(path string, opts wal.Options) error {
 	ig := db.ingest
 	if ig == nil {
 		return fmt.Errorf("exec: EnableWAL requires a write store (EnableDelta first)")
+	}
+	if db.seg == nil {
+		return fmt.Errorf("exec: a write-ahead log needs a segment store: the store's footer is the log's checkpoint")
 	}
 	if ig.wal != nil {
 		return fmt.Errorf("exec: WAL already enabled")
@@ -54,251 +58,129 @@ func (db *DB) EnableWAL(path string, opts wal.Options) error {
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
+	rep, err := replayWAL(recs, ig.logBase, int64(db.numRows))
+	if err != nil {
 		_ = l.Close()
 		return err
 	}
-
-	if len(recs) == 0 {
-		// Fresh log: anchor it at the current sealed state, durably.
-		if err := l.Rewrite([]wal.Record{wal.Base{FileRows: int64(db.numRows)}}); err != nil {
-			return fail(err)
-		}
-		ig.mu.Lock()
-		ig.wal = l
-		ig.walBase = 0
-		ig.mu.Unlock()
-		return nil
-	}
-
-	rep, err := replayWAL(recs, int64(db.numRows))
-	if err != nil {
-		return fail(err)
-	}
-
-	// Rebuild the pending delta, batch-for-batch, skipping the sealed
-	// prefix (a batch can straddle the watermark when a crash interrupted
-	// the post-compaction rewrite: replay trims its sealed head).
-	var walIdx int64
-	for _, ins := range rep.inserts {
-		n := int64(len(ins.Cols[0]))
-		lo := walIdx
-		walIdx += n
-		if walIdx <= rep.sealed {
-			continue
-		}
-		off := int64(0)
-		if lo < rep.sealed {
-			off = rep.sealed - lo
-		}
+	for _, cols := range rep.inserts {
 		dcols := make([]delta.Column, len(factColOrder))
 		for i, name := range factColOrder {
-			dcols[i] = delta.Column{Name: name, Vals: ins.Cols[i][off:]}
+			dcols[i] = delta.Column{Name: name, Vals: cols[i]}
 		}
 		batch, err := delta.NewBatch(dcols)
 		if err != nil {
-			return fail(err)
+			_ = l.Close()
+			return err
 		}
 		ig.ws.Append(batch)
 	}
 
-	// Rebase WS tombstones from WAL space into the rebuilt store's global
-	// space (which restarts at 0 = first pending row).
-	var delWS *bitmap.Bitmap
-	var tombWS int64
-	if rep.delWS != nil {
-		nb := bitmap.New(int(rep.total - rep.sealed))
-		for g := rep.sealed; g < rep.total; g++ {
-			if rep.delWS.Get(int(g)) {
-				nb.Set(int(g - rep.sealed))
-				tombWS++
-			}
-		}
-		if tombWS > 0 {
-			delWS = nb
-		}
-	}
-	var tombSealed int64
-	delSealed := rep.delSealed
-	if delSealed != nil {
-		tombSealed = int64(delSealed.Count())
-		if tombSealed == 0 {
-			delSealed = nil
-		}
-	}
-
 	ig.mu.Lock()
+	defer ig.mu.Unlock()
 	ig.wal = l
-	ig.walBase = 0
-	ig.delSealed = delSealed
-	ig.delWS = delWS
-	ig.tombSealed = tombSealed
-	ig.tombWS = tombWS
+	if d := rep.delSealed; d != nil {
+		if ig.delSealed != nil {
+			d.Or(ig.delSealed)
+		}
+		if n := int64(d.Count()); n != ig.tombSealed {
+			ig.delSealed, ig.tombSealed = d, n
+		}
+	}
+	if rep.delWS != nil {
+		ig.delWS = rep.delWS
+		ig.tombWS = int64(rep.delWS.Count())
+	}
 	// Replayed deletes must bump the epoch off zero: the frozen-base guards
 	// and result caches key on it, and a "no writes yet" epoch over
 	// tombstoned data would let non-snapshot engines serve deleted rows.
 	ig.deletes.Store(rep.deleteOps)
-	ig.mu.Unlock()
-
-	// Rewrite the log to the recovered state: the sealed prefix and any
-	// torn tail are gone, WAL row space re-anchors at the rebuilt store's
-	// row 0, and the recovery inference above never has to run twice.
-	if err := l.Rewrite(walSnapshotRecords(int64(db.numRows), delSealed, ig.ws.Snapshot(), delWS)); err != nil {
-		ig.mu.Lock()
-		ig.wal = nil
-		ig.mu.Unlock()
-		return fail(err)
-	}
 	return nil
 }
 
-// walReplay is the state a log's records fold into.
+// walReplay is the state a log's records fold into past a checkpoint.
 type walReplay struct {
-	sealed    int64 // WAL-space rows already in the segment file
-	total     int64 // WAL-space rows ever appended
-	inserts   []wal.Insert
-	delSealed *bitmap.Bitmap // sealed-side tombstones, length = actual file rows
-	delWS     *bitmap.Bitmap // WAL-space tombstones, length = total
+	inserts   [][][]int32    // pending batches' columns, in log order, from the checkpoint on
+	delSealed *bitmap.Bitmap // sealed-side tombstones, length = file rows
+	delWS     *bitmap.Bitmap // write-store tombstones by delta row
 	deleteOps int64
 }
 
-// replayWAL reduces a replayed record sequence against the actual segment
-// file row count, running the crash-seal inference for a lost checkpoint.
-func replayWAL(recs []wal.Record, actualRows int64) (*walReplay, error) {
-	base, ok := recs[0].(wal.Base)
-	if !ok {
-		return nil, fmt.Errorf("exec: WAL does not start with a base record (%T)", recs[0])
-	}
-	if actualRows < base.FileRows {
-		return nil, fmt.Errorf("exec: segment store has %d rows but the WAL base records %d — store truncated?", actualRows, base.FileRows)
-	}
+// replayWAL folds a replayed record sequence into the write-store state past
+// the footer's checkpoint: logBase is its LogRows, fileRows the fact rows
+// the file holds.
+func replayWAL(recs []wal.Record, logBase, fileRows int64) (*walReplay, error) {
 	rep := &walReplay{}
-	expectRows := base.FileRows
-	if base.DelLen > 0 {
-		if base.DelLen != base.FileRows {
-			return nil, fmt.Errorf("exec: WAL base deletion vector covers %d rows, base file has %d", base.DelLen, base.FileRows)
-		}
-		rep.delSealed = bitmap.FromWords(append([]uint64(nil), base.DelWords...), int(base.DelLen)).Grow(int(actualRows))
-	}
-	for _, r := range recs[1:] {
+	next := logBase // the log row the write store expects next
+	for _, r := range recs {
 		switch r := r.(type) {
-		case wal.Base:
-			return nil, fmt.Errorf("exec: duplicate WAL base record")
 		case wal.Insert:
 			if len(r.Cols) != len(factColOrder) {
 				return nil, fmt.Errorf("exec: WAL insert has %d columns, want %d", len(r.Cols), len(factColOrder))
 			}
-			rep.inserts = append(rep.inserts, r)
-			rep.total += int64(len(r.Cols[0]))
+			end := r.Row + int64(len(r.Cols[0]))
+			if end <= logBase {
+				continue // absorbed by the file before its footer was written
+			}
+			if r.Row > next || (next > logBase && r.Row != next) {
+				return nil, fmt.Errorf("exec: WAL insert of log rows [%d,%d) does not continue the store at log row %d — is this the store's log?", r.Row, end, next)
+			}
+			cols := make([][]int32, len(r.Cols))
+			for i, c := range r.Cols {
+				cols[i] = c[next-r.Row:] // the checkpoint may cut a batch
+			}
+			rep.inserts = append(rep.inserts, cols)
+			next = end
 		case wal.Delete:
 			for _, p := range r.Sealed {
-				if int64(p) >= actualRows {
-					return nil, fmt.Errorf("exec: WAL delete tombstones sealed row %d past file end %d", p, actualRows)
+				if int64(p) >= fileRows {
+					return nil, fmt.Errorf("exec: WAL delete tombstones sealed row %d past file end %d", p, fileRows)
 				}
 				if rep.delSealed == nil {
-					rep.delSealed = bitmap.New(int(actualRows))
+					rep.delSealed = bitmap.New(int(fileRows))
 				}
 				rep.delSealed.Set(int(p))
 			}
-			for _, i := range r.WS {
-				if i < 0 || i >= rep.total {
-					return nil, fmt.Errorf("exec: WAL delete tombstones delta row %d outside [0,%d)", i, rep.total)
+			for _, row := range r.WS {
+				if row < logBase {
+					continue // the pass that absorbed the row purged it
 				}
-				if rep.delWS == nil || rep.delWS.Len() < int(rep.total) {
-					nb := bitmap.New(int(rep.total))
-					if rep.delWS != nil {
-						nb.Or(rep.delWS.Grow(int(rep.total)))
-					}
-					rep.delWS = nb
+				if row >= next {
+					return nil, fmt.Errorf("exec: WAL delete tombstones log row %d, which is not inserted yet (next row %d)", row, next)
 				}
-				rep.delWS.Set(int(i))
+				if n := int(next - logBase); rep.delWS == nil {
+					rep.delWS = bitmap.New(n)
+				} else if rep.delWS.Len() < n {
+					rep.delWS = rep.delWS.Grow(n)
+				}
+				rep.delWS.Set(int(row - logBase))
 			}
 			rep.deleteOps++
-		case wal.Checkpoint:
-			if r.SealedRows < rep.sealed || r.SealedRows > rep.total {
-				return nil, fmt.Errorf("exec: WAL checkpoint watermark %d outside [%d,%d]", r.SealedRows, rep.sealed, rep.total)
-			}
-			if r.FileRows < expectRows || r.FileRows > actualRows {
-				return nil, fmt.Errorf("exec: WAL checkpoint file rows %d outside [%d,%d]", r.FileRows, expectRows, actualRows)
-			}
-			// Cross-check: the pass's file growth must equal the live rows
-			// of the prefix it consumed (tombstones below a checkpoint are
-			// final by the time it is written — deletes and compactions
-			// serialize, and the checkpoint commits before the pass ends).
-			if grew, live := r.FileRows-expectRows, liveRows(rep.delWS, rep.sealed, r.SealedRows); grew != live {
-				return nil, fmt.Errorf("exec: WAL checkpoint grew the file by %d rows but consumed %d live delta rows", grew, live)
-			}
-			rep.sealed = r.SealedRows
-			expectRows = r.FileRows
 		}
-	}
-	if rep.delWS != nil && rep.delWS.Len() < int(rep.total) {
-		rep.delWS = rep.delWS.Grow(int(rep.total))
-	}
-	// Crash-seal inference: file rows beyond the last durable checkpoint
-	// are exactly one compaction pass that crashed before checkpointing.
-	// Advance the watermark over the shortest prefix holding that many live
-	// rows. (A tombstoned run straight after is ambiguous — the pass may or
-	// may not have consumed it — but harmless either way: those rows are
-	// invisible, and if rebuilt into the delta they are re-purged later.)
-	if extra := actualRows - expectRows; extra > 0 {
-		var live int64
-		i := rep.sealed
-		for ; i < rep.total && live < extra; i++ {
-			if rep.delWS == nil || !rep.delWS.Get(int(i)) {
-				live++
-			}
-		}
-		if live != extra {
-			return nil, fmt.Errorf("exec: segment store has %d rows past the WAL frontier but the log holds only %d live unsealed rows", extra, live)
-		}
-		rep.sealed = i
 	}
 	return rep, nil
 }
 
-// liveRows counts non-tombstoned WAL-space rows in [lo, hi).
-func liveRows(delWS *bitmap.Bitmap, lo, hi int64) int64 {
-	if delWS == nil {
-		return hi - lo
-	}
-	var n int64
-	for i := lo; i < hi; i++ {
-		if !delWS.Get(int(i)) {
-			n++
-		}
-	}
-	return n
-}
-
-// walSnapshotRecords renders the current write-store state as a fresh log
-// generation: the anchor Base (file rows + sealed tombstones), one Insert
-// per pending batch, and a single Delete carrying the live WS tombstones
-// rebased to the view's first row (= WAL row 0 of the new generation).
-// Callers hold ig.mu (or have exclusive access), so the snapshot is
-// frontier-consistent; batch column slices are shared with the live store,
-// which is safe because Rewrite encodes synchronously and batches are
-// immutable.
-func walSnapshotRecords(fileRows int64, delSealed *bitmap.Bitmap, view *delta.View, delWS *bitmap.Bitmap) []wal.Record {
-	base := wal.Base{FileRows: fileRows}
-	if delSealed != nil && delSealed.Any() {
-		base.DelLen = int64(delSealed.Len())
-		base.DelWords = append([]uint64(nil), delSealed.Words()...)
-	}
-	recs := []wal.Record{base}
+// logTail renders the write store's live tail as a fresh log: one Insert
+// per pending batch and a single Delete carrying the live write-store
+// tombstones, all named by log row. Callers hold ig.mu (or have exclusive
+// access), so the snapshot is frontier-consistent; batch column slices are
+// shared with the live store, which is safe because Rewrite encodes
+// synchronously and batches are immutable.
+func logTail(view *delta.View, delWS *bitmap.Bitmap, logBase int64) []wal.Record {
+	var recs []wal.Record
 	var del wal.Delete
-	start := view.Lo()
-	next := start
+	next := view.Lo()
 	view.ForEach(func(b *delta.Batch, lo, hi int) bool {
 		cols := make([][]int32, len(factColOrder))
 		for i, name := range factColOrder {
 			cols[i] = b.Col(name)[lo:hi]
 		}
-		recs = append(recs, wal.Insert{Cols: cols})
+		recs = append(recs, wal.Insert{Row: logBase + next, Cols: cols})
 		if delWS != nil {
 			for g := next; g < next+int64(hi-lo); g++ {
 				if g < int64(delWS.Len()) && delWS.Get(int(g)) {
-					del.WS = append(del.WS, g-start)
+					del.WS = append(del.WS, logBase+g)
 				}
 			}
 		}
@@ -309,6 +191,21 @@ func walSnapshotRecords(fileRows int64, delSealed *bitmap.Bitmap, view *delta.Vi
 		recs = append(recs, del)
 	}
 	return recs
+}
+
+// rewriteLog replaces the log with the write store's live tail once a
+// footer covers everything older (see logTail). Callers hold compactMu.
+func (ig *ingestState) rewriteLog() error {
+	if ig.wal == nil {
+		return nil
+	}
+	ig.mu.Lock()
+	err := ig.wal.Rewrite(logTail(ig.ws.Snapshot(), ig.delWS, ig.logBase))
+	ig.mu.Unlock()
+	if err != nil {
+		ig.setErr(err)
+	}
+	return err
 }
 
 // deletableCols are the fact columns whose stored physical representation
@@ -345,9 +242,9 @@ func (db *DB) Delete(filters []ssb.FactFilter) (int64, error) {
 			return 0, fmt.Errorf("exec: column %q is not deletable by value (identity-valued fact columns only)", f.Col)
 		}
 	}
-	// compactMu is held across evaluate + log + apply: the frontier cannot
-	// move mid-delete, and the WAL sees deletes and checkpoints in a serial
-	// order the recovery inference can trust.
+	// compactMu is held across evaluate + log + apply + commit: the frontier
+	// cannot move mid-delete, and no pass can seal or purge a row on the
+	// strength of a delete the log might still lose.
 	ig.compactMu.Lock()
 	defer ig.compactMu.Unlock()
 
@@ -432,7 +329,7 @@ func (db *DB) Delete(filters []ssb.FactFilter) (int64, error) {
 		rec := wal.Delete{}
 		match.ForEach(func(p int) { rec.Sealed = append(rec.Sealed, uint32(p)) })
 		for _, g := range wsIdx {
-			rec.WS = append(rec.WS, g-ig.walBase)
+			rec.WS = append(rec.WS, ig.logBase+g)
 		}
 		lsn, err = l.Append(rec)
 		if err != nil {

@@ -66,11 +66,17 @@ type ingestState struct {
 
 	// wal is the durability log (nil until EnableWAL). Inserts and deletes
 	// append under mu — so log order matches apply order — and group-commit
-	// outside it. walBase is the delta-global row index that WAL row index 0
-	// of the current log generation corresponds to: each compaction rewrites
-	// the log to just the live tail, re-anchoring it.
+	// outside it. logBase is the log row number of delta row 0: the fact
+	// checkpoint's LogRows when the write store was enabled (durability.go).
 	wal     *wal.Log
-	walBase int64
+	logBase int64
+	// ckptDel is the sealed deletion vector the live footer records (guarded
+	// by compactMu); a flush whose delSealed has moved past it writes a
+	// footer for the deletes alone.
+	ckptDel *bitmap.Bitmap
+	// testHookSealed, when set, runs after a pass's footer is durable and
+	// before the log is rewritten: the crash harness kills the process there.
+	testHookSealed func()
 
 	// delSealed/delWS are the deletion vectors, split at the frontier like
 	// the data itself. Both are immutable snapshots swapped under mu:
@@ -141,12 +147,18 @@ func (db *DB) EnableDelta(maxWSBytes int64) error {
 		keyPos[dim] = pos
 	}
 	db.ingest = &ingestState{
-		sealed:   db,
-		ws:       delta.NewStore(),
-		maxBytes: maxWSBytes,
-		keyPos:   keyPos,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		sealed:    db,
+		ws:        delta.NewStore(),
+		maxBytes:  maxWSBytes,
+		keyPos:    keyPos,
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+		logBase:   db.ckpt.LogRows,
+		delSealed: db.ckpt.Deleted,
+		ckptDel:   db.ckpt.Deleted,
+	}
+	if d := db.ckpt.Deleted; d != nil {
+		db.ingest.tombSealed = int64(d.Count())
 	}
 	return nil
 }
@@ -165,11 +177,11 @@ type tombstones struct {
 // sealed DB, the live delta view, the deletion vectors and the epoch they
 // add up to, all read under one lock — so the epoch names exactly the rows
 // the query scans, however inserts and deletes interleave with it. Returns
-// (db, nil, zero, 0) for DBs without a write store.
+// (db, nil, the footer's deletion vector, 0) for DBs without a write store.
 func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones, int64) {
 	ig := db.ingest
 	if ig == nil {
-		return db, nil, tombstones{}, 0
+		return db, nil, tombstones{sealed: db.ckpt.Deleted}, 0
 	}
 	ig.mu.Lock()
 	sdb := ig.sealed
@@ -180,9 +192,10 @@ func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones, int64) {
 	return sdb, view, del, epoch
 }
 
-// Epoch versions the visible data: rows ever inserted plus delete operations
-// ever applied. It bumps on every accepted insert and every delete that
-// tombstones at least one row (compaction moves rows between stores without
+// Epoch versions the visible data: rows inserted plus delete operations
+// applied since the write store was enabled (replayed log records count).
+// It bumps on every accepted insert and every delete that tombstones at
+// least one row (compaction moves rows between stores without
 // changing what queries see, so it does not bump). Zero for read-only DBs —
 // and forever zero when no write ever lands, keeping epoch-keyed result
 // caches exact on frozen data.
@@ -293,7 +306,7 @@ func (db *DB) Insert(b *ssb.Lineorders) (int64, error) {
 	ig.mu.Lock()
 	var lsn uint64
 	if ig.wal != nil {
-		lsn, err = ig.wal.Append(wal.Insert{Cols: cols})
+		lsn, err = ig.wal.Append(wal.Insert{Row: ig.logBase + ig.ws.Total(), Cols: cols})
 		if err != nil {
 			ig.mu.Unlock()
 			ig.setErr(err)
@@ -336,11 +349,13 @@ var factColOrder = []string{
 func (db *DB) CompactNow() (int64, error) { return db.compactOnce(false) }
 
 // FlushDelta seals every pending delta row — including a final partial
-// block — into the read-optimized store: the shutdown path that guarantees
-// zero unflushed-delta loss for file-backed stores. A successful full
-// flush clears any earlier background-compaction failure (a transient disk
-// error that killed the background mover strands nothing once the flush
-// lands every row); only a flush that itself fails reports an error.
+// block — into the read-optimized store, and leaves the store's footer
+// recording every sealed-side delete: the shutdown path that guarantees
+// zero unflushed-delta loss for file-backed stores, log or no log. A
+// successful full flush clears any earlier background-compaction failure (a
+// transient disk error that killed the background mover strands nothing
+// once the flush lands every row); only a flush that itself fails reports
+// an error.
 func (db *DB) FlushDelta() error {
 	ig := db.ingest
 	if ig == nil {
@@ -354,9 +369,10 @@ func (db *DB) FlushDelta() error {
 }
 
 // compactOnce is the tuple mover: gather the prefix, encode and land it on
-// the read store, then flip the frontier. Queries snapshotted before the
-// flip keep their sealed DB and their delta view (the view retains the
-// batches); queries after see the grown sealed store and the trimmed delta.
+// the read store under a footer recording the pass's checkpoint, then flip
+// the frontier and rewrite the log. Queries snapshotted before the flip
+// keep their sealed DB and their delta view (the view retains the batches);
+// queries after see the grown sealed store and the trimmed delta.
 func (db *DB) compactOnce(all bool) (int64, error) {
 	ig := db.ingest
 	if ig == nil {
@@ -368,19 +384,33 @@ func (db *DB) compactOnce(all bool) (int64, error) {
 	ig.mu.Lock()
 	sdb := ig.sealed
 	view := ig.ws.Snapshot()
-	// delWS is stable for the whole pass: deletes serialize behind
-	// compactMu, so no bit below the consumed prefix can appear mid-move.
-	delWS := ig.delWS
+	// Both deletion vectors are stable for the whole pass: deletes serialize
+	// behind compactMu, so no bit can appear mid-move.
+	delWS, delSealed := ig.delWS, ig.delSealed
+	var logged uint64 // the newest log record holding rows this pass may seal
+	if ig.wal != nil {
+		logged = ig.wal.Stats().LastLSN
+	}
 	ig.mu.Unlock()
 
-	pending := view.Len()
-	if pending == 0 {
-		return 0, nil
+	var sealN, survivors int64
+	if view.Len() > 0 {
+		gap := int64((colstore.BlockSize - sdb.numRows%colstore.BlockSize) % colstore.BlockSize)
+		sealN, survivors = planSeal(view, delWS, gap, all)
 	}
-	gap := int64((colstore.BlockSize - sdb.numRows%colstore.BlockSize) % colstore.BlockSize)
-	sealN, survivors := planSeal(view, delWS, gap, all)
+	ck := segstore.Checkpoint{LogRows: ig.logBase + view.Lo() + sealN, Deleted: delSealed}
 	if sealN == 0 {
-		return 0, nil
+		if !all || db.seg == nil || delSealed == ig.ckptDel {
+			return 0, nil
+		}
+		// A flush with nothing to seal but deletes the footer lacks: give
+		// them a footer of their own, so the store holds them without the log.
+		if err := db.seg.SetCheckpoint(segFactName, ck); err != nil {
+			ig.setErr(err)
+			return 0, err
+		}
+		ig.ckptDel = delSealed
+		return 0, ig.rewriteLog()
 	}
 
 	names := sdb.Fact.ColumnNames()
@@ -391,11 +421,19 @@ func (db *DB) compactOnce(all bool) (int64, error) {
 
 	var newFact *colstore.Table
 	if db.seg != nil {
+		// Write-ahead: every row this pass seals must be durable in the log
+		// before the footer that claims it is.
+		if ig.wal != nil {
+			if err := ig.wal.Commit(logged); err != nil {
+				ig.setErr(err)
+				return 0, err
+			}
+		}
 		cols := make([]segstore.AppendColumn, len(names))
 		for i, name := range names {
 			cols[i] = segstore.AppendColumn{Name: name, Vals: gathered[i]}
 		}
-		if err := db.seg.Append(segFactName, cols); err != nil {
+		if err := db.seg.Append(segFactName, cols, ck); err != nil {
 			ig.setErr(err)
 			return 0, err
 		}
@@ -432,44 +470,16 @@ func (db *DB) compactOnce(all bool) (int64, error) {
 	if ig.delSealed != nil {
 		ig.delSealed = ig.delSealed.Grow(nd.numRows)
 	}
+	ig.ckptDel = ig.delSealed
 	ig.tombWS -= sealN - survivors
 	ig.mu.Unlock()
 	ig.compactions.Add(1)
 
-	// Durability bookkeeping, still under compactMu. First a checkpoint
-	// record: replay adds it to the running frontier so already-landed rows
-	// are never re-applied. It is committed (fsynced) before compactMu is
-	// released — a delete accepted after this pass must find the checkpoint
-	// on disk, or replay could mis-attribute its WS indexes. Then the log is
-	// rewritten to just the live tail (base + pending inserts + live WS
-	// tombstones), re-anchoring walBase; the checkpoint stays meaningful in
-	// the crash window between the two steps.
-	if l := ig.wal; l != nil {
-		ig.mu.Lock()
-		ckpt := wal.Checkpoint{
-			SealedRows: ig.ws.Sealed() - ig.walBase,
-			FileRows:   int64(nd.numRows),
-		}
-		ig.mu.Unlock()
-		lsn, err := l.Append(ckpt)
-		if err == nil {
-			err = l.Commit(lsn)
-		}
-		if err != nil {
-			ig.setErr(err)
-			return 0, err
-		}
-		ig.mu.Lock()
-		recs := walSnapshotRecords(int64(nd.numRows), ig.delSealed, ig.ws.Snapshot(), ig.delWS)
-		err = l.Rewrite(recs)
-		if err == nil {
-			ig.walBase = ig.ws.Sealed()
-		}
-		ig.mu.Unlock()
-		if err != nil {
-			ig.setErr(err)
-			return 0, err
-		}
+	if ig.testHookSealed != nil {
+		ig.testHookSealed()
+	}
+	if err := ig.rewriteLog(); err != nil {
+		return 0, err
 	}
 	return sealN, nil
 }
@@ -616,8 +626,8 @@ func (db *DB) CloseDelta() {
 type DeltaStats struct {
 	// Enabled reports whether the DB has a write store at all.
 	Enabled bool `json:"enabled"`
-	// Epoch is the data version: rows ever inserted plus delete operations
-	// ever applied (DB.Epoch).
+	// Epoch is the data version (DB.Epoch): rows inserted plus delete
+	// operations applied since the write store was enabled.
 	Epoch int64 `json:"epoch"`
 	// PendingRows/PendingBytes are the live, unsealed delta.
 	PendingRows  int64 `json:"pending_rows"`

@@ -42,7 +42,8 @@ func SaveSegments(path string, sf float64, db *DB) error {
 // compressed segments in on demand (and zone-map pruning keeps skipped
 // segments off disk entirely) instead of holding whole columns. The date
 // join index is the only eagerly decoded column — the date dimension is a
-// few thousand rows.
+// few thousand rows. Rows the footer's checkpoint marks deleted stay
+// invisible to every query.
 func OpenSegmentDB(store *segstore.Store) (*DB, error) {
 	db := &DB{
 		Compressed: true,
@@ -57,6 +58,9 @@ func OpenSegmentDB(store *segstore.Store) (*DB, error) {
 	}
 	db.Fact = fact
 	db.numRows = fact.NumRows()
+	if db.ckpt, err = store.Checkpoint(segFactName); err != nil {
+		return nil, err
+	}
 	for dim, name := range segTableNames {
 		t, err := store.Table(name)
 		if err != nil {

@@ -30,6 +30,10 @@ import (
 //   - Each append leaves the superseded footer+trailer behind as dead
 //     bytes inside the payload region — the space cost of crash safety,
 //     bounded by one directory per tuple-mover pass.
+//   - Every footer carries the appended table's Checkpoint, written in the
+//     same commit as the rows it accounts for, so the recovery record can
+//     never disagree with the file: a torn append loses the rows and the
+//     checkpoint together.
 //
 // A column whose last live segment is partial cannot simply gain another
 // segment after it — positional addressing requires every segment but the
@@ -55,9 +59,11 @@ type AppendColumn struct {
 // Append appends rows to the named table: every column of the table must be
 // present in cols with the same number of values. Sort kinds are re-derived
 // (a primary sort survives only if the appended run provably preserves it).
-// On success the store's live directory includes the new segments — Table
-// calls made after Append see them, snapshots taken before do not.
-func (s *Store) Append(table string, cols []AppendColumn) error {
+// The new footer records ck as the table's Checkpoint, whose deletion vector
+// must fit the grown table. On success the store's live directory includes
+// the new segments — Table calls made after Append see them, snapshots taken
+// before do not.
+func (s *Store) Append(table string, cols []AppendColumn, ck Checkpoint) error {
 	if !s.writable {
 		return fmt.Errorf("segstore: %s: opened read-only; appends need a writable file", s.path)
 	}
@@ -81,32 +87,9 @@ func (s *Store) Append(table string, cols []AppendColumn) error {
 		return fmt.Errorf("segstore: append needs at least one row")
 	}
 
-	// Snapshot the current directory. Appends are serialized, so the
-	// directory cannot change under us between here and the final swap.
-	s.mu.RLock()
-	tm, ok := s.tables[table]
-	if !ok {
-		s.mu.RUnlock()
-		return fmt.Errorf("segstore: %s has no table %q", s.path, table)
-	}
-	oldCols := append([]*colMeta(nil), tm.cols...)
-	cursor := uint64(s.writeEnd)
-	pidBase := make([]int32, len(oldCols))
-	for i, cm := range oldCols {
-		pidBase[i] = int32(len(s.phys[cm.ord]))
-	}
-	s.mu.RUnlock()
-
-	// Single-writer fence. The store assumes one writing process; a second
-	// writable open of the same file (ssb-gen -append racing a live
-	// ssb-serve -ingest) would append at a stale offset and overwrite the
-	// other writer's bytes. Appends move EOF, so a size that disagrees
-	// with our in-memory frontier means someone else wrote — fail loudly
-	// instead of corrupting.
-	if fi, err := s.f.Stat(); err != nil {
-		return fmt.Errorf("segstore: %s: stat before append: %w", s.path, err)
-	} else if fi.Size() != int64(cursor) {
-		return fmt.Errorf("segstore: %s: file size %d does not match this store's frontier %d — another process appended to it; the segment store supports a single writer", s.path, fi.Size(), cursor)
+	oldCols, pidBase, cursor, err := s.appendTarget(table)
+	if err != nil {
+		return err
 	}
 	if len(byName) != len(oldCols) {
 		return fmt.Errorf("segstore: append has %d columns, table %q has %d", len(byName), table, len(oldCols))
@@ -174,15 +157,73 @@ func (s *Store) Append(table string, cols []AppendColumn) error {
 		newCols[i] = nc
 		newPhys[i] = nc.segs[len(keep):]
 	}
+	return s.commit(&tableMeta{name: table, cols: newCols}, ck, newPhys, payload)
+}
 
-	// Render the post-append directory: the grown table plus every other
+// SetCheckpoint records ck as the named table's Checkpoint with no new
+// rows: a footer and trailer alone, committed like an append. The write path
+// uses it when deletes are all that changed since the last footer.
+func (s *Store) SetCheckpoint(table string, ck Checkpoint) error {
+	if !s.writable {
+		return fmt.Errorf("segstore: %s: opened read-only; checkpoints need a writable file", s.path)
+	}
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
+	cols, _, _, err := s.appendTarget(table)
+	if err != nil {
+		return err
+	}
+	return s.commit(&tableMeta{name: table, cols: cols}, ck, nil, nil)
+}
+
+// appendTarget snapshots the named table's live columns, the next pool frame
+// id of each, and the offset the next append writes at. Callers hold
+// appendMu, so the directory cannot change between here and their commit.
+func (s *Store) appendTarget(table string) ([]*colMeta, []int32, uint64, error) {
+	s.mu.RLock()
+	tm, ok := s.tables[table]
+	if !ok {
+		s.mu.RUnlock()
+		return nil, nil, 0, fmt.Errorf("segstore: %s has no table %q", s.path, table)
+	}
+	cols := append([]*colMeta(nil), tm.cols...)
+	cursor := uint64(s.writeEnd)
+	pidBase := make([]int32, len(cols))
+	for i, cm := range cols {
+		pidBase[i] = int32(len(s.phys[cm.ord]))
+	}
+	s.mu.RUnlock()
+
+	// Single-writer fence. The store assumes one writing process; a second
+	// writable open of the same file (ssb-gen -append racing a live
+	// ssb-serve -ingest) would append at a stale offset and overwrite the
+	// other writer's bytes. Appends move EOF, so a size that disagrees
+	// with our in-memory frontier means someone else wrote — fail loudly
+	// instead of corrupting.
+	if fi, err := s.f.Stat(); err != nil {
+		return nil, nil, 0, fmt.Errorf("segstore: %s: stat before append: %w", s.path, err)
+	} else if fi.Size() != int64(cursor) {
+		return nil, nil, 0, fmt.Errorf("segstore: %s: file size %d does not match this store's frontier %d — another process appended to it; the segment store supports a single writer", s.path, fi.Size(), cursor)
+	}
+	return cols, pidBase, cursor, nil
+}
+
+// commit makes tm (with ck recorded on it) the table's live directory entry:
+// payload, the post-append footer and its trailer are written after the
+// current trailer and synced, then the directory swaps. newPhys holds each
+// column's new physical segments, parallel to tm.cols (nil when none).
+func (s *Store) commit(tm *tableMeta, ck Checkpoint, newPhys [][]segMeta, payload []byte) error {
+	if err := tm.setCheckpoint(ck); err != nil {
+		return err
+	}
+	// Render the post-append directory: the new entry plus every other
 	// table unchanged.
 	s.mu.RLock()
 	metas := make([]*tableMeta, 0, len(s.order))
 	for _, name := range s.order {
 		t := s.tables[name]
-		if name == table {
-			t = &tableMeta{name: name, cols: newCols}
+		if name == tm.name {
+			t = tm
 		}
 		metas = append(metas, t)
 	}
@@ -197,8 +238,7 @@ func (s *Store) Append(table string, cols []AppendColumn) error {
 	// its segments are garbage — and the backward-scan recovery never runs.
 	// Writing the trailer only after the first sync means a crash can only
 	// leave a missing/torn trailer, exactly the state locateFooter recovers.
-	body := payload
-	body = append(body, footer...)
+	body := append(payload, footer...)
 	if _, err := s.f.WriteAt(body, writeAt); err != nil {
 		return fmt.Errorf("segstore: %s: writing append: %w", s.path, err)
 	}
@@ -219,11 +259,12 @@ func (s *Store) Append(table string, cols []AppendColumn) error {
 
 	// Durable on disk: swap the live directory.
 	s.mu.Lock()
-	newTM := &tableMeta{name: table, cols: newCols}
-	s.tables[table] = newTM
-	for i, nc := range newCols {
+	s.tables[tm.name] = tm
+	for i, nc := range tm.cols {
 		s.cols[nc.ord] = nc
-		s.phys[nc.ord] = append(s.phys[nc.ord], newPhys[i]...)
+		if newPhys != nil {
+			s.phys[nc.ord] = append(s.phys[nc.ord], newPhys[i]...)
+		}
 	}
 	s.writeEnd = writeAt + int64(len(body)+len(trailer))
 	s.mu.Unlock()

@@ -67,7 +67,7 @@ func TestAppendRoundTrip(t *testing.T) {
 		appendCols(333, int32((rows+70000)/3), true, 2),
 	}
 	for ai, cols := range appends {
-		if err := st.Append("t", cols); err != nil {
+		if err := st.Append("t", cols, Checkpoint{}); err != nil {
 			t.Fatalf("append %d: %v", ai, err)
 		}
 		for _, c := range cols {
@@ -144,7 +144,7 @@ func TestAppendDemotesSortKind(t *testing.T) {
 	st, path := saveTestStore(t, tab, 0)
 	before, _ := st.Table("t")
 
-	if err := st.Append("t", appendCols(1000, 50, false, 3)); err != nil {
+	if err := st.Append("t", appendCols(1000, 50, false, 3), Checkpoint{}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := st.Table("t")
@@ -185,7 +185,7 @@ func TestAppendValidation(t *testing.T) {
 		}, "others have"},
 	}
 	for _, tc := range cases {
-		err := st.Append(tc.tab, tc.cols)
+		err := st.Append(tc.tab, tc.cols, Checkpoint{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
@@ -224,7 +224,7 @@ func TestOpenRejectsUndersizedBudget(t *testing.T) {
 func TestTornAppendRecovery(t *testing.T) {
 	tab := buildTestTable(t, colstore.BlockSize+500)
 	st, path := saveTestStore(t, tab, 0)
-	if err := st.Append("t", appendCols(2000, int32((colstore.BlockSize+500)/3), true, 4)); err != nil {
+	if err := st.Append("t", appendCols(2000, int32((colstore.BlockSize+500)/3), true, 4), Checkpoint{}); err != nil {
 		t.Fatal(err)
 	}
 	rowsAfterFirst := colstore.BlockSize + 500 + 2000
@@ -257,7 +257,7 @@ func TestTornAppendRecovery(t *testing.T) {
 		t.Fatalf("recovered table has %d rows, want %d", got.NumRows(), rowsAfterFirst)
 	}
 	// The writable reopen self-healed: the next append must round-trip.
-	if err := re.Append("t", appendCols(100, int32(rowsAfterFirst/3), true, 5)); err != nil {
+	if err := re.Append("t", appendCols(100, int32(rowsAfterFirst/3), true, 5), Checkpoint{}); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	re.Close()

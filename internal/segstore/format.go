@@ -6,14 +6,14 @@
 //
 // File layout (all integers little-endian):
 //
-//	magic     8   "SSBSEGM1"
+//	magic     8   "SSBSEGM2"
 //	sf        8   float64 bits
 //	payloads  ...                 segment payloads, back to back, in
 //	                              footer order (compress wire format)
 //	footer    ...                 directory of tables/columns/segments
 //	crc32     4   checksum of the footer bytes
 //	footerLen 8   length of the footer bytes
-//	magic     8   trailing "SSBSEGM1" (locates the footer from the end)
+//	magic     8   trailing "SSBSEGM2" (locates the footer from the end)
 //
 // The footer holds, per table and per column, the column's name, sort kind,
 // optional order-preserving dictionary, and one zone-map entry per segment:
@@ -23,6 +23,16 @@
 // so a segment a predicate cannot match is never read or decompressed.
 // Every segment except a column's last holds exactly colstore.BlockSize
 // rows, which positional addressing relies on.
+//
+// After its columns, each table's footer entry carries its Checkpoint: the
+// count of write-ahead-logged insert rows the table has absorbed (u64) and
+// its deletion vector as sorted, disjoint runs (u32 count, then u32 start
+// and u32 length per run). Every footer is a complete recovery record, so a
+// reopen needs the log only for what happened after the footer was written.
+//
+// The trailing digit of the magic is the format version. Version 1 footers
+// carry no checkpoint; Open refuses them and says to regenerate the store
+// with ssb-gen -out.
 //
 // Encoding tags (compress.Encoding, one byte per zone-map entry):
 //
@@ -44,9 +54,10 @@
 //
 // Files grow in place: the tuple mover appends frozen write-store blocks
 // through Store.Append (append.go), which writes new segment payloads, a
-// fresh footer and a new trailer strictly after the current trailer —
-// nothing earlier is ever overwritten, at the cost of one superseded
-// directory left behind as dead bytes per append. Directory snapshots
+// fresh footer and a new trailer strictly after the current trailer
+// (Store.SetCheckpoint writes the footer and trailer alone) — nothing
+// earlier is ever overwritten, at the cost of one superseded directory left
+// behind as dead bytes per append. Directory snapshots
 // taken before an append keep scanning exactly what they saw, and a torn
 // append is recovered at open by scanning backward to the previous valid
 // trailer (locateFooter) instead of losing the file.
@@ -56,13 +67,37 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/bitmap"
 	"repro/internal/colstore"
 	"repro/internal/compress"
 )
 
 // Magic identifies a segment-store file: the first and the last eight bytes
 // of every store. Open rejects a file that does not begin with it.
-const Magic = "SSBSEGM1"
+const Magic = "SSBSEGM2"
+
+// magicV1 begins a store written before footers carried a Checkpoint.
+const magicV1 = "SSBSEGM1"
+
+// segEntryBytes is one zone-map entry's size in the footer.
+const segEntryBytes = 8 + 8 + 8 + 1 + 4 + 4 + 4 + 4
+
+// Checkpoint is the write path's recovery record for one table, carried in
+// every footer: how far into the write-ahead log's insert stream the table
+// reaches, and which of its rows are deleted. Recovery reads it instead of
+// reconstructing it from row counts.
+type Checkpoint struct {
+	// LogRows counts the logged insert rows the table has absorbed: sealed
+	// into it, or dropped on the way because they were deleted first. A log
+	// numbers its insert rows from 0 in insert order, so replay skips every
+	// row numbered below LogRows.
+	LogRows int64
+	// Deleted marks the table's deleted rows; nil when there are none.
+	Deleted *bitmap.Bitmap
+}
+
+// delRun is one run of deleted rows in a footer: [start, start+n).
+type delRun struct{ start, n uint32 }
 
 // segMeta is one segment's zone-map entry.
 type segMeta struct {
@@ -101,6 +136,57 @@ type colMeta struct {
 type tableMeta struct {
 	name string
 	cols []*colMeta
+	// logRows and deleted are the table's Checkpoint.
+	logRows int64
+	deleted []delRun
+}
+
+// rows is the table's row count: its first column's (every column has it).
+func (t *tableMeta) rows() uint64 {
+	var n uint64
+	if len(t.cols) > 0 {
+		for _, s := range t.cols[0].segs {
+			n += uint64(s.rows)
+		}
+	}
+	return n
+}
+
+// setCheckpoint records ck on t as the footer stores it, refusing a
+// deletion vector that marks rows past the table's end.
+func (t *tableMeta) setCheckpoint(ck Checkpoint) error {
+	if ck.LogRows < 0 {
+		return fmt.Errorf("segstore: table %q: negative checkpoint log rows %d", t.name, ck.LogRows)
+	}
+	t.logRows, t.deleted = ck.LogRows, nil
+	if ck.Deleted == nil {
+		return nil
+	}
+	rows := t.rows()
+	for i := ck.Deleted.NextSet(0); i >= 0; {
+		j := i + 1
+		for j < ck.Deleted.Len() && ck.Deleted.Get(j) {
+			j++
+		}
+		if uint64(j) > rows {
+			return fmt.Errorf("segstore: table %q: deletion vector marks row %d of %d", t.name, j-1, rows)
+		}
+		t.deleted = append(t.deleted, delRun{start: uint32(i), n: uint32(j - i)})
+		i = ck.Deleted.NextSet(j)
+	}
+	return nil
+}
+
+// checkpoint renders t's Checkpoint back into a deletion bitmap.
+func (t *tableMeta) checkpoint() Checkpoint {
+	ck := Checkpoint{LogRows: t.logRows}
+	if len(t.deleted) > 0 {
+		ck.Deleted = bitmap.New(int(t.rows()))
+		for _, r := range t.deleted {
+			ck.Deleted.SetRange(int(r.start), int(r.start+r.n))
+		}
+	}
+	return ck
 }
 
 // footerWriter accumulates the footer byte stream.
@@ -150,6 +236,12 @@ func encodeFooter(tables []*tableMeta) []byte {
 				w.u32(uint32(s.max))
 				w.u32(s.crc)
 			}
+		}
+		w.u64(uint64(t.logRows))
+		w.u32(uint32(len(t.deleted)))
+		for _, r := range t.deleted {
+			w.u32(r.start)
+			w.u32(r.n)
 		}
 	}
 	return w.buf
@@ -202,6 +294,10 @@ func (r *footerReader) u64() uint64 {
 	return v
 }
 
+// left is the count of unread bytes: a bound on any count the footer claims,
+// so a corrupt count fails before it sizes an allocation.
+func (r *footerReader) left() int { return len(r.data) - r.pos }
+
 func (r *footerReader) strN(n int) string {
 	if n < 0 || r.pos+n > len(r.data) {
 		r.bad = true
@@ -237,7 +333,7 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 			}
 			if hasDict := r.u8(); hasDict == 1 {
 				nvals := int(r.u32())
-				if r.bad || nvals < 0 || nvals > 1<<24 {
+				if r.bad || nvals < 0 || nvals > 1<<24 || nvals > r.left()/4 {
 					return nil, fmt.Errorf("segstore: table %q column %q: implausible dictionary size %d", t.name, c.name, nvals)
 				}
 				vals := make([]string, nvals)
@@ -252,7 +348,7 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 				return nil, fmt.Errorf("segstore: table %q column %q: bad dictionary flag %d", t.name, c.name, hasDict)
 			}
 			nsegs := int(r.u32())
-			if r.bad || nsegs < 0 || nsegs > 1<<24 {
+			if r.bad || nsegs < 0 || nsegs > 1<<24 || nsegs > r.left()/segEntryBytes {
 				return nil, fmt.Errorf("segstore: table %q column %q: implausible segment count %d", t.name, c.name, nsegs)
 			}
 			c.segs = make([]segMeta, nsegs)
@@ -276,6 +372,20 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 				}
 			}
 			t.cols = append(t.cols, c)
+		}
+		t.logRows = int64(r.u64())
+		nruns := int(r.u32())
+		if r.bad || t.logRows < 0 || nruns > r.left()/8 {
+			return nil, fmt.Errorf("segstore: table %q: implausible checkpoint (log rows %d, %d deletion runs)", t.name, t.logRows, nruns)
+		}
+		rows, end := t.rows(), uint64(0)
+		for i := 0; i < nruns; i++ {
+			run := delRun{start: r.u32(), n: r.u32()}
+			if run.n == 0 || uint64(run.start) < end || uint64(run.start)+uint64(run.n) > rows {
+				return nil, fmt.Errorf("segstore: table %q: deletion run %d [%d,+%d) is empty, out of order or past the table's %d rows", t.name, i, run.start, run.n, rows)
+			}
+			end = uint64(run.start) + uint64(run.n)
+			t.deleted = append(t.deleted, run)
 		}
 		tables = append(tables, t)
 	}

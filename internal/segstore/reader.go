@@ -131,7 +131,11 @@ func open(f *os.File, path string, memBudget int64, writable bool, logf func(msg
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("segstore: %s: reading header: %w", path, err)
 	}
-	if string(head[:len(Magic)]) != Magic {
+	switch string(head[:len(Magic)]) {
+	case Magic:
+	case magicV1:
+		return nil, fmt.Errorf("segstore: %s: written by an earlier build (format %s, whose footer carries no recovery checkpoint) — regenerate the store with ssb-gen -out", path, magicV1)
+	default:
 		return nil, fmt.Errorf("segstore: %s: bad magic %q (not a segment store)", path, head[:len(Magic)])
 	}
 	sf := math.Float64frombits(binary.LittleEndian.Uint64(head[len(Magic):]))
@@ -287,6 +291,18 @@ func (s *Store) Path() string { return s.path }
 // if the file opened clean. Serving layers surface it on /stats so the
 // evidence of a repaired append outlives the daemon's startup log.
 func (s *Store) RecoveryNote() string { return s.recoveryNote }
+
+// Checkpoint returns the named table's recovery record as the live footer
+// holds it.
+func (s *Store) Checkpoint(table string) (Checkpoint, error) {
+	s.mu.RLock()
+	tm, ok := s.tables[table]
+	s.mu.RUnlock()
+	if !ok {
+		return Checkpoint{}, fmt.Errorf("segstore: %s has no table %q", s.path, table)
+	}
+	return tm.checkpoint(), nil
+}
 
 // NumSegments returns the total live segment count across all columns.
 func (s *Store) NumSegments() int {

@@ -17,7 +17,7 @@ import (
 // buildTestTable makes a table with enough rows for several segments per
 // column: a sorted column (zone-map friendly), a low-cardinality column, a
 // near-monotonic column, and a dictionary column.
-func buildTestTable(t *testing.T, rows int) *colstore.Table {
+func buildTestTable(t testing.TB, rows int) *colstore.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	sorted := make([]int32, rows)

@@ -5,19 +5,21 @@
 // lose nothing: reopening the store replays the log and reconstructs the
 // exact delta state.
 //
-// The log holds four record kinds:
+// The log holds two record kinds:
 //
-//   - Base: the sealed-store state the log starts from (fact rows in the
-//     segment file plus the sealed-side deletion bitmap). The delta store is
-//     empty at every log start — rewrites re-anchor the log whenever the
-//     tuple mover changes the sealed frontier.
-//   - Insert: one accepted batch, all fact columns in canonical order.
+//   - Insert: one accepted batch, all fact columns in canonical order, and
+//     the log row number of its first row. Log rows are numbered from 0 in
+//     insert order over the store's whole life; the segment store's footer
+//     records how many of them the file has absorbed, so replay skips every
+//     row numbered below that.
 //   - Delete: one accepted delete — tombstoned sealed positions plus
-//     tombstoned write-store row indexes.
-//   - Checkpoint: a durable compaction — the cumulative count of delta rows
-//     sealed since Base and the resulting fact-row count. Replay past a
-//     checkpoint is idempotent: sealed rows are read from the segment file,
-//     not re-inserted.
+//     tombstoned write-store rows, named by log row number.
+//
+// The log carries no checkpoint of its own: the segment footer is the
+// checkpoint (segstore.Checkpoint). Replaying a record the footer already
+// covers is harmless — its rows are skipped, its sealed tombstones are set
+// again — so the log is rewritten to the live tail after a compaction only
+// to keep it short.
 //
 // Framing is [u32 len][u8 kind][u64 lsn][payload][u32 crc32] with the CRC
 // over kind+lsn+payload. LSNs are strictly monotonic within a file. Replay
@@ -49,7 +51,10 @@ import (
 )
 
 const (
-	magic = "SSBWAL01"
+	magic = "SSBWAL02"
+	// magicV1 begins a log written before the segment footer became the
+	// checkpoint (its records carry anchors this format no longer has).
+	magicV1 = "SSBWAL01"
 	// maxFrame bounds a single record's framed size; anything larger in a
 	// length field is corruption, not data.
 	maxFrame = 1 << 28
@@ -57,78 +62,48 @@ const (
 	// kind (1) + lsn (8) before the payload.
 	frameBodyMin = 9
 
-	kindBase       byte = 1
-	kindInsert     byte = 2
-	kindDelete     byte = 3
-	kindCheckpoint byte = 4
+	// Kinds 1 (base) and 4 (checkpoint) are retired with magicV1.
+	kindInsert byte = 2
+	kindDelete byte = 3
 )
 
 // record caps: limits well above anything the write path produces, so a
 // corrupt count field fails validation instead of driving an allocation.
 const (
-	maxCols    = 1 << 10
-	maxDelBits = int64(1) << 40
+	maxCols = 1 << 10
+	maxRow  = int64(1) << 62
 )
 
-// Record is one replayable log entry: Base, Insert, Delete or Checkpoint.
+// Record is one replayable log entry: Insert or Delete.
 type Record interface {
 	kind() byte
 	appendPayload(dst []byte) []byte
 }
 
-// Base anchors the log: the sealed fact-row count and the sealed-side
-// deletion bitmap (as raw words) at the moment the log was (re)written. The
-// delta store is empty at this point by construction.
-type Base struct {
-	FileRows int64
-	// DelLen/DelWords encode the sealed deletion bitmap; DelWords is empty
-	// when nothing is tombstoned.
-	DelLen   int64
-	DelWords []uint64
-}
-
-// Insert is one accepted insert batch: the fact columns in the canonical
-// physical order (the same order the delta store carries them).
+// Insert is one accepted insert batch: the log row number of its first row
+// and the fact columns in the canonical physical order (the same order the
+// delta store carries them).
 type Insert struct {
+	Row  int64
 	Cols [][]int32
 }
 
 // Delete is one accepted delete: positions tombstoned in the sealed store
-// plus global write-store row indexes tombstoned in the delta.
+// plus the log row numbers of write-store rows tombstoned in the delta.
 type Delete struct {
 	Sealed []uint32
 	WS     []int64
 }
 
-// Checkpoint records a durable compaction: SealedRows is the cumulative
-// number of delta rows sealed since Base (tombstoned rows included — they
-// are consumed, just not copied), FileRows the fact-row count of the
-// segment file afterwards.
-type Checkpoint struct {
-	SealedRows int64
-	FileRows   int64
-}
-
-func (Base) kind() byte       { return kindBase }
-func (Insert) kind() byte     { return kindInsert }
-func (Delete) kind() byte     { return kindDelete }
-func (Checkpoint) kind() byte { return kindCheckpoint }
-
-func (r Base) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.FileRows))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.DelLen))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.DelWords)))
-	for _, w := range r.DelWords {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	return dst
-}
+func (Insert) kind() byte { return kindInsert }
+func (Delete) kind() byte { return kindDelete }
 
 func (r Insert) appendPayload(dst []byte) []byte {
 	rows := 0
 	if len(r.Cols) > 0 {
 		rows = len(r.Cols[0])
 	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Row))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Cols)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
 	for _, col := range r.Cols {
@@ -148,12 +123,6 @@ func (r Delete) appendPayload(dst []byte) []byte {
 	for _, i := range r.WS {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
 	}
-	return dst
-}
-
-func (r Checkpoint) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.SealedRows))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.FileRows))
 	return dst
 }
 
@@ -194,31 +163,15 @@ var errCorrupt = errors.New("wal: corrupt record")
 func decodePayload(kind byte, payload []byte) (Record, error) {
 	c := &cursor{b: payload}
 	switch kind {
-	case kindBase:
-		r := Base{FileRows: int64(c.u64()), DelLen: int64(c.u64())}
-		nWords := int64(c.u32())
-		if c.bad || r.FileRows < 0 || r.DelLen < 0 || r.DelLen > maxDelBits ||
-			nWords != (r.DelLen+63)/64 || int64(len(payload)-c.off) != nWords*8 {
-			return nil, errCorrupt
-		}
-		if nWords > 0 {
-			r.DelWords = make([]uint64, nWords)
-			for i := range r.DelWords {
-				r.DelWords[i] = c.u64()
-			}
-		}
-		if !c.ok() {
-			return nil, errCorrupt
-		}
-		return r, nil
 	case kindInsert:
+		row := int64(c.u64())
 		nCols := int64(c.u32())
 		nRows := int64(c.u32())
-		if c.bad || nCols == 0 || nCols > maxCols || nRows == 0 ||
+		if c.bad || row < 0 || row > maxRow || nCols == 0 || nCols > maxCols || nRows == 0 ||
 			int64(len(payload)-c.off) != nCols*nRows*4 {
 			return nil, errCorrupt
 		}
-		r := Insert{Cols: make([][]int32, nCols)}
+		r := Insert{Row: row, Cols: make([][]int32, nCols)}
 		for i := range r.Cols {
 			col := make([]int32, nRows)
 			for j := range col {
@@ -253,12 +206,6 @@ func decodePayload(kind byte, payload []byte) (Record, error) {
 			}
 		}
 		if !c.ok() {
-			return nil, errCorrupt
-		}
-		return r, nil
-	case kindCheckpoint:
-		r := Checkpoint{SealedRows: int64(c.u64()), FileRows: int64(c.u64())}
-		if !c.ok() || r.SealedRows < 0 || r.FileRows < 0 {
 			return nil, errCorrupt
 		}
 		return r, nil
@@ -407,7 +354,12 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		l.nextLSN = 1
 		return l, nil, nil
 	}
-	if string(data[:len(magic)]) != magic {
+	switch string(data[:len(magic)]) {
+	case magic:
+	case magicV1:
+		_ = f.Close()
+		return nil, nil, fmt.Errorf("wal: %s was written by an earlier build, whose logs and segment stores this one cannot read: regenerate the store with ssb-gen -out and remove the log", path)
+	default:
 		_ = f.Close()
 		return nil, nil, fmt.Errorf("wal: %s is not a WAL file", path)
 	}
@@ -539,7 +491,7 @@ func (l *Log) fail(err error) {
 }
 
 // Rewrite atomically replaces the log's contents with recs (temp file +
-// fsync + rename), re-anchoring it at a new Base. LSNs keep counting up
+// fsync + rename). LSNs keep counting up
 // across the rewrite, so committers blocked on pre-rewrite LSNs observe
 // their state durable (the rewrite contains it by construction) and return.
 // The caller must exclude concurrent Appends.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,12 +18,12 @@ func tempLog(t testing.TB) string {
 
 func sampleRecords() []Record {
 	return []Record{
-		Base{FileRows: 1000, DelLen: 130, DelWords: []uint64{0xdeadbeef, 0x1, 0x3}},
-		Insert{Cols: [][]int32{{1, 2, 3}, {-4, 5, 6}, {7, 8, 9}}},
+		Insert{Row: 0, Cols: [][]int32{{1, 2, 3}, {-4, 5, 6}, {7, 8, 9}}},
 		Delete{Sealed: []uint32{5, 99, 1000}, WS: []int64{0, 7}},
-		Checkpoint{SealedRows: 42, FileRows: 1042},
-		Delete{WS: []int64{12}},
-		Insert{Cols: [][]int32{{10}, {11}, {12}}},
+		Insert{Row: 3, Cols: [][]int32{{4, 4}, {5, 5}, {6, 6}}},
+		Delete{Sealed: []uint32{1 << 31}},
+		Delete{WS: []int64{1 << 40}},
+		Insert{Row: 1 << 40, Cols: [][]int32{{10}, {11}, {12}}},
 	}
 }
 
@@ -70,7 +71,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("stats = %+v, want Replayed=%d TornBytes=0", st, len(want))
 	}
 	// Appending after replay must keep LSNs monotonic across the reopen.
-	lsn, err := l2.Append(Checkpoint{SealedRows: 1, FileRows: 1})
+	lsn, err := l2.Append(Delete{WS: []int64{1}})
 	if err != nil {
 		t.Fatalf("append after replay: %v", err)
 	}
@@ -177,8 +178,7 @@ func TestRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Record{
-		Base{FileRows: 2000},
-		Insert{Cols: [][]int32{{1}, {2}}},
+		Insert{Row: 2000, Cols: [][]int32{{1}, {2}}},
 	}
 	if err := l.Rewrite(want); err != nil {
 		t.Fatalf("Rewrite: %v", err)
@@ -189,7 +189,7 @@ func TestRewrite(t *testing.T) {
 		t.Fatalf("rewrite left undurable tail: %+v", st)
 	}
 	// Post-rewrite appends extend the new log.
-	lsn, err := l.Append(Checkpoint{SealedRows: 9, FileRows: 2009})
+	lsn, err := l.Append(Delete{WS: []int64{2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,31 @@ func TestRewrite(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	want = append(want, Checkpoint{SealedRows: 9, FileRows: 2009})
+	want = append(want, Delete{WS: []int64{2000}})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay after rewrite:\n got %#v\nwant %#v", got, want)
 	}
 	if tmp := path + ".tmp"; fileExists(tmp) {
 		t.Fatalf("rewrite left temp file %s", tmp)
+	}
+}
+
+// TestOpenRejectsEarlierLog pins the log format version: a log an earlier
+// build wrote fails closed at Open, naming the file, instead of replaying as
+// an empty log (its first frame would read as corrupt and be truncated away).
+func TestOpenRejectsEarlierLog(t *testing.T) {
+	path := tempLog(t)
+	if err := os.WriteFile(path, []byte(magicV1+"old frames"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, _, err := Open(path, Options{}); err == nil {
+		l.Close()
+		t.Fatal("an earlier build's log opened")
+	} else if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "earlier build") {
+		t.Fatalf("err = %v, want the path and \"earlier build\"", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != magicV1+"old frames" {
+		t.Fatalf("the refused log was modified: %q, %v", data, err)
 	}
 }
 
@@ -224,7 +243,7 @@ func TestCommitAlreadyDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	lsn, err := l.Append(Checkpoint{})
+	lsn, err := l.Append(Delete{})
 	if err != nil {
 		t.Fatal(err)
 	}
