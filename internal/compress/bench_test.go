@@ -15,7 +15,8 @@ const benchBlockLen = 1 << 16
 // encoding: n values spanning [vmin, vmin+2^width) with a negative vmin. The
 // value-at-a-time encodings get uniform noise (the worst case for a
 // data-dependent branch); RLE gets 16 sorted runs, the shape the chooser
-// picks it for.
+// picks it for. bitpack-wire is the form a pool frame serves: decoded from
+// its wire payload, so its words start at an unaligned byte offset.
 var benchShapes = []struct {
 	name  string
 	vals  func(rng *rand.Rand, n int, vmin int32, span int64) []int32
@@ -23,6 +24,7 @@ var benchShapes = []struct {
 }{
 	{"plain", uniformVals, func(v []int32) IntBlock { return NewPlainBlock(v) }},
 	{"bitpack", uniformVals, func(v []int32) IntBlock { return NewBitPackBlock(v) }},
+	{"bitpack-wire", uniformVals, func(v []int32) IntBlock { return wireView(NewBitPackBlock(v)) }},
 	{"rle", func(_ *rand.Rand, n int, vmin int32, span int64) []int32 {
 		vals := make([]int32, n)
 		for i := range vals {

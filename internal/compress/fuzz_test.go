@@ -40,14 +40,28 @@ func fuzzDecodeValues(data []byte) (vals []int32, a, b int32) {
 }
 
 // encodersFor returns every encoding construction of vals: the three
-// explicit constructors plus the storage manager's Choose.
+// explicit constructors, the storage manager's Choose, and the bit-packed
+// block as a pool frame serves it — a view over its wire payload.
 func encodersFor(vals []int32) map[string]IntBlock {
 	return map[string]IntBlock{
-		"plain":   NewPlainBlock(vals),
-		"rle":     NewRLEBlock(vals),
-		"bitpack": NewBitPackBlock(vals),
-		"choose":  Choose(vals),
+		"plain":        NewPlainBlock(vals),
+		"rle":          NewRLEBlock(vals),
+		"bitpack":      NewBitPackBlock(vals),
+		"bitpack/wire": wireView(NewBitPackBlock(vals)),
+		"choose":       Choose(vals),
 	}
+}
+
+// wireView decodes blk from a payload of exactly its wire size, so that a
+// read past the payload's end cannot land in spare capacity. A bit-packed
+// result's words then start at byte 13 of the payload: unaligned.
+func wireView(blk IntBlock) IntBlock {
+	wire := AppendBlock(blk, nil)
+	dec, err := DecodeBlock(blk.Encoding(), blk.Len(), wire[:len(wire):len(wire)])
+	if err != nil {
+		panic(err)
+	}
+	return dec
 }
 
 // checkBlockOracle compares one encoded block against the plain-slice

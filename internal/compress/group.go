@@ -14,19 +14,24 @@ type group = [groupLen]int32
 // lowBits returns a word with the low k bits set, 0 <= k <= 64.
 func lowBits(k int) uint64 { return ^uint64(0) >> uint(groupLen-k) }
 
-// unpack64 decodes len(out) <= 64 consecutive width-bit fields of words,
-// starting at bit 0 of words[0], adding add to each modulo 2^32. A 64-field
-// group is exactly width words, so every group of a packed array starts on a
-// word boundary. Words are consumed through a bit buffer — one shift per
-// field, a refill branch that depends on width alone — and never past the
-// last field, so a block's short final group needs no padding. width and the
-// buffer's fill are always below 64; the &63s only tell the compiler that, so
-// it emits plain shifts.
-func unpack64(words []uint64, width uint, add uint32, out []int32) {
+// groupBytes is the most bytes one group of packed fields spans: 64 fields
+// of at most 32 bits.
+const groupBytes = groupLen * 32 / 8
+
+// unpack64 decodes len(out) <= 64 consecutive width-bit fields of words (a
+// little-endian array of 64-bit words, held as bytes), starting at bit 0 of
+// its first word, adding add to each modulo 2^32. A 64-field group is
+// exactly width words, so every group of a packed array starts on a word
+// boundary. Words are consumed through a bit buffer — one shift per field, a
+// refill branch that depends on width alone — and never past the last field.
+// width and the buffer's fill are always below 64, and a word's offset below
+// groupBytes; the masks only tell the compiler that, so it emits plain
+// shifts and loads without bounds checks.
+func unpack64(words *[groupBytes]byte, width uint, add uint32, out []int32) {
 	mask := uint64(1)<<width - 1
 	var cur uint64 // unconsumed bits of the words loaded so far, low first
 	var have uint  // how many
-	wi := 0
+	var off uint   // byte offset of the next word
 	for i := range out {
 		if have >= width {
 			out[i] = int32(uint32(cur&mask) + add)
@@ -34,8 +39,10 @@ func unpack64(words []uint64, width uint, add uint32, out []int32) {
 			have -= width
 			continue
 		}
-		w := words[wi]
-		wi++
+		o := off & (groupBytes - 8)
+		w := uint64(words[o]) | uint64(words[o+1])<<8 | uint64(words[o+2])<<16 | uint64(words[o+3])<<24 |
+			uint64(words[o+4])<<32 | uint64(words[o+5])<<40 | uint64(words[o+6])<<48 | uint64(words[o+7])<<56
+		off += 8
 		out[i] = int32(uint32((cur|w<<(have&63))&mask) + add)
 		cur = w >> ((width - have) & 63)
 		have += 64 - width

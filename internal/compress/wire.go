@@ -35,10 +35,8 @@ func AppendBlock(b IntBlock, dst []byte) []byte {
 		dst = append(dst, byte(blk.width))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(blk.min))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(blk.max))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.words)))
-		for _, w := range blk.words {
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blk.words)/8))
+		dst = append(dst, blk.words...)
 	default:
 		panic(fmt.Sprintf("compress: no wire format for %T", b))
 	}
@@ -84,16 +82,17 @@ func (r *wireReader) u64() uint64 {
 	return v
 }
 
-func (r *wireReader) words(n int) []uint64 {
-	if n < 0 || r.pos+8*n > len(r.data) {
+// words returns the next n 64-bit words as a view of the payload, not a
+// copy. Its capacity ends with it, so an append to the view cannot write
+// into the bytes after it.
+func (r *wireReader) words(n int) []byte {
+	end := r.pos + 8*n
+	if n < 0 || end > len(r.data) {
 		r.bad = true
 		return nil
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(r.data[r.pos+8*i:])
-	}
-	r.pos += 8 * n
+	out := r.data[r.pos:end:end]
+	r.pos = end
 	return out
 }
 
@@ -104,6 +103,10 @@ func (r *wireReader) done() bool { return !r.bad && r.pos == len(r.data) }
 // enc and rows come from the segment's zone-map entry. The payload is
 // structurally validated (sizes, run coverage, widths); content integrity is
 // the caller's CRC.
+//
+// The result may alias data: a bit-packed block is a view over the payload's
+// packed words, so for a bit-packed block DecodeBlock only validates. The
+// caller must not modify or reuse data while the block is in use.
 func DecodeBlock(enc Encoding, rows int, data []byte) (IntBlock, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("compress: negative row count %d", rows)

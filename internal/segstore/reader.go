@@ -410,6 +410,8 @@ func (s *Store) loadSegment(k SegKey) (compress.IntBlock, int64, error) {
 }
 
 // readSeg reads and decodes one physical segment directly from the file.
+// The payload is read into a buffer of its own and its CRC checked before
+// DecodeBlock sees it; a bit-packed block keeps that buffer as its words.
 func (s *Store) readSeg(seg segMeta, table, name string) (compress.IntBlock, error) {
 	payload := make([]byte, seg.plen)
 	if _, err := s.f.ReadAt(payload, int64(seg.off)); err != nil {
