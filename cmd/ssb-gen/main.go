@@ -131,11 +131,12 @@ func appendToSeg(path string, rows int, seed int64, walPath string) error {
 		return err
 	}
 	st := db.SegmentStore()
-	before := db.ColumnDB(true).NumRows()
+	col := db.ColumnDB(true)
+	before := col.NumRows()
 	if err := db.EnableIngestWAL(false, 0, walPath, wal.Options{}); err != nil {
 		return err
 	}
-	shape, err := db.IngestShape()
+	shape, err := col.BatchShape()
 	if err != nil {
 		return err
 	}
@@ -143,22 +144,22 @@ func appendToSeg(path string, rows int, seed int64, walPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := db.Insert(batch); err != nil {
+	if _, err := col.Insert(batch); err != nil {
 		return err
 	}
-	if err := db.FlushIngest(); err != nil {
+	if err := col.FlushDelta(); err != nil {
 		return err
 	}
-	ds := db.IngestStats()
+	ds := col.DeltaStats()
 	ps := st.Pool().Stats()
 	fmt.Printf("appended %d rows (seed %d) to %s: %d -> %d rows, %d compaction passes, %.2f MB written, %d live segments\n",
-		rows, seed, path, before, db.ColumnDB(true).NumRows(), ds.Compactions,
+		rows, seed, path, before, col.NumRows(), ds.Compactions,
 		float64(ps.AppendedBytes)/1e6, st.NumSegments())
 	if walPath != "" {
-		ws := db.WALStats()
+		ws := col.WALStats()
 		fmt.Printf("wal: %d appends, %d fsyncs, %d replayed, %d bytes\n",
 			ws.Appends, ws.Syncs, ws.Replayed, ws.Bytes)
-		if err := db.CloseWAL(); err != nil {
+		if err := col.CloseWAL(); err != nil {
 			return err
 		}
 	}

@@ -146,7 +146,7 @@ func main() {
 			st.Path(), st.NumSegments(), budgetLabel(st.Pool().Budget()))
 	}
 	if *walPath != "" {
-		ws := srv.DB().WALStats()
+		ws := srv.DB().ColumnDB(true).WALStats()
 		fmt.Printf("wal: %s (group-commit window %gms, %d records replayed)\n",
 			*walPath, *walWindowMS, ws.Replayed)
 	}
@@ -162,7 +162,7 @@ func main() {
 	// Close drains in-flight queries, then (with -ingest) stops the tuple
 	// mover and flushes every pending delta row into the store — the
 	// zero-unflushed-loss guarantee of a clean SIGTERM.
-	pending := srv.DB().IngestStats().PendingRows
+	pending := srv.DB().ColumnDB(true).DeltaStats().PendingRows
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "flush on shutdown failed: %v\n", err)
 		os.Exit(1)

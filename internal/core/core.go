@@ -161,12 +161,10 @@ type DB struct {
 	// seg is the open segment store for file-backed DBs (nil otherwise).
 	seg *segstore.Store
 
-	// ingestOn marks that the compressed column store carries a write
-	// store (EnableIngest); validate then restricts configurations that
-	// cannot observe it once rows have actually been inserted.
-	ingestOn atomic.Bool
-
-	colC      *exec.DB
+	// colC is the compressed column store, published by ColumnDB's
+	// onceColC. Atomic so validate can read its epoch without building it,
+	// concurrently with the first call that does.
+	colC      atomic.Pointer[exec.DB]
 	colPlain  *exec.DB
 	sx        *rowexec.SystemX
 	rowMVs    map[int]*exec.RowMV
@@ -238,12 +236,12 @@ func (db *DB) ColumnDB(compressed bool) *exec.DB {
 				if err != nil {
 					panic(err) // validated at Open: tables present and well-formed
 				}
-				db.colC = col
+				db.colC.Store(col)
 				return
 			}
-			db.colC = exec.BuildDB(db.Data, true)
+			db.colC.Store(exec.BuildDB(db.Data, true))
 		})
-		return db.colC
+		return db.colC.Load()
 	}
 	db.oncePlain.Do(func() { db.colPlain = exec.BuildDB(db.Data, false) })
 	return db.colPlain
@@ -297,7 +295,8 @@ func (db *DB) DenormDB(m exec.DenormMode) *exec.DenormDB {
 // file-backed DBs). background starts the compactor goroutine; tests that
 // need deterministic epochs leave it off and call exec's CompactNow.
 // maxWSBytes caps delta memory (0 = unbounded); past it Insert returns
-// exec.ErrWriteStoreFull as backpressure.
+// exec.ErrWriteStoreFull as backpressure. The rest of the write path
+// (Delete, Epoch, stats, shutdown) is exec.DB's, reached via ColumnDB(true).
 func (db *DB) EnableIngest(background bool, maxWSBytes int64) error {
 	return db.EnableIngestWAL(background, maxWSBytes, "", wal.Options{})
 }
@@ -321,90 +320,20 @@ func (db *DB) EnableIngestWAL(background bool, maxWSBytes int64, walPath string,
 	if background {
 		col.StartCompactor()
 	}
-	db.ingestOn.Store(true)
 	return nil
-}
-
-// Delete tombstones every visible row matching all the given fact-column
-// predicates (identity-valued fact columns only — see exec.DB.Delete) and
-// returns the count newly deleted. Durable before return when a WAL is
-// attached; atomic for readers on every engine configuration.
-func (db *DB) Delete(filters []ssb.FactFilter) (int64, error) {
-	if !db.ingestOn.Load() {
-		return 0, fmt.Errorf("core: ingest is not enabled on this DB")
-	}
-	return db.colC.Delete(filters)
-}
-
-// WALStats returns the durability log's counters (zero value when no WAL).
-func (db *DB) WALStats() exec.WALStats {
-	if !db.ingestOn.Load() {
-		return exec.WALStats{}
-	}
-	return db.colC.WALStats()
-}
-
-// CloseWAL syncs and closes the durability log, if one is attached; call
-// after FlushIngest on shutdown.
-func (db *DB) CloseWAL() error {
-	if !db.ingestOn.Load() {
-		return nil
-	}
-	return db.colC.CloseWAL()
 }
 
 // Insert appends logical lineorder rows to the write store, returning the
 // new epoch. EnableIngest must have been called.
 func (db *DB) Insert(b *ssb.Lineorders) (int64, error) {
-	if !db.ingestOn.Load() {
-		return 0, fmt.Errorf("core: ingest is not enabled on this DB")
-	}
-	return db.colC.Insert(b)
+	return db.ColumnDB(true).Insert(b)
 }
 
 // FlushIngest seals every pending delta row into the read-optimized store
 // (the zero-loss shutdown path for file-backed DBs). No-op when ingest is
 // off.
 func (db *DB) FlushIngest() error {
-	if !db.ingestOn.Load() {
-		return nil
-	}
-	return db.colC.FlushDelta()
-}
-
-// CloseIngest stops the background compactor and waits for any in-flight
-// tuple-mover pass. It does not flush.
-func (db *DB) CloseIngest() {
-	if db.ingestOn.Load() {
-		db.colC.CloseDelta()
-	}
-}
-
-// Epoch is the data version: rows inserted plus delete operations applied
-// since ingest was enabled, replayed log records included (0 for frozen
-// DBs).
-func (db *DB) Epoch() int64 {
-	if !db.ingestOn.Load() {
-		return 0
-	}
-	return db.colC.Epoch()
-}
-
-// IngestStats returns the write store's counters (zero value when off).
-func (db *DB) IngestStats() exec.DeltaStats {
-	if !db.ingestOn.Load() {
-		return exec.DeltaStats{}
-	}
-	return db.colC.DeltaStats()
-}
-
-// IngestShape returns the dimension space seeded insert generators must
-// draw from to produce valid rows for this DB.
-func (db *DB) IngestShape() (ssb.BatchShape, error) {
-	if !db.ingestOn.Load() {
-		return ssb.BatchShape{}, fmt.Errorf("core: ingest is not enabled on this DB")
-	}
-	return db.colC.BatchShape()
+	return db.ColumnDB(true).FlushDelta()
 }
 
 // Run executes the named SSBM query under the given configuration,
@@ -487,7 +416,7 @@ func (db *DB) validate(q *ssb.Query, cfg Config) error {
 			return fmt.Errorf("core: segment stores hold the compressed physical design; %s needs a plain-storage build from the raw dataset", cfg.Label())
 		}
 	}
-	if db.ingestOn.Load() && db.colC.Epoch() > 0 {
+	if c := db.colC.Load(); c != nil && c.Epoch() > 0 {
 		// Once rows have been inserted, only the compressed column store
 		// (the engine carrying the write store) answers correctly; every
 		// other physical design was built from the frozen base and would

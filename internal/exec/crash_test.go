@@ -83,7 +83,7 @@ func crashChild(dir string) error {
 	}
 	if n, _ := strconv.Atoi(os.Getenv("CRASH_SEAL_KILL")); n > 0 {
 		var passes atomic.Int64
-		db.ingest.testHookSealed = func() {
+		db.ingest.Load().testHookSealed = func() {
 			if passes.Add(1) == int64(n) {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				select {} // the signal is on its way

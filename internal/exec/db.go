@@ -3,6 +3,7 @@ package exec
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/compress"
@@ -66,8 +67,31 @@ type DB struct {
 	ckpt segstore.Checkpoint
 	// ingest is the write half of the WS/RS split (nil for read-only DBs):
 	// the delta store, the current sealed snapshot, and the tuple mover.
-	// See ingest.go.
-	ingest *ingestState
+	// See ingest.go. Atomic so EnableDelta publishes it safely to readers
+	// already running, such as a frozen-base check reading Epoch.
+	ingest atomic.Pointer[ingestState]
+}
+
+// sealedCopy returns a read-only DB over db's dimensions and the given fact
+// table: the sealed snapshot the tuple mover publishes. It shares the worker
+// pool and store, and has no write half and a fresh footprint memo (that
+// memo is keyed by column pointers, which just changed). Copy field by field
+// (the write half's atomic must not be copied): a new DB field belongs here.
+func (db *DB) sealedCopy(fact *colstore.Table, numRows int) *DB {
+	return &DB{
+		Compressed:   db.Compressed,
+		Fact:         fact,
+		Dims:         db.Dims,
+		dateByKey:    db.dateByKey,
+		dateKeys:     db.dateKeys,
+		datePosDense: db.datePosDense,
+		dateKeyMin:   db.dateKeyMin,
+		numRows:      numRows,
+		fusedPool:    db.fusedPool,
+		footCache:    &footprintCache{max: map[*colstore.Column]int64{}},
+		seg:          db.seg,
+		ckpt:         db.ckpt,
+	}
 }
 
 // footprintCache is the concurrency-safe per-column max-block-bytes memo.
@@ -79,7 +103,7 @@ type footprintCache struct {
 // NumRows returns the fact cardinality a query starting now would see:
 // sealed rows plus the live write-store delta.
 func (db *DB) NumRows() int {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return db.numRows
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/delta"
 	"repro/internal/ssb"
+	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -40,7 +41,7 @@ import (
 // before StartCompactor and before serving traffic; after it returns, every
 // accepted Insert/Delete is group-committed to disk before acking.
 func (db *DB) EnableWAL(path string, opts wal.Options) error {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return fmt.Errorf("exec: EnableWAL requires a write store (EnableDelta first)")
 	}
@@ -230,7 +231,7 @@ var deletableCols = map[string]bool{
 // predicate is required, and only identity-valued fact columns may be
 // referenced.
 func (db *DB) Delete(filters []ssb.FactFilter) (int64, error) {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return 0, fmt.Errorf("exec: DB has no write store (EnableDelta first)")
 	}
@@ -255,26 +256,22 @@ func (db *DB) Delete(filters []ssb.FactFilter) (int64, error) {
 	delWS := ig.delWS
 	ig.mu.Unlock()
 
-	// Sealed side: evaluate the conjunction over the frozen columns.
-	var match *bitmap.Bitmap
+	// Sealed side: evaluate the conjunction over the frozen columns the way
+	// join phase 1 does (dimPositions): zone maps and kernels for the first
+	// predicate, the later ones applied only at its survivors.
+	var pos *vector.Positions
 	for _, f := range filters {
 		col, err := sdb.Fact.Column(f.Col)
 		if err != nil {
 			return 0, err
 		}
-		vals := col.DecodeAll(nil, nil)
-		m := bitmap.New(len(vals))
-		for i, v := range vals {
-			if f.Pred.Match(v) {
-				m.Set(i)
-			}
-		}
-		if match == nil {
-			match = m
+		if pos == nil {
+			pos = col.Filter(f.Pred, nil)
 		} else {
-			match.And(m)
+			pos = col.FilterAt(f.Pred, pos, nil)
 		}
 	}
+	match := pos.ToBitmap(sdb.numRows) // fresh: safe to mutate
 	if delSealed != nil {
 		match.AndNot(delSealed) // only newly dead rows are logged/counted
 	}
@@ -381,7 +378,7 @@ type WALStats struct {
 
 // WALStats returns the write-ahead log's counters.
 func (db *DB) WALStats() WALStats {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil || ig.wal == nil {
 		return WALStats{}
 	}
@@ -391,7 +388,7 @@ func (db *DB) WALStats() WALStats {
 // CloseWAL syncs and closes the durability log, if one is attached. Call
 // after CloseDelta/FlushDelta on shutdown.
 func (db *DB) CloseWAL() error {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return nil
 	}

@@ -122,9 +122,11 @@ func (ig *ingestState) err() error {
 // foreign keys can be remapped to physical positions — BuildDB always
 // stores them; segment files written before the write path existed lack
 // them and are rejected with a regeneration hint. Call before serving
-// queries; enabling is not synchronized against concurrent reads.
+// queries: the write store is published atomically, so a concurrent Epoch
+// sees it absent or empty, but the rest of enabling (EnableWAL's replay) is
+// not synchronized against queries.
 func (db *DB) EnableDelta(maxWSBytes int64) error {
-	if db.ingest != nil {
+	if db.ingest.Load() != nil {
 		return nil
 	}
 	keyPos := map[ssb.Dim][]int32{}
@@ -146,7 +148,7 @@ func (db *DB) EnableDelta(maxWSBytes int64) error {
 		}
 		keyPos[dim] = pos
 	}
-	db.ingest = &ingestState{
+	ig := &ingestState{
 		sealed:    db,
 		ws:        delta.NewStore(),
 		maxBytes:  maxWSBytes,
@@ -158,8 +160,9 @@ func (db *DB) EnableDelta(maxWSBytes int64) error {
 		ckptDel:   db.ckpt.Deleted,
 	}
 	if d := db.ckpt.Deleted; d != nil {
-		db.ingest.tombSealed = int64(d.Count())
+		ig.tombSealed = int64(d.Count())
 	}
+	db.ingest.Store(ig)
 	return nil
 }
 
@@ -179,7 +182,7 @@ type tombstones struct {
 // the query scans, however inserts and deletes interleave with it. Returns
 // (db, nil, the footer's deletion vector, 0) for DBs without a write store.
 func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones, int64) {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return db, nil, tombstones{sealed: db.ckpt.Deleted}, 0
 	}
@@ -200,7 +203,7 @@ func (db *DB) snapshotForRead() (*DB, *delta.View, tombstones, int64) {
 // and forever zero when no write ever lands, keeping epoch-keyed result
 // caches exact on frozen data.
 func (db *DB) Epoch() int64 {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return 0
 	}
@@ -213,7 +216,7 @@ func (db *DB) Epoch() int64 {
 // values already in the frozen dictionaries (the write store never grows a
 // dictionary). Safe for concurrent use with queries and other inserters.
 func (db *DB) Insert(b *ssb.Lineorders) (int64, error) {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return 0, fmt.Errorf("exec: DB has no write store (EnableDelta first)")
 	}
@@ -357,7 +360,7 @@ func (db *DB) CompactNow() (int64, error) { return db.compactOnce(false) }
 // once the flush lands every row); only a flush that itself fails reports
 // an error.
 func (db *DB) FlushDelta() error {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return nil
 	}
@@ -374,7 +377,7 @@ func (db *DB) FlushDelta() error {
 // keep their sealed DB and their delta view (the view retains the batches);
 // queries after see the grown sealed store and the trimmed delta.
 func (db *DB) compactOnce(all bool) (int64, error) {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return 0, nil
 	}
@@ -450,16 +453,10 @@ func (db *DB) compactOnce(all bool) (int64, error) {
 		}
 	}
 
-	nd := *sdb
-	nd.Fact = newFact
-	nd.numRows = sdb.numRows + int(survivors)
-	nd.ingest = nil
-	// The footprint memo is keyed by column pointers that just changed; it
-	// rebuilds from scratch on the new sealed DB.
-	nd.footCache = &footprintCache{max: map[*colstore.Column]int64{}}
+	nd := sdb.sealedCopy(newFact, sdb.numRows+int(survivors))
 
 	ig.mu.Lock()
-	ig.sealed = &nd
+	ig.sealed = nd
 	ig.ws.Seal(sealN)
 	// The sealed deletion vector tracks sealed.numRows exactly: grow it in
 	// the same critical section that publishes the new sealed store, so no
@@ -579,7 +576,7 @@ func gatherLive(view *delta.View, delWS *bitmap.Bitmap, name string, sealN, surv
 // block of delta rows is pending (Insert kicks it) and seals everything
 // block-aligned. Idempotent. Stop with CloseDelta.
 func (db *DB) StartCompactor() {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return
 	}
@@ -614,7 +611,7 @@ func (db *DB) StartCompactor() {
 // in-flight pass. It does not flush; call FlushDelta first when the
 // remaining rows must land on disk.
 func (db *DB) CloseDelta() {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return
 	}
@@ -650,7 +647,7 @@ type DeltaStats struct {
 
 // DeltaStats returns the write store's counters (zero value when disabled).
 func (db *DB) DeltaStats() DeltaStats {
-	ig := db.ingest
+	ig := db.ingest.Load()
 	if ig == nil {
 		return DeltaStats{}
 	}

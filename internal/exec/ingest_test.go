@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -762,5 +763,33 @@ func TestDeleteConcurrentSnapshots(t *testing.T) {
 	}
 	if p := store.Pool().PinnedFrames(); p != 0 {
 		t.Errorf("%d frames still pinned after concurrent delete run", p)
+	}
+}
+
+// TestSealedCopyCarriesEveryField: the tuple mover builds its sealed
+// snapshots field by field (the write half's atomic must not be copied), so
+// a field added to DB later must be added to sealedCopy too. Every field of
+// the fixture is set; the copy must carry each one except the write half.
+func TestSealedCopyCarriesEveryField(t *testing.T) {
+	data := ssb.Generate(0.002)
+	db, _ := segBackedDB(t, BuildDB(data, true), data.SF, 0)
+	db.ckpt.LogRows = 1 // a fresh store's checkpoint is zero
+	if err := db.EnableDelta(0); err != nil {
+		t.Fatal(err)
+	}
+	src := reflect.ValueOf(db).Elem()
+	dst := reflect.ValueOf(db.sealedCopy(db.Fact, db.numRows)).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		name := src.Type().Field(i).Name
+		switch {
+		case src.Field(i).IsZero():
+			t.Errorf("fixture leaves DB.%s zero: set it, so the copy is checked for it", name)
+		case name == "ingest":
+			if !dst.Field(i).IsZero() {
+				t.Error("sealed copy carries the write half")
+			}
+		case dst.Field(i).IsZero():
+			t.Errorf("sealedCopy drops DB.%s", name)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/compress"
-	"repro/internal/iosim"
 )
 
 // SegKey identifies one physical segment in a store: the column's global
@@ -47,14 +46,6 @@ type PoolStats struct {
 	// them with the rest of the epoch's counters.
 	Appends       int64 `json:"appends"`
 	AppendedBytes int64 `json:"appended_bytes"`
-	// IO prices the pool's physical storage traffic in the simulated-disk
-	// model: payload bytes plus one seek per miss (segments are fetched by
-	// random offset, not sequentially). This is the *physical* side of the
-	// accounting split — executors keep charging logical reads to their
-	// own iosim.Stats exactly as the in-memory engines do, so results and
-	// logical I/O stay bit-identical, while the pool records what actually
-	// hit "disk" (cold misses only, not warm hits).
-	IO iosim.Stats `json:"-"`
 }
 
 // fetchFunc loads and decodes one segment, returning the block and its
@@ -191,8 +182,6 @@ func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 	p.loaded += bytes
 	f.born, f.last = p.loaded, p.loaded
 	p.stats.BytesRead += bytes
-	p.stats.IO.Read(bytes)
-	p.stats.IO.AddSeeks(1)
 	if p.used > p.stats.Peak {
 		p.stats.Peak = p.used
 	}

@@ -54,9 +54,6 @@ func TestPoolHitMiss(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 2 || st.BytesRead != 100 {
 		t.Fatalf("stats = %+v, want 1 miss / 2 hits / 100 bytes", st)
 	}
-	if st.IO.BytesRead != 100 || st.IO.Seeks != 1 {
-		t.Fatalf("iosim accounting = %+v, want 100 bytes / 1 seek", st.IO)
-	}
 }
 
 // TestPoolBudgetEviction acquires more segments than the budget holds and

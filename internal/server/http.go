@@ -316,7 +316,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	delta := s.db.IngestStats()
+	delta := s.col.DeltaStats()
 	writeJSON(w, http.StatusOK, insertResponse{
 		Inserted:     batch.Len(),
 		Epoch:        epoch,
@@ -338,13 +338,13 @@ func (r *insertRequest) batch(s *Server) (*ssb.Lineorders, error) {
 		if n > 1<<22 {
 			return nil, fmt.Errorf("count %d too large (max %d rows per batch)", n, 1<<22)
 		}
-		shape, err := s.db.IngestShape()
+		shape, err := s.col.BatchShape()
 		if err != nil {
 			return nil, err
 		}
 		return ssb.RandBatch(*r.Seed, n, shape)
 	}
-	shape, err := s.db.IngestShape()
+	shape, err := s.col.BatchShape()
 	if err != nil {
 		return nil, err
 	}

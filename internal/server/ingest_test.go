@@ -58,7 +58,7 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	countBody := sqlBody(t, "select  count(*)  from lineorder", false)
 	checkOracle(t, "pre-insert count", serve(h, http.MethodPost, "/query", countBody), "http", countQ.SQL(), r1.Result)
 
-	shape, err := srv.DB().IngestShape()
+	shape, err := srv.DB().ColumnDB(true).BatchShape()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,77 @@ func TestInsertHTTP(t *testing.T) {
 	}
 }
 
+// FuzzDeleteBody posts arbitrary bytes to /delete on one ingest server
+// (SF=0.002 segment store plus one inserted batch) and replays every
+// accepted delete on a brute-force mirror of the same rows. The handler
+// must answer 200, 400 or 422 and never panic; a 200 must report exactly
+// the rows the mirror's DeleteWhere removes. The server lives as long as
+// the fuzz target (f.TempDir, f.Cleanup), so state carries across inputs on
+// both sides alike.
+func FuzzDeleteBody(f *testing.F) {
+	for _, body := range []string{
+		`{"filters":[{"col":"quantity","op":"lt","a":-2147483648}]}`,
+		`{"filters":[{"col":"discount","op":"between","a":9,"b":2}]}`,
+		`{"filters":[{"col":"quantity","op":"in","values":[7,7,3,7]}]}`,
+		`{"filters":[{"col":"orderdate","op":"between","a":19940101,"b":19940331},{"col":"quantity","op":"ge","a":40}]}`,
+		`{"filters":[{"col":"orderdate","op":"lt","a":19920301},{"col":"orderdate","op":"ge","a":19920215}]}`,
+		`{"filters":[{"col":"revenue","op":"ge","a":2147483647}]}`,
+		`{"filters":[{"col":"custkey","op":"eq","a":1}]}`,
+		`{"filters":[{"col":"quantity","op":"frob"}]}`,
+		`{"filters":[]}`,
+		`{"filters":[{"col":"tax","op":"eq","a":3}]} trailing`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv, mirror, _ := openSegServerSF(f, 0.002, 0, Options{Ingest: true, CacheEntries: -1})
+	f.Cleanup(func() { srv.Close() })
+	shape, err := srv.DB().ColumnDB(true).BatchShape()
+	if err != nil {
+		f.Fatal(err)
+	}
+	batch, err := ssb.RandBatch(5, 3000, shape)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := srv.Insert(batch); err != nil {
+		f.Fatal(err)
+	}
+	mirror.AppendBatch(batch)
+	h := srv.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(h, http.MethodPost, "/delete", string(body))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+			return
+		default:
+			t.Fatalf("%q: status %d (%s), want 200, 400 or 422", body, rec.Code, rec.Body)
+		}
+		// Accepted: decode the body as the handler did (first JSON value).
+		var req deleteRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("%q: accepted, but does not decode: %v", body, err)
+		}
+		filters := make([]ssb.FactFilter, len(req.Filters))
+		for i, df := range req.Filters {
+			pred, err := df.pred()
+			if err != nil {
+				t.Fatalf("%q: accepted, but filter %d is invalid: %v", body, i, err)
+			}
+			filters[i] = ssb.FactFilter{Col: df.Col, Pred: pred}
+		}
+		var out deleteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%q: response %s: %v", body, rec.Body, err)
+		}
+		if want := mirror.DeleteWhere(filters); out.Deleted != want {
+			t.Fatalf("%q: deleted %d rows, mirror deleted %d", body, out.Deleted, want)
+		}
+	})
+}
+
 // TestDeleteHTTP drives deletion vectors through the real HTTP surface
 // with a WAL attached: count before, /delete a value predicate, count
 // after (zero), idempotent re-delete, validation failures, and the /stats
@@ -203,7 +274,7 @@ func TestDeleteHTTP(t *testing.T) {
 	defer ts.Close()
 	ctx := context.Background()
 
-	shape, err := srv.DB().IngestShape()
+	shape, err := srv.DB().ColumnDB(true).BatchShape()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +437,7 @@ func TestIngestDisabled(t *testing.T) {
 func TestConcurrentInsertQueryStress(t *testing.T) {
 	srv, data := newIngestServer(t, Options{Workers: 2, CacheEntries: 64})
 	base := int64(data.NumLineorders())
-	shape, err := srv.DB().IngestShape()
+	shape, err := srv.DB().ColumnDB(true).BatchShape()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +510,7 @@ func TestConcurrentInsertQueryStress(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close (drain+flush): %v", err)
 	}
-	ds := srv.DB().IngestStats()
+	ds := srv.DB().ColumnDB(true).DeltaStats()
 	want := int64(inserters * batches * batchRows)
 	if ds.Epoch != want || ds.PendingRows != 0 {
 		t.Errorf("after close: epoch=%d pending=%d, want %d/0", ds.Epoch, ds.PendingRows, want)

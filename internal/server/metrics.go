@@ -54,14 +54,14 @@ func (s *Server) initMetrics() {
 	r.CounterFunc("ssb_inserted_rows_total", "server.inserted_rows", "Rows across accepted insert batches.", s.insertedRows.Load)
 	r.CounterFunc("ssb_deletes_total", "server.deletes", "Accepted delete operations.", s.deletes.Load)
 	r.CounterFunc("ssb_deleted_rows_total", "server.deleted_rows", "Rows tombstoned by accepted deletes.", s.deletedRows.Load)
-	r.ValueFunc("server.delta", func() any { return s.db.IngestStats() })
+	r.ValueFunc("server.delta", func() any { return s.col.DeltaStats() })
 	r.CounterFunc("ssb_ws_full_rejects_total", "server.ws_full_rejects", "Inserts bounced because the write store hit its byte cap.",
 		s.wsFullRejects.Load)
 	r.CounterFunc("ssb_retry_after_sent_total", "server.retry_after_sent", "HTTP 503 responses that carried a Retry-After backpressure hint.",
 		s.retryAfters.Load)
-	r.ValueFunc("server.wal", func() any { return s.db.WALStats() })
+	r.ValueFunc("server.wal", func() any { return s.col.WALStats() })
 	r.CounterFunc("ssb_wal_fsyncs_total", "", "WAL fsyncs (group commits); zero when no WAL is attached.",
-		func() int64 { return s.db.WALStats().Syncs })
+		func() int64 { return s.col.WALStats().Syncs })
 	r.CounterFunc("ssb_pool_evictions_total", "", "Buffer-pool frame evictions; zero for in-memory stores.",
 		func() int64 { return pool().Evictions })
 
@@ -81,9 +81,9 @@ func (s *Server) initMetrics() {
 			return int64(seg.Pool().PinnedFrames())
 		})
 	r.GaugeFunc("ssb_ws_pending_bytes", "", "Write-store bytes awaiting compaction; zero when ingest is off.",
-		func() int64 { return s.db.IngestStats().PendingBytes })
+		func() int64 { return s.col.DeltaStats().PendingBytes })
 	r.GaugeFunc("ssb_ws_pending_rows", "", "Write-store rows awaiting compaction; zero when ingest is off.",
-		func() int64 { return s.db.IngestStats().PendingRows })
+		func() int64 { return s.col.DeltaStats().PendingRows })
 
 	r.ValueFunc("pool", func() any {
 		if seg == nil {

@@ -134,7 +134,6 @@ type Server struct {
 	deletedRows   atomic.Int64
 	wsFullRejects atomic.Int64 // inserts bounced on ErrWriteStoreFull
 	retryAfters   atomic.Int64 // HTTP 503s that carried a Retry-After hint
-	wal           bool
 
 	slowQuery time.Duration
 	accessLog bool
@@ -202,7 +201,6 @@ func New(db *core.DB, opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.ingest = true
-		s.wal = opts.WALPath != ""
 	}
 	// Start the history sampler last so no goroutine leaks when an earlier
 	// option fails construction.
@@ -239,7 +237,7 @@ func (s *Server) Insert(b *ssb.Lineorders) (int64, error) {
 	if !s.ingest {
 		return 0, fmt.Errorf("server: ingest is disabled (start with Options.Ingest)")
 	}
-	epoch, err := s.db.Insert(b)
+	epoch, err := s.col.Insert(b)
 	if err != nil {
 		if errors.Is(err, exec.ErrWriteStoreFull) {
 			s.wsFullRejects.Add(1)
@@ -268,13 +266,13 @@ func (s *Server) Delete(filters []ssb.FactFilter) (int64, int64, error) {
 	if !s.ingest {
 		return 0, 0, fmt.Errorf("server: ingest is disabled (start with Options.Ingest)")
 	}
-	deleted, err := s.db.Delete(filters)
+	deleted, err := s.col.Delete(filters)
 	if err != nil {
 		return 0, 0, err
 	}
 	s.deletes.Add(1)
 	s.deletedRows.Add(deleted)
-	return deleted, s.db.Epoch(), nil
+	return deleted, s.col.Epoch(), nil
 }
 
 // Config returns the column configuration queries execute under.
@@ -330,7 +328,7 @@ func (s *Server) execute(ctx context.Context, q *ssb.Query, sql string) (e *cach
 	// and the flight recorder alike. An insert landing mid-query may store a
 	// result one epoch fresher than its label — indistinguishable from the
 	// query having run an instant later; no entry serves a newer epoch.
-	epoch := s.db.Epoch()
+	epoch := s.col.Epoch()
 	key := resultKey{sql, epoch}
 	if hit, ok := s.cache.get(key); ok {
 		s.recorder.Record(obs.QueryRecord{
@@ -411,11 +409,11 @@ func (s *Server) execute(ctx context.Context, q *ssb.Query, sql string) (e *cach
 }
 
 // Close stops accepting queries and inserts, waits for every in-flight one
-// (queued or executing) to finish, then — when the server owns a write
-// store — stops the tuple mover and flushes every pending delta row into
-// the read-optimized store, so a clean shutdown loses nothing: zero pinned
-// frames, zero executor goroutines, zero unflushed delta. A caller that
-// also cancels outstanding contexts gets the shutdown promptly.
+// (queued or executing) to finish, then — when the column store has a
+// write store — stops the tuple mover and flushes every pending delta row
+// into the read-optimized store, so a clean shutdown loses nothing: zero
+// pinned frames, zero executor goroutines, zero unflushed delta. A caller
+// that also cancels outstanding contexts gets the shutdown promptly.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	already := s.closed
@@ -426,13 +424,10 @@ func (s *Server) Close() error {
 	}
 	s.history.Stop()
 	s.wg.Wait()
-	if s.ingest {
-		s.db.CloseIngest()
-		err := s.db.FlushIngest()
-		if werr := s.db.CloseWAL(); err == nil {
-			err = werr
-		}
-		return err
+	s.col.CloseDelta()
+	err := s.col.FlushDelta()
+	if werr := s.col.CloseWAL(); err == nil {
+		err = werr
 	}
-	return nil
+	return err
 }

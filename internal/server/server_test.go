@@ -31,7 +31,7 @@ func openSegServer(t *testing.T, budget int64, opts Options) (*Server, *ssb.Data
 }
 
 // openSegServerSF is openSegServer at a chosen scale factor.
-func openSegServerSF(t *testing.T, sf float64, budget int64, opts Options) (*Server, *ssb.Data, *core.DB) {
+func openSegServerSF(t testing.TB, sf float64, budget int64, opts Options) (*Server, *ssb.Data, *core.DB) {
 	t.Helper()
 	data := ssb.Generate(sf)
 	memDB := core.OpenData(data)
