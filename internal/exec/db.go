@@ -127,107 +127,85 @@ func BuildDB(d *ssb.Data, compressed bool) *DB {
 		footCache:  &footprintCache{max: map[*colstore.Column]int64{}},
 	}
 
-	custPerm := hierarchyPerm(len(d.Customer.Key), d.Customer.Region, d.Customer.Nation, d.Customer.City)
-	suppPerm := hierarchyPerm(len(d.Supplier.Key), d.Supplier.Region, d.Supplier.Nation, d.Supplier.City)
-	partPerm := hierarchyPerm(len(d.Part.Key), d.Part.MFGR, d.Part.Category, d.Part.Brand1)
-
-	db.Dims[ssb.DimCustomer] = buildDimTable("customer", compressed, custPerm, map[string][]string{
-		"name": d.Customer.Name, "address": d.Customer.Address,
-		"city": d.Customer.City, "nation": d.Customer.Nation,
-		"region": d.Customer.Region, "phone": d.Customer.Phone,
-		"mktsegment": d.Customer.MktSegment,
-	}, nil, []string{"region", "nation", "city", "name", "address", "phone", "mktsegment"})
-
-	db.Dims[ssb.DimSupplier] = buildDimTable("supplier", compressed, suppPerm, map[string][]string{
-		"name": d.Supplier.Name, "address": d.Supplier.Address,
-		"city": d.Supplier.City, "nation": d.Supplier.Nation,
-		"region": d.Supplier.Region, "phone": d.Supplier.Phone,
-	}, nil, []string{"region", "nation", "city", "name", "address", "phone"})
-
-	db.Dims[ssb.DimPart] = buildDimTable("part", compressed, partPerm, map[string][]string{
-		"name": d.Part.Name, "mfgr": d.Part.MFGR, "category": d.Part.Category,
-		"brand1": d.Part.Brand1, "color": d.Part.Color, "type": d.Part.Type,
-		"container": d.Part.Container,
-	}, map[string][]int32{"size": d.Part.Size},
-		[]string{"mfgr", "category", "brand1", "name", "color", "type", "container", "size"})
-
 	// Date keeps generation (chronological) order; its key is yyyymmdd.
 	datePerm := make([]int32, len(d.Date.Key))
 	for i := range datePerm {
 		datePerm[i] = int32(i)
 	}
-	db.Dims[ssb.DimDate] = buildDimTable("dwdate", compressed, datePerm, map[string][]string{
-		"date": d.Date.Date, "dayofweek": d.Date.DayOfWeek, "month": d.Date.Month,
-		"yearmonth": d.Date.YearMonth, "sellingseason": d.Date.SellingSeason,
-	}, map[string][]int32{
-		"datekey": d.Date.Key, "year": d.Date.Year,
-		"yearmonthnum": d.Date.YearMonthNum, "daynuminweek": d.Date.DayNumInWeek,
-		"daynuminmonth": d.Date.DayNumInMonth, "daynuminyear": d.Date.DayNumInYear,
-		"monthnuminyear": d.Date.MonthNumInYr, "weeknuminyear": d.Date.WeekNumInYear,
-	}, []string{"datekey", "year", "yearmonthnum", "yearmonth", "month",
-		"monthnuminyear", "weeknuminyear", "daynuminweek", "daynuminmonth",
-		"daynuminyear", "dayofweek", "date", "sellingseason"})
-
+	perms := map[ssb.Dim][]int32{
+		ssb.DimCustomer: hierarchyPerm(len(d.Customer.Key), d.Customer.Region, d.Customer.Nation, d.Customer.City),
+		ssb.DimSupplier: hierarchyPerm(len(d.Supplier.Key), d.Supplier.Region, d.Supplier.Nation, d.Supplier.City),
+		ssb.DimPart:     hierarchyPerm(len(d.Part.Key), d.Part.MFGR, d.Part.Category, d.Part.Brand1),
+		ssb.DimDate:     datePerm,
+	}
+	for dim, perm := range perms {
+		db.Dims[dim] = buildDimTable(dim, compressed, perm, d)
+	}
 	db.buildDateIndex(d.Date.Key)
 
-	// Store each position-keyed dimension's logical key alongside its
-	// hierarchy attributes (the catalog's c_custkey/s_suppkey/p_partkey).
-	// The write path needs it to remap inserted foreign keys to physical
-	// positions — including after a round-trip through a segment file,
-	// where the build-time permutations are long gone.
-	addDimKey := func(dim ssb.Dim, perm []int32, keys []int32) {
-		vals := make([]int32, len(perm))
-		for p, orig := range perm {
-			vals[p] = keys[orig]
-		}
-		db.Dims[dim].AddColumn(colstore.NewColumn(dim.FactFK(), vals, nil, colstore.Unsorted, compressed))
+	// Fact table: remap customer/supplier/part FKs to dimension positions.
+	fkPos := map[string][]int32{}
+	for _, dim := range positionKeyed {
+		fkPos[dim.FactFK()] = invertKeyPerm(perms[dim])
 	}
-	addDimKey(ssb.DimCustomer, custPerm, d.Customer.Key)
-	addDimKey(ssb.DimSupplier, suppPerm, d.Supplier.Key)
-	addDimKey(ssb.DimPart, partPerm, d.Part.Key)
-
-	// Fact table: remap customer/supplier/part FKs to dimension
-	// positions.
-	custPos := invertKeyPerm(custPerm)
-	suppPos := invertKeyPerm(suppPerm)
-	partPos := invertKeyPerm(partPerm)
-	n := d.NumLineorders()
-	ck := make([]int32, n)
-	sk := make([]int32, n)
-	pk := make([]int32, n)
-	for i := 0; i < n; i++ {
-		ck[i] = custPos[d.Line.CustKey[i]-1]
-		sk[i] = suppPos[d.Line.SuppKey[i]-1]
-		pk[i] = partPos[d.Line.PartKey[i]-1]
-	}
-
 	fact := colstore.NewTable("lineorder")
-	addInt := func(name string, vals []int32, sorted colstore.SortKind) {
-		fact.AddColumn(colstore.NewColumn(name, vals, nil, sorted, compressed))
+	for _, c := range ssb.FactCols {
+		if !c.IsInt() {
+			vals := *c.Str(&d.Line)
+			dict := compress.BuildDict(vals)
+			fact.AddColumn(colstore.NewColumn(c.Name, dict.Encode(vals, nil), dict, colstore.Unsorted, compressed))
+			continue
+		}
+		vals := *c.Int(&d.Line)
+		if pos := fkPos[c.Name]; pos != nil {
+			keys := vals
+			vals = make([]int32, len(keys))
+			for i, k := range keys {
+				vals[i] = pos[k-1]
+			}
+		}
+		fact.AddColumn(colstore.NewColumn(c.Name, vals, nil, factSort[c.Name], compressed))
 	}
-	addStr := func(name string, vals []string) {
-		dict := compress.BuildDict(vals)
-		fact.AddColumn(colstore.NewColumn(name, dict.Encode(vals, nil), dict, colstore.Unsorted, compressed))
-	}
-	addInt("orderkey", d.Line.OrderKey, colstore.Unsorted)
-	addInt("linenumber", d.Line.LineNumber, colstore.Unsorted)
-	addInt("custkey", ck, colstore.Unsorted)
-	addInt("partkey", pk, colstore.Unsorted)
-	addInt("suppkey", sk, colstore.Unsorted)
-	addInt("orderdate", d.Line.OrderDate, colstore.PrimarySort)
-	addStr("ordpriority", d.Line.OrdPriority)
-	addInt("shippriority", d.Line.ShipPriority, colstore.Unsorted)
-	addInt("quantity", d.Line.Quantity, colstore.SecondarySort)
-	addInt("extendedprice", d.Line.ExtendedPrice, colstore.Unsorted)
-	addInt("ordtotalprice", d.Line.OrdTotalPrice, colstore.Unsorted)
-	addInt("discount", d.Line.Discount, colstore.SecondarySort)
-	addInt("revenue", d.Line.Revenue, colstore.Unsorted)
-	addInt("supplycost", d.Line.SupplyCost, colstore.Unsorted)
-	addInt("tax", d.Line.Tax, colstore.Unsorted)
-	addInt("commitdate", d.Line.CommitDate, colstore.Unsorted)
-	addStr("shipmode", d.Line.ShipMode)
 	db.Fact = fact
 	return db
+}
+
+// positionKeyed are the dimensions whose keys BuildDB reassigns to row
+// positions; the fact columns referencing them (Dim.FactFK) store positions.
+var positionKeyed = []ssb.Dim{ssb.DimCustomer, ssb.DimSupplier, ssb.DimPart}
+
+// isRemappedFK reports whether the fact column col stores dimension
+// positions rather than logical keys.
+func isRemappedFK(col string) bool {
+	for _, dim := range positionKeyed {
+		if dim.FactFK() == col {
+			return true
+		}
+	}
+	return false
+}
+
+// factSort is the fact table's sort order (§6.3.2): orderdate primary,
+// quantity and discount secondary; every other column is unsorted.
+var factSort = map[string]colstore.SortKind{
+	"orderdate": colstore.PrimarySort,
+	"quantity":  colstore.SecondarySort,
+	"discount":  colstore.SecondarySort,
+}
+
+// dimLayout is each dimension's physical column order (§5.4.2). The first
+// column is the hierarchy root, the table's primary sort. Position-keyed
+// dimensions store their logical key last (the catalog's c_custkey,
+// s_suppkey, p_partkey): the write path needs it to remap inserted foreign
+// keys to physical positions, including after a round trip through a
+// segment file, where the build-time permutations are long gone.
+var dimLayout = map[ssb.Dim][]string{
+	ssb.DimCustomer: {"region", "nation", "city", "name", "address", "phone", "mktsegment", "custkey"},
+	ssb.DimSupplier: {"region", "nation", "city", "name", "address", "phone", "suppkey"},
+	ssb.DimPart:     {"mfgr", "category", "brand1", "name", "color", "type", "container", "size", "partkey"},
+	ssb.DimDate: {"datekey", "year", "yearmonthnum", "yearmonth", "month",
+		"monthnuminyear", "weeknuminyear", "daynuminweek", "daynuminmonth",
+		"daynuminyear", "dayofweek", "date", "sellingseason"},
 }
 
 // buildDateIndex derives the date join structures from the date dimension's
@@ -292,32 +270,26 @@ func invertKeyPerm(perm []int32) []int32 {
 	return inv
 }
 
-// buildDimTable materializes a dimension table in perm order. strCols are
-// dictionary encoded; intCols stored as-is. order fixes column ordering for
-// reproducible stats output; the first column is the hierarchy root and is
-// marked as the table's primary sort.
-func buildDimTable(name string, compressed bool, perm []int32, strCols map[string][]string, intCols map[string][]int32, order []string) *colstore.Table {
-	t := colstore.NewTable(name)
-	for i, colName := range order {
+// buildDimTable materializes a dimension table in perm order and dimLayout
+// column order, dictionary encoding its string columns.
+func buildDimTable(dim ssb.Dim, compressed bool, perm []int32, d *ssb.Data) *colstore.Table {
+	t := colstore.NewTable(dim.String())
+	for i, name := range dimLayout[dim] {
 		sorted := colstore.Unsorted
 		if i == 0 {
 			sorted = colstore.PrimarySort
 		}
-		if vals, ok := strCols[colName]; ok {
-			re := make([]string, len(perm))
-			for p, orig := range perm {
-				re[p] = vals[orig]
-			}
+		c, ok := ssb.FindCol(dim.Cols(), name)
+		if !ok {
+			panic("exec: " + dim.String() + " has no column " + name)
+		}
+		if !c.IsInt() {
+			re := ssb.Permute(*c.Str(d), perm)
 			dict := compress.BuildDict(re)
-			t.AddColumn(colstore.NewColumn(colName, dict.Encode(re, nil), dict, sorted, compressed))
+			t.AddColumn(colstore.NewColumn(name, dict.Encode(re, nil), dict, sorted, compressed))
 			continue
 		}
-		vals := intCols[colName]
-		re := make([]int32, len(perm))
-		for p, orig := range perm {
-			re[p] = vals[orig]
-		}
-		t.AddColumn(colstore.NewColumn(colName, re, nil, sorted, compressed))
+		t.AddColumn(colstore.NewColumn(name, ssb.Permute(*c.Int(d), perm), nil, sorted, compressed))
 	}
 	return t
 }

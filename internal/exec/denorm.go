@@ -166,16 +166,8 @@ func BuildDenorm(d *ssb.Data, mode DenormMode) *DenormDB {
 	}
 	// Measures. The fact sort order is preserved, so orderdate-adjacent
 	// attributes stay compressible under MaxC.
-	measures := map[string][]int32{
-		"quantity":      d.Line.Quantity,
-		"discount":      d.Line.Discount,
-		"extendedprice": d.Line.ExtendedPrice,
-		"revenue":       d.Line.Revenue,
-		"supplycost":    d.Line.SupplyCost,
-	}
-	sortKind := map[string]colstore.SortKind{"quantity": colstore.SecondarySort, "discount": colstore.SecondarySort}
-	for name, vals := range measures {
-		db.intCols[name] = colstore.NewColumn(name, vals, nil, sortKind[name], compressed)
+	for _, name := range ssb.MeasureCols {
+		db.intCols[name] = colstore.NewColumn(name, d.Line.MustIntCol(name), nil, factSort[name], compressed)
 	}
 	return db
 }

@@ -48,9 +48,9 @@ type ingestState struct {
 	ws     *delta.Store
 
 	maxBytes int64
-	// keyPos maps each position-keyed dimension's logical key (1-based,
+	// keyPos maps each remapped foreign-key column's logical key (1-based,
 	// minus one) to its physical dimension position.
-	keyPos map[ssb.Dim][]int32
+	keyPos map[string][]int32
 
 	// compactMu serializes tuple-mover passes (background loop, CompactNow,
 	// Flush).
@@ -129,8 +129,8 @@ func (db *DB) EnableDelta(maxWSBytes int64) error {
 	if db.ingest.Load() != nil {
 		return nil
 	}
-	keyPos := map[ssb.Dim][]int32{}
-	for _, dim := range []ssb.Dim{ssb.DimCustomer, ssb.DimSupplier, ssb.DimPart} {
+	keyPos := map[string][]int32{}
+	for _, dim := range positionKeyed {
 		keyCol, err := db.Dims[dim].Column(dim.FactFK())
 		if err != nil {
 			return fmt.Errorf("exec: %v table has no %s column; this store predates the write path — regenerate it with ssb-gen", dim, dim.FactFK())
@@ -146,7 +146,7 @@ func (db *DB) EnableDelta(maxWSBytes int64) error {
 			}
 			pos[k-1] = int32(p)
 		}
-		keyPos[dim] = pos
+		keyPos[dim.FactFK()] = pos
 	}
 	ig := &ingestState{
 		sealed:    db,
@@ -231,68 +231,40 @@ func (db *DB) Insert(b *ssb.Lineorders) (int64, error) {
 		return 0, ErrWriteStoreFull
 	}
 
-	custPos := ig.keyPos[ssb.DimCustomer]
-	suppPos := ig.keyPos[ssb.DimSupplier]
-	partPos := ig.keyPos[ssb.DimPart]
-	prioDict := db.Fact.MustColumn("ordpriority").Dict
-	shipDict := db.Fact.MustColumn("shipmode").Dict
-
-	ck := make([]int32, n)
-	sk := make([]int32, n)
-	pk := make([]int32, n)
-	prio := make([]int32, n)
-	ship := make([]int32, n)
-	for i := 0; i < n; i++ {
-		k := b.CustKey[i]
-		if k < 1 || int(k) > len(custPos) {
-			return 0, fmt.Errorf("exec: insert row %d: custkey %d outside [1,%d]", i, k, len(custPos))
-		}
-		ck[i] = custPos[k-1]
-		k = b.SuppKey[i]
-		if k < 1 || int(k) > len(suppPos) {
-			return 0, fmt.Errorf("exec: insert row %d: suppkey %d outside [1,%d]", i, k, len(suppPos))
-		}
-		sk[i] = suppPos[k-1]
-		k = b.PartKey[i]
-		if k < 1 || int(k) > len(partPos) {
-			return 0, fmt.Errorf("exec: insert row %d: partkey %d outside [1,%d]", i, k, len(partPos))
-		}
-		pk[i] = partPos[k-1]
-		if _, ok := db.dateByKey[b.OrderDate[i]]; !ok {
-			return 0, fmt.Errorf("exec: insert row %d: orderdate %d is not a datekey of the date dimension", i, b.OrderDate[i])
-		}
-		code, ok := prioDict.Code(b.OrdPriority[i])
-		if !ok {
-			return 0, fmt.Errorf("exec: insert row %d: ordpriority %q not in the frozen dictionary", i, b.OrdPriority[i])
-		}
-		prio[i] = code
-		code, ok = shipDict.Code(b.ShipMode[i])
-		if !ok {
-			return 0, fmt.Errorf("exec: insert row %d: shipmode %q not in the frozen dictionary", i, b.ShipMode[i])
-		}
-		ship[i] = code
-	}
-
 	// Physical columns in factColOrder — the same positional order the WAL's
 	// insert records and replay use.
-	cols := [][]int32{
-		append([]int32(nil), b.OrderKey...),
-		append([]int32(nil), b.LineNumber...),
-		ck,
-		pk,
-		sk,
-		append([]int32(nil), b.OrderDate...),
-		prio,
-		append([]int32(nil), b.ShipPriority...),
-		append([]int32(nil), b.Quantity...),
-		append([]int32(nil), b.ExtendedPrice...),
-		append([]int32(nil), b.OrdTotalPrice...),
-		append([]int32(nil), b.Discount...),
-		append([]int32(nil), b.Revenue...),
-		append([]int32(nil), b.SupplyCost...),
-		append([]int32(nil), b.Tax...),
-		append([]int32(nil), b.CommitDate...),
-		ship,
+	cols := make([][]int32, len(ssb.FactCols))
+	for j, c := range ssb.FactCols {
+		if !c.IsInt() {
+			dict := db.Fact.MustColumn(c.Name).Dict
+			cols[j] = make([]int32, n)
+			for i, v := range *c.Str(b) {
+				code, ok := dict.Code(v)
+				if !ok {
+					return 0, fmt.Errorf("exec: insert row %d: %s %q not in the frozen dictionary", i, c.Name, v)
+				}
+				cols[j][i] = code
+			}
+			continue
+		}
+		vals := *c.Int(b)
+		pos := ig.keyPos[c.Name]
+		if pos == nil {
+			cols[j] = append([]int32(nil), vals...)
+			continue
+		}
+		cols[j] = make([]int32, n)
+		for i, k := range vals {
+			if k < 1 || int(k) > len(pos) {
+				return 0, fmt.Errorf("exec: insert row %d: %s %d outside [1,%d]", i, c.Name, k, len(pos))
+			}
+			cols[j][i] = pos[k-1]
+		}
+	}
+	for i, k := range b.OrderDate {
+		if _, ok := db.dateByKey[k]; !ok {
+			return 0, fmt.Errorf("exec: insert row %d: orderdate %d is not a datekey of the date dimension", i, k)
+		}
 	}
 	dcols := make([]delta.Column, len(cols))
 	for i := range cols {
@@ -335,15 +307,17 @@ func (db *DB) Insert(b *ssb.Lineorders) (int64, error) {
 }
 
 // factColOrder is the canonical physical column order of the fact table —
-// identical to BuildDB's layout and to Fact.ColumnNames(). Insert batches
-// and the WAL's positional insert records both use it, which is what lets
-// replay rebuild batches without storing column names per record.
-var factColOrder = []string{
-	"orderkey", "linenumber", "custkey", "partkey", "suppkey",
-	"orderdate", "ordpriority", "shippriority", "quantity",
-	"extendedprice", "ordtotalprice", "discount", "revenue",
-	"supplycost", "tax", "commitdate", "shipmode",
-}
+// the schema's, identical to BuildDB's layout and to Fact.ColumnNames().
+// Insert batches and the WAL's positional insert records both use it, which
+// is what lets replay rebuild batches without storing column names per
+// record.
+var factColOrder = func() []string {
+	names := make([]string, len(ssb.FactCols))
+	for i, c := range ssb.FactCols {
+		names[i] = c.Name
+	}
+	return names
+}()
 
 // CompactNow runs one tuple-mover pass, freezing the block-aligned prefix
 // of the delta (first topping the sealed store's partial tail block up to

@@ -90,7 +90,7 @@ func (it *superIter) next() ([]int32, bool) {
 func BuildSuperVPs(d *ssb.Data) map[string]*SuperVP {
 	out := map[string]*SuperVP{}
 	for _, c := range queryFactCols {
-		out[c] = BuildSuperVP(c, factIntColumn(&d.Line, c))
+		out[c] = BuildSuperVP(c, d.Line.MustIntCol(c))
 	}
 	return out
 }

@@ -60,15 +60,6 @@ func Designs() []Design {
 	return []Design{Traditional, TraditionalBitmap, MaterializedViews, VerticalPartitioning, AllIndexes}
 }
 
-// factColOrder is the storage order of the LINEORDER row schema (paper
-// Figure 1).
-var factColOrder = []string{
-	"orderkey", "linenumber", "custkey", "partkey", "suppkey", "orderdate",
-	"ordpriority", "shippriority", "quantity", "extendedprice",
-	"ordtotalprice", "discount", "revenue", "supplycost", "tax",
-	"commitdate", "shipmode",
-}
-
 // queryFactCols is the set of integer fact columns any SSBM query touches;
 // these get B+Tree indexes in the AllIndexes design and vertical tables in
 // the VerticalPartitioning design.
@@ -141,14 +132,9 @@ func Build(d *ssb.Data, opts BuildOptions) *SystemX {
 	}
 
 	// Fact heap (input is orderdate-sorted, so years are contiguous).
-	factSchema := rowstore.NewSchema(factColOrder, []rowstore.ColType{
-		rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt,
-		rowstore.TStr, rowstore.TInt, rowstore.TInt, rowstore.TInt,
-		rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt,
-		rowstore.TInt, rowstore.TStr,
-	})
-	sx.Fact = rowstore.NewTable("lineorder", factSchema)
+	sx.Fact = rowstore.NewTable("lineorder", tableSchema(ssb.FactCols))
 	lo := &d.Line
+	factRow := tableRow(ssb.FactCols, lo)
 	n := d.NumLineorders()
 	var curYear int32 = -1
 	for i := 0; i < n; i++ {
@@ -162,14 +148,7 @@ func Build(d *ssb.Data, opts BuildOptions) *SystemX {
 			sx.YearRange[year] = [2]int32{int32(i), int32(n)}
 			curYear = year
 		}
-		sx.Fact.Append(rowstore.Row{
-			{I: lo.OrderKey[i]}, {I: lo.LineNumber[i]}, {I: lo.CustKey[i]},
-			{I: lo.PartKey[i]}, {I: lo.SuppKey[i]}, {I: lo.OrderDate[i]},
-			{S: lo.OrdPriority[i]}, {I: lo.ShipPriority[i]}, {I: lo.Quantity[i]},
-			{I: lo.ExtendedPrice[i]}, {I: lo.OrdTotalPrice[i]}, {I: lo.Discount[i]},
-			{I: lo.Revenue[i]}, {I: lo.SupplyCost[i]}, {I: lo.Tax[i]},
-			{I: lo.CommitDate[i]}, {S: lo.ShipMode[i]},
-		})
+		sx.Fact.Append(factRow(i))
 	}
 	if curYear >= 0 {
 		r := sx.YearRange[curYear]
@@ -177,7 +156,14 @@ func Build(d *ssb.Data, opts BuildOptions) *SystemX {
 		sx.YearRange[curYear] = r
 	}
 
-	sx.buildDims(d)
+	for _, dim := range []ssb.Dim{ssb.DimCustomer, ssb.DimSupplier, ssb.DimPart, ssb.DimDate} {
+		t := rowstore.NewTable(dim.String(), tableSchema(dim.Cols()))
+		row := tableRow(dim.Cols(), d)
+		for i, n := 0, d.DimRows(dim); i < n; i++ {
+			t.Append(row(i))
+		}
+		sx.Dims[dim] = t
+	}
 
 	if opts.MVs {
 		for flight := 1; flight <= 4; flight++ {
@@ -192,8 +178,10 @@ func Build(d *ssb.Data, opts BuildOptions) *SystemX {
 		}
 	}
 	if opts.Indexes {
+		// Index-only plans never touch the heap, so the indexes are built
+		// straight from the column values with rid = row ordinal.
 		for _, c := range queryFactCols {
-			sx.FactIdx[c] = buildArrayIndex(factIntColumn(lo, c))
+			sx.FactIdx[c] = buildArrayIndex(lo.MustIntCol(c))
 		}
 	}
 	if opts.Bitmaps {
@@ -203,71 +191,43 @@ func Build(d *ssb.Data, opts BuildOptions) *SystemX {
 	return sx
 }
 
-// buildDims loads the four dimension heap tables.
-func (sx *SystemX) buildDims(d *ssb.Data) {
-	add := func(dim ssb.Dim, names []string, types []rowstore.ColType, row func(i int) rowstore.Row, n int) {
-		t := rowstore.NewTable(dim.String(), rowstore.NewSchema(names, types))
-		for i := 0; i < n; i++ {
-			t.Append(row(i))
+// tableSchema is the heap schema of a table: its columns in specification
+// order.
+func tableSchema[T any](cols []ssb.Col[T]) *rowstore.Schema {
+	names := make([]string, len(cols))
+	types := make([]rowstore.ColType, len(cols))
+	for j, c := range cols {
+		names[j], types[j] = c.Name, rowstore.TStr
+		if c.IsInt() {
+			types[j] = rowstore.TInt
 		}
-		sx.Dims[dim] = t
 	}
-	c := &d.Customer
-	add(ssb.DimCustomer,
-		[]string{"custkey", "name", "address", "city", "nation", "region", "phone", "mktsegment"},
-		[]rowstore.ColType{rowstore.TInt, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr},
-		func(i int) rowstore.Row {
-			return rowstore.Row{{I: c.Key[i]}, {S: c.Name[i]}, {S: c.Address[i]}, {S: c.City[i]}, {S: c.Nation[i]}, {S: c.Region[i]}, {S: c.Phone[i]}, {S: c.MktSegment[i]}}
-		}, len(c.Key))
-	s := &d.Supplier
-	add(ssb.DimSupplier,
-		[]string{"suppkey", "name", "address", "city", "nation", "region", "phone"},
-		[]rowstore.ColType{rowstore.TInt, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr},
-		func(i int) rowstore.Row {
-			return rowstore.Row{{I: s.Key[i]}, {S: s.Name[i]}, {S: s.Address[i]}, {S: s.City[i]}, {S: s.Nation[i]}, {S: s.Region[i]}, {S: s.Phone[i]}}
-		}, len(s.Key))
-	p := &d.Part
-	add(ssb.DimPart,
-		[]string{"partkey", "name", "mfgr", "category", "brand1", "color", "type", "size", "container"},
-		[]rowstore.ColType{rowstore.TInt, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TInt, rowstore.TStr},
-		func(i int) rowstore.Row {
-			return rowstore.Row{{I: p.Key[i]}, {S: p.Name[i]}, {S: p.MFGR[i]}, {S: p.Category[i]}, {S: p.Brand1[i]}, {S: p.Color[i]}, {S: p.Type[i]}, {I: p.Size[i]}, {S: p.Container[i]}}
-		}, len(p.Key))
-	dd := &d.Date
-	add(ssb.DimDate,
-		[]string{"datekey", "date", "dayofweek", "month", "year", "yearmonthnum", "yearmonth", "daynuminweek", "daynuminmonth", "daynuminyear", "monthnuminyear", "weeknuminyear", "sellingseason"},
-		[]rowstore.ColType{rowstore.TInt, rowstore.TStr, rowstore.TStr, rowstore.TStr, rowstore.TInt, rowstore.TInt, rowstore.TStr, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TInt, rowstore.TStr},
-		func(i int) rowstore.Row {
-			return rowstore.Row{{I: dd.Key[i]}, {S: dd.Date[i]}, {S: dd.DayOfWeek[i]}, {S: dd.Month[i]}, {I: dd.Year[i]}, {I: dd.YearMonthNum[i]}, {S: dd.YearMonth[i]}, {I: dd.DayNumInWeek[i]}, {I: dd.DayNumInMonth[i]}, {I: dd.DayNumInYear[i]}, {I: dd.MonthNumInYr[i]}, {I: dd.WeekNumInYear[i]}, {S: dd.SellingSeason[i]}}
-		}, len(dd.Key))
+	return rowstore.NewSchema(names, types)
 }
 
-// factIntColumn returns the named integer fact column from the generated
-// arrays (used for index construction: index-only plans never touch the
-// heap, so indexes are built straight from the column values with rid = row
-// ordinal).
-func factIntColumn(lo *ssb.Lineorders, name string) []int32 {
-	switch name {
-	case "custkey":
-		return lo.CustKey
-	case "partkey":
-		return lo.PartKey
-	case "suppkey":
-		return lo.SuppKey
-	case "orderdate":
-		return lo.OrderDate
-	case "quantity":
-		return lo.Quantity
-	case "extendedprice":
-		return lo.ExtendedPrice
-	case "discount":
-		return lo.Discount
-	case "revenue":
-		return lo.Revenue
-	case "supplycost":
-		return lo.SupplyCost
-	default:
-		panic("rowexec: unknown fact column " + name)
+// tableRow binds cols to their values in t and returns a function building
+// tuple i in tableSchema's layout. The tuple is reused across calls, which
+// suits Table.Append: it encodes the tuple and keeps no reference to it.
+func tableRow[T any](cols []ssb.Col[T], t *T) func(i int) rowstore.Row {
+	ints := make([][]int32, len(cols))
+	strs := make([][]string, len(cols))
+	for j, c := range cols {
+		if c.IsInt() {
+			ints[j] = *c.Int(t)
+		} else {
+			strs[j] = *c.Str(t)
+		}
+	}
+	row := make(rowstore.Row, len(cols))
+	return func(i int) rowstore.Row {
+		for j, c := range cols {
+			if c.IsInt() {
+				row[j].I = ints[j][i]
+			} else {
+				row[j].S = strs[j][i]
+			}
+		}
+		return row
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"repro/internal/ssb"
 )
 
-// The static catalog: table names, per-table columns and their types. This
-// mirrors the schema of paper Figure 1 without needing a generated dataset.
+// The static catalog: table names and their spellings. Columns and their
+// types come from the schema ssb declares (paper Figure 1), so resolving a
+// name needs no generated dataset.
 
 // canonicalTable maps accepted spellings to canonical table names.
 func canonicalTable(name string) (string, bool) {
@@ -51,39 +52,6 @@ var ssbPrefix = map[string]string{
 	"d":  "dwdate",
 }
 
-// factCols is the LINEORDER schema; all integer except the two noted.
-var factCols = map[string]bool{ // name -> isString
-	"orderkey": false, "linenumber": false, "custkey": false,
-	"partkey": false, "suppkey": false, "orderdate": false,
-	"ordpriority": true, "shippriority": false, "quantity": false,
-	"extendedprice": false, "ordtotalprice": false, "discount": false,
-	"revenue": false, "supplycost": false, "tax": false,
-	"commitdate": false, "shipmode": true,
-}
-
-// dimCols maps dimension -> column -> isInt.
-var dimCols = map[ssb.Dim]map[string]bool{
-	ssb.DimCustomer: {
-		"custkey": true, "name": false, "address": false, "city": false,
-		"nation": false, "region": false, "phone": false, "mktsegment": false,
-	},
-	ssb.DimSupplier: {
-		"suppkey": true, "name": false, "address": false, "city": false,
-		"nation": false, "region": false, "phone": false,
-	},
-	ssb.DimPart: {
-		"partkey": true, "name": false, "mfgr": false, "category": false,
-		"brand1": false, "color": false, "type": false, "size": true,
-		"container": false,
-	},
-	ssb.DimDate: {
-		"datekey": true, "date": false, "dayofweek": false, "month": false,
-		"year": true, "yearmonthnum": true, "yearmonth": false,
-		"daynuminweek": true, "daynuminmonth": true, "daynuminyear": true,
-		"monthnuminyear": true, "weeknuminyear": true, "sellingseason": false,
-	},
-}
-
 // resolve turns a textual reference into a colRef. Accepted forms:
 //
 //	lo_revenue, d_year      SSB underscore prefixes
@@ -111,14 +79,13 @@ func (p *parser) resolve(name string) (colRef, error) {
 		return colRef{}, fmt.Errorf("sql: cannot resolve column %q (use an SSB prefix like lo_/d_ or qualify it)", name)
 	}
 	if table == "lineorder" {
-		if _, ok := factCols[col]; !ok {
+		if _, ok := ssb.FindCol(ssb.FactCols, col); !ok {
 			return colRef{}, fmt.Errorf("sql: lineorder has no column %q", col)
 		}
 		return colRef{isFact: true, col: col}, nil
 	}
 	dim, _ := dimOfTable(table)
-	cols := dimCols[dim]
-	if _, ok := cols[col]; !ok {
+	if _, ok := ssb.FindCol(dim.Cols(), col); !ok {
 		return colRef{}, fmt.Errorf("sql: %s has no column %q", table, col)
 	}
 	return colRef{dim: dim, col: col}, nil
@@ -126,7 +93,8 @@ func (p *parser) resolve(name string) (colRef, error) {
 
 // colIsInt reports whether a resolved dimension column is an integer.
 func colIsInt(ref colRef) bool {
-	return dimCols[ref.dim][ref.col]
+	c, _ := ssb.FindCol(ref.dim.Cols(), ref.col)
+	return c.IsInt()
 }
 
 // classifyJoin validates a fact-FK = dimension-key equality.

@@ -257,40 +257,10 @@ func IsMeasureCol(name string) bool {
 // IntCol returns the named integer fact column, or nil (the two string
 // attributes and unknown names).
 func (lo *Lineorders) IntCol(name string) []int32 {
-	switch name {
-	case "orderkey":
-		return lo.OrderKey
-	case "linenumber":
-		return lo.LineNumber
-	case "custkey":
-		return lo.CustKey
-	case "partkey":
-		return lo.PartKey
-	case "suppkey":
-		return lo.SuppKey
-	case "orderdate":
-		return lo.OrderDate
-	case "shippriority":
-		return lo.ShipPriority
-	case "quantity":
-		return lo.Quantity
-	case "extendedprice":
-		return lo.ExtendedPrice
-	case "ordtotalprice":
-		return lo.OrdTotalPrice
-	case "discount":
-		return lo.Discount
-	case "revenue":
-		return lo.Revenue
-	case "supplycost":
-		return lo.SupplyCost
-	case "tax":
-		return lo.Tax
-	case "commitdate":
-		return lo.CommitDate
-	default:
-		return nil
+	if c, ok := FindCol(FactCols, name); ok && c.IsInt() {
+		return *c.Int(lo)
 	}
+	return nil
 }
 
 // MustIntCol is IntCol that panics on unknown columns.

@@ -120,18 +120,9 @@ func (lo *Lineorders) Len() int { return len(lo.OrderKey) }
 // CheckLens verifies that every column of the batch has the same length.
 func (lo *Lineorders) CheckLens() error {
 	n := lo.Len()
-	for name, l := range map[string]int{
-		"linenumber": len(lo.LineNumber), "custkey": len(lo.CustKey),
-		"partkey": len(lo.PartKey), "suppkey": len(lo.SuppKey),
-		"orderdate": len(lo.OrderDate), "ordpriority": len(lo.OrdPriority),
-		"shippriority": len(lo.ShipPriority), "quantity": len(lo.Quantity),
-		"extendedprice": len(lo.ExtendedPrice), "ordtotalprice": len(lo.OrdTotalPrice),
-		"discount": len(lo.Discount), "revenue": len(lo.Revenue),
-		"supplycost": len(lo.SupplyCost), "tax": len(lo.Tax),
-		"commitdate": len(lo.CommitDate), "shipmode": len(lo.ShipMode),
-	} {
-		if l != n {
-			return fmt.Errorf("ssb: batch column %s has %d rows, orderkey has %d", name, l, n)
+	for _, c := range FactCols {
+		if l := c.Len(lo); l != n {
+			return fmt.Errorf("ssb: batch column %s has %d rows, orderkey has %d", c.Name, l, n)
 		}
 	}
 	return nil
@@ -142,24 +133,13 @@ func (lo *Lineorders) CheckLens() error {
 // assumptions, so an appended Data is the from-scratch oracle for any
 // engine serving the same insert history.
 func (d *Data) AppendBatch(b *Lineorders) {
-	lo := &d.Line
-	lo.OrderKey = append(lo.OrderKey, b.OrderKey...)
-	lo.LineNumber = append(lo.LineNumber, b.LineNumber...)
-	lo.CustKey = append(lo.CustKey, b.CustKey...)
-	lo.PartKey = append(lo.PartKey, b.PartKey...)
-	lo.SuppKey = append(lo.SuppKey, b.SuppKey...)
-	lo.OrderDate = append(lo.OrderDate, b.OrderDate...)
-	lo.OrdPriority = append(lo.OrdPriority, b.OrdPriority...)
-	lo.ShipPriority = append(lo.ShipPriority, b.ShipPriority...)
-	lo.Quantity = append(lo.Quantity, b.Quantity...)
-	lo.ExtendedPrice = append(lo.ExtendedPrice, b.ExtendedPrice...)
-	lo.OrdTotalPrice = append(lo.OrdTotalPrice, b.OrdTotalPrice...)
-	lo.Discount = append(lo.Discount, b.Discount...)
-	lo.Revenue = append(lo.Revenue, b.Revenue...)
-	lo.SupplyCost = append(lo.SupplyCost, b.SupplyCost...)
-	lo.Tax = append(lo.Tax, b.Tax...)
-	lo.CommitDate = append(lo.CommitDate, b.CommitDate...)
-	lo.ShipMode = append(lo.ShipMode, b.ShipMode...)
+	for _, c := range FactCols {
+		if c.IsInt() {
+			*c.Int(&d.Line) = append(*c.Int(&d.Line), *c.Int(b)...)
+		} else {
+			*c.Str(&d.Line) = append(*c.Str(&d.Line), *c.Str(b)...)
+		}
+	}
 }
 
 // DeleteWhere removes every fact row matching ALL of the given measure
@@ -192,41 +172,13 @@ func (d *Data) DeleteWhere(filters []FactFilter) int64 {
 	if removed == 0 {
 		return 0
 	}
-	filterInt := func(s []int32) []int32 {
-		out := s[:0]
-		for i, v := range s {
-			if keep[i] {
-				out = append(out, v)
-			}
+	for _, c := range FactCols {
+		if c.IsInt() {
+			*c.Int(lo) = keepRows(*c.Int(lo), keep)
+		} else {
+			*c.Str(lo) = keepRows(*c.Str(lo), keep)
 		}
-		return out
 	}
-	filterStr := func(s []string) []string {
-		out := s[:0]
-		for i, v := range s {
-			if keep[i] {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	lo.OrderKey = filterInt(lo.OrderKey)
-	lo.LineNumber = filterInt(lo.LineNumber)
-	lo.CustKey = filterInt(lo.CustKey)
-	lo.PartKey = filterInt(lo.PartKey)
-	lo.SuppKey = filterInt(lo.SuppKey)
-	lo.OrderDate = filterInt(lo.OrderDate)
-	lo.OrdPriority = filterStr(lo.OrdPriority)
-	lo.ShipPriority = filterInt(lo.ShipPriority)
-	lo.Quantity = filterInt(lo.Quantity)
-	lo.ExtendedPrice = filterInt(lo.ExtendedPrice)
-	lo.OrdTotalPrice = filterInt(lo.OrdTotalPrice)
-	lo.Discount = filterInt(lo.Discount)
-	lo.Revenue = filterInt(lo.Revenue)
-	lo.SupplyCost = filterInt(lo.SupplyCost)
-	lo.Tax = filterInt(lo.Tax)
-	lo.CommitDate = filterInt(lo.CommitDate)
-	lo.ShipMode = filterStr(lo.ShipMode)
 	return removed
 }
 
@@ -253,35 +205,11 @@ func (d *Data) SortLineorders() {
 		}
 		return lo.Discount[i] < lo.Discount[j]
 	})
-	permuteInt := func(s []int32) []int32 {
-		out := make([]int32, n)
-		for p, i := range perm {
-			out[p] = s[i]
+	for _, c := range FactCols {
+		if c.IsInt() {
+			*c.Int(lo) = Permute(*c.Int(lo), perm)
+		} else {
+			*c.Str(lo) = Permute(*c.Str(lo), perm)
 		}
-		return out
 	}
-	permuteStr := func(s []string) []string {
-		out := make([]string, n)
-		for p, i := range perm {
-			out[p] = s[i]
-		}
-		return out
-	}
-	lo.OrderKey = permuteInt(lo.OrderKey)
-	lo.LineNumber = permuteInt(lo.LineNumber)
-	lo.CustKey = permuteInt(lo.CustKey)
-	lo.PartKey = permuteInt(lo.PartKey)
-	lo.SuppKey = permuteInt(lo.SuppKey)
-	lo.OrderDate = permuteInt(lo.OrderDate)
-	lo.OrdPriority = permuteStr(lo.OrdPriority)
-	lo.ShipPriority = permuteInt(lo.ShipPriority)
-	lo.Quantity = permuteInt(lo.Quantity)
-	lo.ExtendedPrice = permuteInt(lo.ExtendedPrice)
-	lo.OrdTotalPrice = permuteInt(lo.OrdTotalPrice)
-	lo.Discount = permuteInt(lo.Discount)
-	lo.Revenue = permuteInt(lo.Revenue)
-	lo.SupplyCost = permuteInt(lo.SupplyCost)
-	lo.Tax = permuteInt(lo.Tax)
-	lo.CommitDate = permuteInt(lo.CommitDate)
-	lo.ShipMode = permuteStr(lo.ShipMode)
 }

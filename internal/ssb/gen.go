@@ -289,23 +289,13 @@ func (d *Data) genLineorders(rng *rand.Rand, orders int) {
 		return a.discount < b.discount
 	})
 	n := len(recs)
-	lo.OrderKey = make([]int32, n)
-	lo.LineNumber = make([]int32, n)
-	lo.CustKey = make([]int32, n)
-	lo.PartKey = make([]int32, n)
-	lo.SuppKey = make([]int32, n)
-	lo.OrderDate = make([]int32, n)
-	lo.OrdPriority = make([]string, n)
-	lo.ShipPriority = make([]int32, n)
-	lo.Quantity = make([]int32, n)
-	lo.ExtendedPrice = make([]int32, n)
-	lo.OrdTotalPrice = make([]int32, n)
-	lo.Discount = make([]int32, n)
-	lo.Revenue = make([]int32, n)
-	lo.SupplyCost = make([]int32, n)
-	lo.Tax = make([]int32, n)
-	lo.CommitDate = make([]int32, n)
-	lo.ShipMode = make([]string, n)
+	for _, c := range FactCols {
+		if c.IsInt() {
+			*c.Int(lo) = make([]int32, n)
+		} else {
+			*c.Str(lo) = make([]string, n)
+		}
+	}
 	for i, r := range recs {
 		lo.OrderKey[i] = r.orderKey
 		lo.LineNumber[i] = r.lineNum

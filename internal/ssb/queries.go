@@ -52,18 +52,7 @@ func (d Dim) FactFK() string {
 }
 
 // KeyCol returns the dimension's primary key column.
-func (d Dim) KeyCol() string {
-	switch d {
-	case DimCustomer:
-		return "custkey"
-	case DimSupplier:
-		return "suppkey"
-	case DimPart:
-		return "partkey"
-	default:
-		return "datekey"
-	}
-}
+func (d Dim) KeyCol() string { return d.Cols()[0].Name }
 
 // DimFilter is one restriction on a dimension attribute. String columns use
 // StrA/StrB/StrSet; integer columns (year, yearmonthnum, weeknuminyear) use

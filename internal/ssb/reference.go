@@ -166,18 +166,7 @@ func (d *Data) FactDimIndex(dim Dim, i int, dateIdx map[int32]int32) int {
 }
 
 // DimRows returns the cardinality of a dimension.
-func (d *Data) DimRows(dim Dim) int {
-	switch dim {
-	case DimCustomer:
-		return len(d.Customer.Key)
-	case DimSupplier:
-		return len(d.Supplier.Key)
-	case DimPart:
-		return len(d.Part.Key)
-	default:
-		return len(d.Date.Key)
-	}
-}
+func (d *Data) DimRows(dim Dim) int { return dim.Cols()[0].Len(d) }
 
 // DimStr returns the string attribute col of dimension row i.
 func (d *Data) DimStr(dim Dim, col string, i int) string {
@@ -207,110 +196,16 @@ func (d *Data) DimKeyString(dim Dim, col string, i int) string {
 
 // DimStrCol returns the named string column of a dimension, or nil.
 func (d *Data) DimStrCol(dim Dim, col string) []string {
-	switch dim {
-	case DimCustomer:
-		switch col {
-		case "name":
-			return d.Customer.Name
-		case "address":
-			return d.Customer.Address
-		case "city":
-			return d.Customer.City
-		case "nation":
-			return d.Customer.Nation
-		case "region":
-			return d.Customer.Region
-		case "phone":
-			return d.Customer.Phone
-		case "mktsegment":
-			return d.Customer.MktSegment
-		}
-	case DimSupplier:
-		switch col {
-		case "name":
-			return d.Supplier.Name
-		case "address":
-			return d.Supplier.Address
-		case "city":
-			return d.Supplier.City
-		case "nation":
-			return d.Supplier.Nation
-		case "region":
-			return d.Supplier.Region
-		case "phone":
-			return d.Supplier.Phone
-		}
-	case DimPart:
-		switch col {
-		case "name":
-			return d.Part.Name
-		case "mfgr":
-			return d.Part.MFGR
-		case "category":
-			return d.Part.Category
-		case "brand1":
-			return d.Part.Brand1
-		case "color":
-			return d.Part.Color
-		case "type":
-			return d.Part.Type
-		case "container":
-			return d.Part.Container
-		}
-	case DimDate:
-		switch col {
-		case "date":
-			return d.Date.Date
-		case "dayofweek":
-			return d.Date.DayOfWeek
-		case "month":
-			return d.Date.Month
-		case "yearmonth":
-			return d.Date.YearMonth
-		case "sellingseason":
-			return d.Date.SellingSeason
-		}
+	if c, ok := FindCol(dim.Cols(), col); ok && !c.IsInt() {
+		return *c.Str(d)
 	}
 	return nil
 }
 
 // DimIntCol returns the named integer column of a dimension, or nil.
 func (d *Data) DimIntCol(dim Dim, col string) []int32 {
-	switch dim {
-	case DimCustomer:
-		if col == "custkey" {
-			return d.Customer.Key
-		}
-	case DimSupplier:
-		if col == "suppkey" {
-			return d.Supplier.Key
-		}
-	case DimPart:
-		switch col {
-		case "partkey":
-			return d.Part.Key
-		case "size":
-			return d.Part.Size
-		}
-	case DimDate:
-		switch col {
-		case "datekey":
-			return d.Date.Key
-		case "year":
-			return d.Date.Year
-		case "yearmonthnum":
-			return d.Date.YearMonthNum
-		case "daynuminweek":
-			return d.Date.DayNumInWeek
-		case "daynuminmonth":
-			return d.Date.DayNumInMonth
-		case "daynuminyear":
-			return d.Date.DayNumInYear
-		case "monthnuminyear":
-			return d.Date.MonthNumInYr
-		case "weeknuminyear":
-			return d.Date.WeekNumInYear
-		}
+	if c, ok := FindCol(dim.Cols(), col); ok && c.IsInt() {
+		return *c.Int(d)
 	}
 	return nil
 }
