@@ -55,12 +55,14 @@ type deltaChunk struct {
 // zero-copy window onto the batch's value slice, zone-mapped by the batch's
 // running min/max (a superset of the window's range, so pruning and
 // coverage decisions stay sound). Segments are whatever length the insert
-// batches were, which suits the block routine — it never addresses a
-// column by global position.
+// batches were, which suits the block routine and Delete's Filter and
+// FilterAt — they walk segments by their lengths — but not Get, which
+// assumes BlockSize segments.
 //
 // Wrapping a chunk scans it for the block's own bounds (which no kernel
 // reads), so blocks memoizes the wrap for the life of the source — one
-// scanDelta call, one goroutine — however many probes and gathers acquire it.
+// scanDelta or Delete call, one goroutine — however many probes and gathers
+// acquire it.
 type deltaSource struct {
 	chunks []deltaChunk
 	name   string
@@ -88,12 +90,9 @@ func (s deltaSource) Acquire(i int) (compress.IntBlock, func(), error) {
 	return s.blocks[i], func() {}, nil
 }
 
-// deltaMorsels cuts the write-store side of a snapshot into morsels: every
-// live delta batch in pieces of at most BlockSize rows, bound to the plan's
-// slots through deltaSource columns. del (nil = none) is the write-store
-// deletion vector, indexed by delta-global row; a morsel carries it only
-// when a tombstone actually falls inside its window.
-func deltaMorsels(plan *Plan, view *delta.View, del *bitmap.Bitmap) []morsel {
+// deltaChunks cuts a delta snapshot into morsel-sized chunks: every live
+// batch in pieces of at most BlockSize rows, in delta-global row order.
+func deltaChunks(view *delta.View) []deltaChunk {
 	var chunks []deltaChunk
 	next := view.Lo()
 	view.ForEach(func(b *delta.Batch, lo, hi int) bool {
@@ -104,13 +103,29 @@ func deltaMorsels(plan *Plan, view *delta.View, del *bitmap.Bitmap) []morsel {
 		}
 		return true
 	})
+	return chunks
+}
+
+// deltaColumn presents the named fact column of chunks as a column, one
+// segment per chunk; position p is delta-global row chunks[0].base+p.
+func deltaColumn(chunks []deltaChunk, name string) *colstore.Column {
+	return colstore.NewSourcedColumn(name, nil, colstore.Unsorted,
+		deltaSource{chunks: chunks, name: name, blocks: make([]compress.IntBlock, len(chunks))})
+}
+
+// deltaMorsels cuts the write-store side of a snapshot into morsels, one
+// per deltaChunks chunk, bound to the plan's slots through deltaColumn
+// columns. del (nil = none) is the write-store deletion vector, indexed by
+// delta-global row; a morsel carries it only when a tombstone actually
+// falls inside its window.
+func deltaMorsels(plan *Plan, view *delta.View, del *bitmap.Bitmap) []morsel {
+	chunks := deltaChunks(view)
 	// One source per column, however many slots name it (flight 1 probes
 	// lo_discount and multiplies by it), so the slots share its blocks.
 	byName := map[string]*colstore.Column{}
 	cols := plan.bind(func(name string) *colstore.Column {
 		if byName[name] == nil {
-			byName[name] = colstore.NewSourcedColumn(name, nil, colstore.Unsorted,
-				deltaSource{chunks: chunks, name: name, blocks: make([]compress.IntBlock, len(chunks))})
+			byName[name] = deltaColumn(chunks, name)
 		}
 		return byName[name]
 	})
