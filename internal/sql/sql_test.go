@@ -252,3 +252,29 @@ func TestAdHocQueryBeyondBenchmark(t *testing.T) {
 		t.Fatalf("unexpected group count %d", len(res.Rows))
 	}
 }
+
+// TestCatalogResolvesSchema resolves every column ssb declares through its
+// SSB prefix: the catalog must know each one, on the right table, with the
+// declared type.
+func TestCatalogResolvesSchema(t *testing.T) {
+	p := &parser{aliases: map[string]string{}}
+	for _, c := range ssb.FactCols {
+		ref, err := p.resolve("lo_" + c.Name)
+		if err != nil || !ref.isFact || ref.col != c.Name {
+			t.Errorf("lo_%s resolves to %+v, %v", c.Name, ref, err)
+		}
+	}
+	prefix := map[ssb.Dim]string{ssb.DimCustomer: "c_", ssb.DimSupplier: "s_", ssb.DimPart: "p_", ssb.DimDate: "d_"}
+	for dim, pre := range prefix {
+		for _, c := range dim.Cols() {
+			ref, err := p.resolve(pre + c.Name)
+			if err != nil || ref.isFact || ref.dim != dim || ref.col != c.Name {
+				t.Errorf("%s%s resolves to %+v, %v", pre, c.Name, ref, err)
+				continue
+			}
+			if colIsInt(ref) != c.IsInt() {
+				t.Errorf("%s%s: catalog says int=%v, schema says %v", pre, c.Name, colIsInt(ref), c.IsInt())
+			}
+		}
+	}
+}
