@@ -260,6 +260,117 @@ func FuzzDeleteBody(f *testing.F) {
 	})
 }
 
+// countRevenueQ is select count(*), sum(lo_revenue) from lineorder.
+var countRevenueQ = &ssb.Query{ID: "count-revenue", Aggs: []ssb.AggSpec{
+	{Func: ssb.FuncCount}, {Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}}
+
+// FuzzInsertBody POSTs arbitrary bytes to /insert on one ingest server: the
+// handler answers 200, 400, 422 or 503 and never panics. An accepted batch
+// moves count(*) and sum(lo_revenue) by exactly the body's rows and revenue
+// (seeded bodies regenerated with ssb.RandBatch); a rejected one lands no
+// row, so the epoch does not move.
+func FuzzInsertBody(f *testing.F) {
+	srv, data, _ := openSegServerSF(f, 0.002, 0, Options{Ingest: true, CacheEntries: -1})
+	f.Cleanup(func() { srv.Close() })
+	col := srv.DB().ColumnDB(true)
+	shape, err := col.BatchShape()
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+
+	// row renders one valid explicit row with fields overridden; encoding/json
+	// keeps the last of duplicate keys, so overrides follow the defaults.
+	row := func(override string) string {
+		r := `{"custkey":1,"suppkey":1,"partkey":1,"orderdate":19940105,"quantity":9,"extendedprice":5000,"discount":2,"revenue":4900,"supplycost":3000`
+		if override != "" {
+			r += "," + override
+		}
+		return r + "}"
+	}
+	for _, body := range []string{
+		`{"rows":[` + row(`"custkey":0`) + `]}`,
+		`{"rows":[` + row(fmt.Sprintf(`"custkey":%d`, len(data.Customer.Key)+1)) + `]}`,
+		`{"rows":[` + row(`"orderdate":19920230`) + `]}`,
+		`{"rows":[` + row(`"shipmode":"BOAT"`) + `]}`,
+		`{"rows":[` + row(`"ordpriority":""`) + `]}`,
+		`{"rows":[` + row(`"ordpriority":"1-URGENT","shipmode":"MAIL","revenue":-7`) + `,` + row("") + `]}`,
+		`{"rows":[` + row("") + `,` + row(`"shipmode":"BOAT"`) + `,` + row(`"partkey":0`) + `]}`,
+		`{"seed":9,"rows":[` + row("") + `]}`,
+		`{"seed":9,"count":-5}`,
+		`{"seed":11,"count":40}`,
+		`{"seed":12,"count":3} trailing`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req insertRequest
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		if decoded && req.Seed != nil && req.Count > 10000 {
+			t.Skip("seeded batch past the harness's 10 000-row memory bound")
+		}
+		measure := func() (rows, revenue int64) {
+			resp, err := srv.Execute(context.Background(), countRevenueQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := resp.Result.Rows[0].AggValues()
+			return v[0], v[1]
+		}
+		rows0, rev0 := measure()
+		epoch0 := col.Epoch()
+
+		rec := serve(h, http.MethodPost, "/insert", string(body))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusServiceUnavailable:
+			if e := col.Epoch(); e != epoch0 {
+				t.Fatalf("%q: status %d, but the epoch moved %d -> %d", body, rec.Code, epoch0, e)
+			}
+			return
+		default:
+			t.Fatalf("%q: status %d (%s), want 200, 400, 422 or 503", body, rec.Code, rec.Body)
+		}
+		if !decoded {
+			t.Fatalf("%q: accepted, but does not decode", body)
+		}
+		var wantRows, wantRev int64
+		if req.Seed != nil {
+			n := req.Count
+			if n <= 0 {
+				n = 1000
+			}
+			b, err := ssb.RandBatch(*req.Seed, n, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRows = int64(b.Len())
+			for _, v := range b.Revenue {
+				wantRev += int64(v)
+			}
+		} else {
+			wantRows = int64(len(req.Rows))
+			for _, r := range req.Rows {
+				wantRev += int64(r.Revenue)
+			}
+		}
+		var out insertResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%q: response %s: %v", body, rec.Body, err)
+		}
+		if int64(out.Inserted) != wantRows {
+			t.Fatalf("%q: inserted %d rows, the body holds %d", body, out.Inserted, wantRows)
+		}
+		rows1, rev1 := measure()
+		if rows1-rows0 != wantRows || rev1-rev0 != wantRev {
+			t.Fatalf("%q: count(*) moved %d and sum(lo_revenue) %d, want %d and %d",
+				body, rows1-rows0, rev1-rev0, wantRows, wantRev)
+		}
+	})
+}
+
 // TestDeleteHTTP drives deletion vectors through the real HTTP surface
 // with a WAL attached: count before, /delete a value predicate, count
 // after (zero), idempotent re-delete, validation failures, and the /stats
