@@ -617,6 +617,9 @@ func (c *Column) DecodeAll(dst []int32, st *iosim.Stats) []int32 {
 // far. Callers racing cancellation must check ctx.Err before using the
 // result, exactly as with the block pipelines.
 func (c *Column) DecodeAllCtx(ctx context.Context, dst []int32, st *iosim.Stats) []int32 {
+	// One allocation for the whole column instead of one per block's
+	// append growth.
+	dst = slices.Grow(dst, c.n)
 	for bi := 0; bi < c.NumBlocks(); bi++ {
 		if ctx.Err() != nil {
 			return dst

@@ -18,7 +18,9 @@ import (
 const denseLimit = 1 << 22
 
 // groupExtractor turns fact foreign-key values into group-by attribute
-// codes for one GROUP BY column (join phase 3 from Section 5.4.1).
+// codes for one GROUP BY column (join phase 3 from Section 5.4.1). Its code
+// space is the attribute's domain — the dictionary, or the zone-map range —
+// until compact narrows it to the codes a fused plan's rows can reach.
 type groupExtractor struct {
 	fkCol   *colstore.Column
 	attrCol *colstore.Column // the dimension attribute load reads
@@ -45,6 +47,9 @@ type groupExtractor struct {
 	dict    *compress.Dict
 	minCode int32
 	card    int32
+	// orig maps a compacted code back to its domain code (nil: attr holds
+	// domain codes).
+	orig []int32
 }
 
 // newGroupExtractor lays out extraction for one group column from catalog
@@ -71,9 +76,9 @@ func (db *DB) newGroupExtractor(g ssb.GroupCol) *groupExtractor {
 	return ex
 }
 
-// load reads the dimension attribute column, charging st, and under
-// hash-join configurations builds the FK value -> attribute code table.
-func (ex *groupExtractor) load(db *DB, cfg Config, st *iosim.Stats) {
+// load reads the dimension attribute column, charging st, and for hash-join
+// extraction builds the FK value -> attribute code table.
+func (ex *groupExtractor) load(db *DB, hashJoin bool, st *iosim.Stats) {
 	attr := ex.attrCol.DecodeAll(nil, st)
 	if ex.dict == nil {
 		for i, v := range attr {
@@ -81,7 +86,7 @@ func (ex *groupExtractor) load(db *DB, cfg Config, st *iosim.Stats) {
 		}
 	}
 	ex.attr = attr
-	if cfg.InvisibleJoin {
+	if !hashJoin {
 		return
 	}
 	ex.viaHash = make(map[int32]int32, len(attr))
@@ -95,6 +100,32 @@ func (ex *groupExtractor) load(db *DB, cfg Config, st *iosim.Stats) {
 			ex.viaHash[int32(i)] = c
 		}
 	}
+}
+
+// compact renumbers, in place in the loaded attr, the codes reachable from
+// the admitted dimension positions (nil: every position) to 0..n-1 in
+// ascending domain order, and narrows card to n. A position outside the
+// admitted set maps to code 0, so attr is only correct at admitted positions.
+func (ex *groupExtractor) compact(admitted *vector.Positions) {
+	remap := make([]int32, ex.card)
+	if admitted == nil {
+		for _, c := range ex.attr {
+			remap[c] = 1
+		}
+	} else {
+		admitted.ForEach(func(p int32) { remap[ex.attr[p]] = 1 })
+	}
+	var orig []int32
+	for c, reached := range remap {
+		if reached != 0 {
+			remap[c] = int32(len(orig))
+			orig = append(orig, int32(c))
+		}
+	}
+	for i, c := range ex.attr {
+		ex.attr[i] = remap[c]
+	}
+	ex.orig, ex.card = orig, int32(len(orig))
 }
 
 // extract maps gathered FK values to attribute codes, appending to dst.
@@ -127,6 +158,9 @@ func (ex *groupExtractor) extract(db *DB, fkVals []int32, cfg Config, dst []int3
 
 // render converts an attribute code back to its display value.
 func (ex *groupExtractor) render(code int32) string {
+	if ex.orig != nil {
+		code = ex.orig[code]
+	}
 	if ex.dict != nil {
 		return ex.dict.Value(code)
 	}
@@ -135,7 +169,9 @@ func (ex *groupExtractor) render(code int32) string {
 
 // aggShape is the aggregate half of a plan: what is accumulated (specs over
 // distinct fact input columns) and how groups are keyed (one composite index
-// over the extractors' code spaces). Immutable once built.
+// over the extractors' code spaces — the values phase 1 admits for a fused
+// plan, the attribute domains for the ablation engines). Immutable once
+// built.
 type aggShape struct {
 	specs  []ssb.AggSpec
 	inputs []string // distinct aggregate input columns

@@ -10,7 +10,7 @@
 // One execution (DB.RunCtx, run.go) has one shape whatever the flags say:
 //
 //	snapshot  one consistent (sealed DB, delta view, deletion vectors, epoch) frontier (ingest.go)
-//	compile   ssb.Query + Config -> one Plan, join phase 1 run once; group attributes load where an engine first extracts (plan.go)
+//	compile   ssb.Query + Config -> one Plan, join phase 1 run once; group attributes load with a fused plan, else where an engine first extracts (plan.go)
 //	scan      the configured engine over the sealed store — fused (fused.go), per-probe (run.go) or early-mat (earlymat.go) — then the fused block routine over the delta's morsels (morsel.go)
 //	aggregate every stage accumulates into one aggregator; worker partials merge; one render (agg.go)
 //

@@ -405,6 +405,11 @@ func TestExplainOutputs(t *testing.T) {
 	if !strings.Contains(out, "via hash table") {
 		t.Errorf("Explain(3.1, tiCL) should mention hash extraction:\n%s", out)
 	}
+	// A fused plan reports its group space beside the domains' product.
+	out = testDBC.Explain(ssb.QueryByID("4.3"), FusedOpt)
+	if !strings.Contains(out, "group space:") {
+		t.Errorf("Explain(4.3, fused) should report the group space:\n%s", out)
+	}
 	// Early materialization plan.
 	cfg = FullOpt
 	cfg.LateMat = false

@@ -69,6 +69,9 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 			}
 		}
 	}
+	if cfg.FusedActive() && len(q.GroupBy) > 0 {
+		fmt.Fprintf(&b, "  group space: %d cells (attribute domains: %d)\n", plan.total, db.fusedGroupSpace(q))
+	}
 	rendered := make([]string, len(plan.specs))
 	for i, s := range plan.specs {
 		rendered[i] = s.String()

@@ -30,8 +30,12 @@ func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 	fused := cfg.FusedActive()
 	workers := 1
 	if fused {
+		// The compiled plan's group space is at most the catalog's and may
+		// be small enough to keep every worker where the catalog space alone
+		// would drop the scan to one, so charge the workers a zero space
+		// allows.
 		nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
-		workers = fusedWorkersFor(cfg.Workers, space, nb)
+		workers = fusedWorkersFor(cfg.Workers, 0, nb)
 	}
 
 	// Pinned segments: a worker pins at most one block per needed fact
@@ -77,13 +81,14 @@ func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 	}
 
 	if len(q.GroupBy) > 0 {
-		// One array of space x nAggs int64 cells per worker (fusedWorkersFor
-		// already degrades to one worker above fusedWorkerDenseLimit). Past
-		// the dense limit the aggregator hashes and its footprint tracks the
-		// groups actually seen; bound it by the dense limit rather than the
-		// raw (possibly astronomically overestimated) space.
-		cells := min(space, denseLimit)
-		foot += cells * nAggs * 8 * int64(workers)
+		// One array of plan-space x nAggs int64 cells per worker, where the
+		// plan's space is at most the catalog's: every worker's when it fits
+		// fusedWorkerDenseLimit, one worker's otherwise. Past the dense limit
+		// the aggregator hashes and its footprint tracks the groups actually
+		// seen; bound it by the dense limit rather than the raw (possibly
+		// astronomically overestimated) space.
+		cells := max(min(space, fusedWorkerDenseLimit)*int64(workers), min(space, denseLimit))
+		foot += cells * nAggs * 8
 		// Each GROUP BY column decodes its dimension attribute column.
 		for _, g := range q.GroupBy {
 			foot += int64(db.Dims[g.Dim].NumRows()) * 4

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -69,11 +70,13 @@ const fusedWorkerDenseLimit = 1 << 20
 // are read and charged — the iostats goldens — and is its own change.
 func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
 
-// fusedGroupSpace bounds the composite group cardinality from catalog
-// metadata only (dictionary sizes, block min/max), without charging I/O or
-// compiling a plan, so admission control (EstimateFootprint) can tell
-// whether a query will aggregate densely before it is admitted. A compiled
-// plan carries the same number as Plan.total.
+// fusedGroupSpace is the catalog upper bound on the composite group
+// cardinality: the product of the group attributes' domains (dictionary
+// sizes, min/max ranges), saturating at math.MaxInt64, computed without
+// charging I/O or compiling a plan. Admission control (EstimateFootprint)
+// keeps using it to size a query before it is admitted. A compiled fused
+// plan's Plan.total is at most this: it counts only the attribute values
+// phase 1 admits (compile).
 func (db *DB) fusedGroupSpace(q *ssb.Query) int64 {
 	total := int64(1)
 	for _, g := range q.GroupBy {
@@ -88,10 +91,10 @@ func (db *DB) fusedGroupSpace(q *ssb.Query) int64 {
 		if card < 1 {
 			card = 1
 		}
-		total *= card
-		if total > denseLimit {
-			return total
+		if total > math.MaxInt64/card {
+			return math.MaxInt64
 		}
+		total *= card
 	}
 	return total
 }

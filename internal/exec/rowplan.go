@@ -43,7 +43,7 @@ func (db *DB) compileRowPlan(q *ssb.Query, colIdx map[string]int, kernels bool, 
 	exs := make([]*groupExtractor, len(q.GroupBy))
 	for i, g := range q.GroupBy {
 		exs[i] = db.newGroupExtractor(g)
-		exs[i].load(db, Config{}, st) // InvisibleJoin off: build viaHash
+		exs[i].load(db, true, st) // row engines extract through viaHash
 		rp.exCols = append(rp.exCols, colIdx[g.Dim.FactFK()])
 	}
 	sh := newAggShape(q.AggSpecs(), exs)

@@ -79,12 +79,6 @@ func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.S
 		rec := newStageRec(tr, st)
 		plan := db.compile(q, cfg, st)
 		fused := cfg.FusedActive()
-		if fused {
-			// Every block extracts, so the group attributes are read with the
-			// plan; the per-probe pipeline reads them only if phase 2 leaves
-			// positions to extract at.
-			plan.loadExtractors(db, st)
-		}
 		rec.rec("plan", "", st, 0, 0, 0)
 		// The query's worker: scratch for the block routine plus the
 		// aggregator every stage below accumulates into.
@@ -202,6 +196,9 @@ type factProbe struct {
 	// sortedFirst marks probes that exploit the fact sort order and
 	// should run before everything else.
 	sortedFirst bool
+	// dimPos holds the dimension positions join phase 1 admitted (nil for
+	// fact measure filters): the rows whose foreign key passes the probe.
+	dimPos *vector.Positions
 }
 
 // matches reports membership of v in the probe's key set (dense or hash).
@@ -356,12 +353,23 @@ func (db *DB) dimKeys(dim ssb.Dim, pos *vector.Positions, kernels bool, st *iosi
 
 // dimProbe runs phase 1 of the join for one dimension: evaluate its
 // predicates against the dimension table, then summarize the matching keys
-// as a fact-column probe. With the invisible join enabled and a contiguous
-// match, the probe is a between predicate (Section 5.4.2); otherwise it is
-// a hash-set membership test.
+// as a fact-column probe that keeps the matching positions (compile lays out
+// fused group keys over them).
 func (db *DB) dimProbe(dim ssb.Dim, filters []ssb.DimFilter, cfg Config, st *iosim.Stats) *factProbe {
-	dimTab := db.Dims[dim]
 	dimPos := db.dimPositions(dim, filters, true, st)
+	probe := db.keyProbe(dim, dimPos, cfg, st)
+	probe.dimPos = dimPos
+	return probe
+}
+
+// keyProbe summarizes the qualifying dimension positions as a probe on the
+// fact foreign-key column. With the invisible join enabled and a contiguous
+// match, the probe is a between predicate (Section 5.4.2); otherwise it is
+// a membership test. Either way it is exact: a fact row passes iff its
+// foreign key names one of the positions (Insert admits no key the
+// dimension lacks).
+func (db *DB) keyProbe(dim ssb.Dim, dimPos *vector.Positions, cfg Config, st *iosim.Stats) *factProbe {
+	dimTab := db.Dims[dim]
 	fkCol := db.Fact.MustColumn(dim.FactFK())
 
 	if cfg.InvisibleJoin {
