@@ -128,7 +128,9 @@ func (l *loader) load(path string) (*Package, error) {
 	return p, nil
 }
 
-// parseDir parses the non-test Go files of one directory, with comments.
+// parseDir parses the non-test Go files of one directory that the host's
+// build constraints select (a //go:build line, a _GOOS suffix), with
+// comments.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -138,6 +140,11 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -109,11 +109,12 @@ func (s *Store) Append(table string, cols []AppendColumn, ck Checkpoint) error {
 		var merged []int32
 		if ns := len(cm.segs); ns > 0 && int(cm.segs[ns-1].rows) < colstore.BlockSize {
 			tail := cm.segs[ns-1]
-			blk, err := s.readSeg(tail, cm.table, cm.name)
+			blk, buf, err := s.readSeg(tail, cm.table, cm.name)
 			if err != nil {
 				return fmt.Errorf("segstore: merging partial tail: %w", err)
 			}
 			merged = blk.AppendTo(make([]int32, 0, int(tail.rows)+len(vals)))
+			s.pool.putBuf(buf)
 			keep = cm.segs[:ns-1]
 		}
 		prevMax, hasPrev := int32(0), false

@@ -1,6 +1,9 @@
 package segstore
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/compress"
@@ -46,21 +49,36 @@ type PoolStats struct {
 	// them with the rest of the epoch's counters.
 	Appends       int64 `json:"appends"`
 	AppendedBytes int64 `json:"appended_bytes"`
+	// Mapped is every payload buffer the pool owns, page-rounded: the
+	// resident frames' buffers, the spares and reads in flight. Spare is
+	// the part kept for reuse after its frame left (see Pool). Both live
+	// outside the Go heap, so neither is in runtime.MemStats.HeapInuse.
+	// Mappings counts buffers newly mapped since the last reset; a miss that
+	// reuses a spare maps none, so Mappings / Misses is the share of misses
+	// that made a syscall.
+	Mapped   int64 `json:"mapped"`
+	Spare    int64 `json:"spare"`
+	Mappings int64 `json:"mappings"`
 }
 
-// fetchFunc loads and decodes one segment, returning the block and its
-// on-disk payload size.
-type fetchFunc func(k SegKey) (compress.IntBlock, int64, error)
+// fetchFunc loads and decodes one segment. It returns the block, its on-disk
+// payload size, and the payload buffer the block views: a buffer from the
+// pool's getBuf that the frame then owns, or nil when the block holds a
+// decoded copy and the fetch has given its read buffer back.
+type fetchFunc func(k SegKey) (compress.IntBlock, int64, []byte, error)
 
 // frame is one resident (or loading) segment. Its block holds the segment's
-// payload once: a bit-packed block is a view over the bytes the fetch read.
+// payload once: a bit-packed block is a view over buf, the bytes the fetch
+// read, which the frame owns from its fetch until it leaves the pool
+// (evicted, reset or closed — never while pinned) and gives buf back.
 // Every field but key, ready and (once ready is closed) blk and err is
 // guarded by the pool's mu.
 type frame struct {
 	key        SegKey
 	blk        compress.IntBlock
-	bytes      int64 // compressed payload bytes (what the budget charges)
-	logical    int64 // decoded size, 4 B/value (reporting only)
+	buf        []byte // the payload buffer blk views; nil for a decoded copy
+	bytes      int64  // compressed payload bytes (what the budget charges)
+	logical    int64  // decoded size, 4 B/value (reporting only)
 	pins       int
 	ref        bool          // re-touched after it stopped being new: spared once by the sweep
 	born       int64         // the pool's loaded count when the frame arrived (set again when its fetch completes)
@@ -101,6 +119,22 @@ type frame struct {
 // budget/16 is a middle value, not a tuned one. The same replays compared
 // aging at one, two and three budgets.
 //
+// Payload buffers live outside the Go heap (mapBuf, an anonymous mapping on
+// unix). The garbage collector paces on the live heap, so pointer-free
+// frame bytes on the heap would buy it as much headroom again, for bytes it
+// never needs to collect (PERFORMANCE.md, "Memory: frames outside the Go
+// heap"). A frame gives its buffer back when it leaves the pool, and a read
+// buffer whose block decoded into a copy comes back at once. The pool keeps
+// what comes back as spares, at most spareKeep per page-rounded length, so
+// a steady-state miss reuses a buffer: no syscall, no zeroed pages. Spare
+// bytes are therefore at most spareKeep times the sum of the distinct
+// page-rounded payload lengths. compress.Choose never picks an encoding
+// larger than plain's 4 B per value, so a colstore.BlockSize block's
+// payload spans at most 65 pages of 4 KiB: at most 65 lengths, and Spare ≤
+// 2 × (1+2+…+65) pages = 16.8 MiB whatever the budget. Buffers past the
+// bound are unmapped once mu is released (unlock): no syscall runs under
+// the lock.
+//
 // All methods are safe for concurrent use; the fused executor's morsel
 // workers acquire segments from many goroutines at once. The pool lock is
 // never held across a storage fetch — concurrent misses on different
@@ -117,23 +151,49 @@ type Pool struct {
 	age     *frame            // guarded by mu; the aging hand: the next frame tested for staleness (nil when empty)
 	stats   PoolStats         // guarded by mu
 	fetch   fetchFunc
+
+	spares map[int][][]byte // guarded by mu; given-back buffers by page-rounded length, at most spareKeep each
+	spare  int64            // guarded by mu; bytes in spares
+	mapped int64            // guarded by mu; bytes of every live buffer from getBuf
+	unmapQ [][]byte         // guarded by mu; buffers past the spare bound, unmapped by unlock
+	closed bool             // guarded by mu; set by close: no further acquires, no spares kept
 }
+
+// spareKeep is how many given-back buffers the pool keeps per page-rounded
+// length. Under scan_bounded's traffic (a 30 MB budget at SF=1, the 13
+// queries in shuffled passes after warm-up), two let 96 % of misses reuse a
+// buffer; one let 84 %.
+const spareKeep = 2
+
+// pageSize is the granularity buffers are mapped and recycled at.
+var pageSize = os.Getpagesize()
+
+// pageRound rounds n up to whole pages: the length of n's buffer class.
+func pageRound(n int) int { return (n + pageSize - 1) &^ (pageSize - 1) }
+
+// errPoolClosed is what Acquire returns once the store is closed.
+var errPoolClosed = errors.New("segstore: store is closed")
 
 // NewPool returns a pool that fetches segments through fetch and keeps at
 // most budget resident payload bytes (<= 0 for unbounded). Pinned frames
 // are never evicted, so the budget is exceeded transiently when a query
 // pins more than fits.
 func NewPool(budget int64, fetch fetchFunc) *Pool {
-	return &Pool{budget: budget, frames: map[SegKey]*frame{}, fetch: fetch}
+	return &Pool{budget: budget, frames: map[SegKey]*frame{}, fetch: fetch, spares: map[int][][]byte{}}
 }
 
 // Budget returns the configured byte budget (<= 0 means unbounded).
 func (p *Pool) Budget() int64 { return p.budget }
 
 // Acquire returns the decoded segment for k, pinned until the returned
-// release function is called (exactly once).
+// release function is called (exactly once). Once the pool is closed it
+// returns an error, never a frame.
 func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, nil, errPoolClosed
+	}
 	if f, ok := p.frames[k]; ok {
 		f.pins++
 		if p.loaded-f.born >= p.budget/16 {
@@ -154,7 +214,7 @@ func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 	p.linkLocked(f)
 	p.mu.Unlock()
 
-	blk, bytes, err := p.fetch(k)
+	blk, bytes, buf, err := p.fetch(k)
 
 	// The whole stats entry for a miss (the miss count, its payload bytes
 	// and its priced physical I/O) commits under one lock hold at fetch
@@ -175,7 +235,7 @@ func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 		p.unpin(f)
 		return nil, nil, err
 	}
-	f.blk, f.bytes = blk, bytes
+	f.blk, f.bytes, f.buf = blk, bytes, buf
 	f.logical = int64(blk.Len()) * 4
 	p.used += bytes
 	p.logical += f.logical
@@ -187,7 +247,7 @@ func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 	}
 	p.evictLocked()
 	close(f.ready)
-	p.mu.Unlock()
+	p.unlock()
 	return blk, func() { p.unpin(f) }, nil
 }
 
@@ -195,14 +255,18 @@ func (p *Pool) Acquire(k SegKey) (compress.IntBlock, func(), error) {
 // while everything was pinned, the release that makes frames evictable
 // sweeps back under budget — without this, a workload whose last miss
 // happened under heavy pinning would sit over budget until some future
-// miss.
+// miss. The last release of a frame that was pinned when the pool closed
+// gives its buffer back.
 func (p *Pool) unpin(f *frame) {
 	p.mu.Lock()
 	f.pins--
+	if p.closed && f.pins == 0 && p.frames[f.key] == f {
+		p.forgetLocked(f)
+	}
 	if p.budget > 0 && p.used > p.budget {
 		p.evictLocked()
 	}
-	p.mu.Unlock()
+	p.unlock()
 }
 
 // evictLocked evicts until the pool fits its budget. Each step first tests
@@ -252,10 +316,84 @@ func (p *Pool) evictLocked() {
 
 // dropLocked evicts the unpinned frame f. holds mu.
 func (p *Pool) dropLocked(f *frame) {
+	p.stats.Evictions++
+	p.forgetLocked(f)
+}
+
+// forgetLocked takes the unpinned frame f out of the pool and gives its
+// payload buffer back. holds mu.
+func (p *Pool) forgetLocked(f *frame) {
 	p.used -= f.bytes
 	p.logical -= f.logical
-	p.stats.Evictions++
 	p.removeLocked(f)
+	p.freeLocked(f.buf)
+	f.buf = nil
+}
+
+// getBuf returns an n-byte payload buffer outside the Go heap: a spare of
+// n's page-rounded length when the pool keeps one, else a new mapping. Its
+// contents are whatever the buffer last held; the caller overwrites all n
+// bytes. The caller owns it until it gives it back through putBuf (or, for
+// a frame's buffer, until the frame leaves the pool).
+func (p *Pool) getBuf(n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	size := pageRound(n)
+	p.mu.Lock()
+	if s := p.spares[size]; len(s) > 0 {
+		b := s[len(s)-1]
+		s[len(s)-1] = nil
+		p.spares[size] = s[:len(s)-1]
+		p.spare -= int64(size)
+		p.mu.Unlock()
+		return b[:n], nil
+	}
+	p.mu.Unlock()
+	b, err := mapBuf(size)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: mapping a %d-byte payload buffer: %w", size, err)
+	}
+	p.mu.Lock()
+	p.mapped += int64(size)
+	p.stats.Mappings++
+	p.mu.Unlock()
+	return b[:n], nil
+}
+
+// putBuf gives back a buffer from getBuf (nil is a no-op). No slice of it
+// may be used afterwards.
+func (p *Pool) putBuf(b []byte) {
+	p.mu.Lock()
+	p.freeLocked(b)
+	p.unlock()
+}
+
+// freeLocked keeps b as a spare, or queues it for unmapping when its length
+// already has spareKeep spares or the pool is closed. holds mu.
+func (p *Pool) freeLocked(b []byte) {
+	if b == nil {
+		return
+	}
+	b = b[:cap(b)]
+	if s := p.spares[len(b)]; !p.closed && len(s) < spareKeep {
+		p.spares[len(b)] = append(s, b)
+		p.spare += int64(len(b))
+		return
+	}
+	p.mapped -= int64(len(b))
+	p.unmapQ = append(p.unmapQ, b)
+}
+
+// unlock releases mu, then unmaps the buffers freeLocked queued while it was
+// held. holds mu (on entry).
+func (p *Pool) unlock() {
+	q := p.unmapQ
+	p.unmapQ = nil
+	p.mu.Unlock()
+	for _, b := range q {
+		_ = unmapBuf(b) // a whole mapping from mapBuf, given back once: cannot fail
+	}
 }
 
 // linkLocked puts a new frame on the ring at the hand: just newer than the
@@ -296,6 +434,8 @@ func (p *Pool) Stats() PoolStats {
 	s := p.stats
 	s.Resident = p.used
 	s.ResidentLogical = p.logical
+	s.Mapped = p.mapped
+	s.Spare = p.spare
 	return s
 }
 
@@ -324,20 +464,39 @@ func (p *Pool) PinnedFrames() int {
 	return n
 }
 
-// Reset drops every unpinned frame and zeroes the counters, so a following
-// run measures a cold cache. Pinned frames (a concurrent query in flight)
-// survive with their bytes still counted, and a fetch in flight at reset
-// time commits its miss/bytes entry to the new epoch when it completes
-// (see Acquire) — the counters stay internally consistent either way.
+// Reset drops every unpinned frame, giving its buffer back, and zeroes the
+// counters, so a following run measures a cold cache. Pinned frames (a
+// concurrent query in flight) survive with their bytes still counted, and a
+// fetch in flight at reset time commits its miss/bytes entry to the new
+// epoch when it completes (see Acquire) — the counters stay internally
+// consistent either way.
 func (p *Pool) Reset() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, f := range p.frames {
 		if f.pins == 0 {
-			p.used -= f.bytes
-			p.logical -= f.logical
-			p.removeLocked(f)
+			p.forgetLocked(f)
 		}
 	}
 	p.stats = PoolStats{}
+	p.unlock()
+}
+
+// close refuses every later Acquire, drops every unpinned frame and unmaps
+// its buffer and every spare. A frame pinned at close is dropped at its
+// last release (unpin). Idempotent.
+func (p *Pool) close() {
+	p.mu.Lock()
+	p.closed = true
+	for _, f := range p.frames {
+		if f.pins == 0 {
+			p.forgetLocked(f)
+		}
+	}
+	for size, s := range p.spares {
+		p.mapped -= int64(size * len(s))
+		p.unmapQ = append(p.unmapQ, s...)
+		delete(p.spares, size)
+	}
+	p.spare = 0
+	p.unlock()
 }

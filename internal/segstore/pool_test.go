@@ -20,19 +20,19 @@ func newTestFetcher() *testFetcher {
 	return &testFetcher{fetches: map[SegKey]int{}, fail: map[SegKey]bool{}}
 }
 
-func (f *testFetcher) fetch(k SegKey) (compress.IntBlock, int64, error) {
+func (f *testFetcher) fetch(k SegKey) (compress.IntBlock, int64, []byte, error) {
 	f.mu.Lock()
 	f.fetches[k]++
 	failing := f.fail[k]
 	f.mu.Unlock()
 	if failing {
-		return nil, 0, fmt.Errorf("synthetic read error for %v", k)
+		return nil, 0, nil, fmt.Errorf("synthetic read error for %v", k)
 	}
 	vals := make([]int32, 25) // 100 bytes plain
 	for i := range vals {
 		vals[i] = k.Col*1000 + k.Seg
 	}
-	return compress.NewPlainBlock(vals), 100, nil
+	return compress.NewPlainBlock(vals), 100, nil, nil
 }
 
 // TestPoolHitMiss verifies hit/miss accounting and that a resident segment

@@ -354,9 +354,14 @@ func (s *Store) Pool() *Pool { return s.pool }
 // this store since open.
 func (s *Store) Syncs() int64 { return s.syncs.Load() }
 
-// Close closes the underlying file. Outstanding pinned segments remain
-// usable (they are decoded in memory); further misses will fail.
-func (s *Store) Close() error { return s.f.Close() }
+// Close gives back the buffer of every unpinned pool frame and every spare,
+// then closes the underlying file. A segment pinned at Close stays usable
+// until its release, which gives its buffer back; every Acquire after Close
+// fails.
+func (s *Store) Close() error {
+	s.pool.close()
+	return s.f.Close()
+}
 
 // Table materializes the named table as colstore columns backed by the
 // store's buffer pool. The returned table is a snapshot of the directory at
@@ -397,23 +402,43 @@ func (s *Store) physSeg(col, pid int32) (segMeta, string, string, error) {
 // CRC, decode the block. The key's Seg component is the physical frame id,
 // so segments from superseded directory snapshots (a replaced partial tail)
 // remain loadable for readers that still hold them.
-func (s *Store) loadSegment(k SegKey) (compress.IntBlock, int64, error) {
+func (s *Store) loadSegment(k SegKey) (compress.IntBlock, int64, []byte, error) {
 	seg, table, name, err := s.physSeg(k.Col, k.Seg)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	blk, err := s.readSeg(seg, table, name)
+	blk, buf, err := s.readSeg(seg, table, name)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	return blk, int64(seg.plen), nil
+	return blk, int64(seg.plen), buf, nil
 }
 
 // readSeg reads and decodes one physical segment directly from the file.
-// The payload is read into a buffer of its own and its CRC checked before
-// DecodeBlock sees it; a bit-packed block keeps that buffer as its words.
-func (s *Store) readSeg(seg segMeta, table, name string) (compress.IntBlock, error) {
-	payload := make([]byte, seg.plen)
+// The payload is read into a buffer from the pool's getBuf, outside the Go
+// heap, and its CRC checked before DecodeBlock sees it. A bit-packed block
+// is a view over that buffer (DecodeBlock's contract), so readSeg returns
+// the buffer with the block and the caller owns it until it gives it back
+// with Pool.putBuf: a pool frame does so when it leaves the pool, the
+// append path once it has decoded the old tail. RLE and plain blocks decode
+// into copies, so their read buffer goes straight back for reuse and the
+// returned buffer is nil; so it is on error.
+func (s *Store) readSeg(seg segMeta, table, name string) (compress.IntBlock, []byte, error) {
+	buf, err := s.pool.getBuf(int(seg.plen))
+	if err != nil {
+		return nil, nil, fmt.Errorf("segstore: table %q column %q segment %d: %w", table, name, seg.pid, err)
+	}
+	blk, err := s.decodeSeg(buf, seg, table, name)
+	if err != nil || seg.enc != compress.BitPack {
+		s.pool.putBuf(buf)
+		buf = nil
+	}
+	return blk, buf, err
+}
+
+// decodeSeg fills payload with the segment's bytes, checks their CRC and
+// decodes them.
+func (s *Store) decodeSeg(payload []byte, seg segMeta, table, name string) (compress.IntBlock, error) {
 	if _, err := s.f.ReadAt(payload, int64(seg.off)); err != nil {
 		return nil, fmt.Errorf("segstore: table %q column %q segment %d: reading payload: %w", table, name, seg.pid, err)
 	}

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -187,7 +188,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 		t.Fatalf("Open after payload corruption should succeed (lazy reads): %v", err)
 	}
 	defer st2.Close()
-	_, _, err = st2.loadSegment(SegKey{Col: 0, Seg: 0})
+	_, _, _, err = st2.loadSegment(SegKey{Col: 0, Seg: 0})
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") ||
 		!strings.Contains(err.Error(), `column "sorted"`) {
 		t.Fatalf("corrupt payload error = %v", err)
@@ -339,5 +340,33 @@ func TestSaveAtomic(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
+	}
+}
+
+// TestSaveSurfacesFailures makes two of Save's steps fail: a rename onto a
+// directory, and the directory fsync after a good rename. Each surfaces as
+// Save's error, and the failed rename leaves no temp file.
+func TestSaveSurfacesFailures(t *testing.T) {
+	tab := buildTestTable(t, 100)
+	dir := t.TempDir()
+
+	blocked := filepath.Join(dir, "blocked.seg")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(blocked, 0.1, []*colstore.Table{tab}); err == nil {
+		t.Fatal("Save onto a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("a failed rename left its temp file")
+	}
+
+	injected := errors.New("injected directory fsync failure")
+	failSync := func(string) error { return injected }
+	if err := save(filepath.Join(dir, "x.seg"), 0.1, []*colstore.Table{tab}, failSync); !errors.Is(err, injected) {
+		t.Fatalf("save = %v, want the directory fsync's error", err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir on a missing directory returned nil")
 	}
 }

@@ -3,10 +3,12 @@ package segstore
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/colstore"
 	"repro/internal/compress"
@@ -74,21 +76,51 @@ func Write(w io.Writer, sf float64, tables []*colstore.Table) error {
 	return bw.Flush()
 }
 
-// Save writes the tables to path atomically (temp file + rename).
+// Save writes the tables to path atomically and durably: a temp file,
+// fsynced, renamed over path, then the directory fsynced so the rename
+// survives a crash. Every step's error is returned; a save that fails
+// before its rename removes the temp file.
 func Save(path string, sf float64, tables []*colstore.Table) error {
+	return save(path, sf, tables, syncDir)
+}
+
+// save is Save with the directory fsync passed in, so a test can make it
+// fail.
+func save(path string, sf float64, tables []*colstore.Table, syncDir func(dir string) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, sf, tables); err != nil {
-		_ = f.Close()
+	err = Write(f, sf, tables)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("segstore: %s: syncing the directory after the rename: %w", path, err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, which makes a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

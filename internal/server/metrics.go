@@ -73,6 +73,10 @@ func (s *Server) initMetrics() {
 		func() int64 { return pool().Resident })
 	r.GaugeFunc("ssb_pool_resident_logical_bytes", "", "Decoded (4 B/value) size of the pool's resident working set.",
 		func() int64 { return pool().ResidentLogical })
+	r.GaugeFunc("ssb_pool_mapped_bytes", "", "Page-rounded payload buffers the buffer pool owns outside the Go heap: resident frames, spares and reads in flight.",
+		func() int64 { return pool().Mapped })
+	r.GaugeFunc("ssb_pool_spare_bytes", "", "Page-rounded payload buffers the buffer pool keeps for reuse after their frames left.",
+		func() int64 { return pool().Spare })
 	r.GaugeFunc("ssb_pool_pinned_frames", "", "Buffer-pool frames currently pinned by executing queries.",
 		func() int64 {
 			if seg == nil {

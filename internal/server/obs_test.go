@@ -149,6 +149,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ssb_cache_entries gauge",
 		"ssb_pool_resident_bytes gauge",
 		"ssb_pool_resident_logical_bytes gauge",
+		"ssb_pool_mapped_bytes gauge",
+		"ssb_pool_spare_bytes gauge",
 		"ssb_pool_pinned_frames gauge",
 		"ssb_ws_pending_bytes gauge",
 		"ssb_ws_pending_rows gauge",

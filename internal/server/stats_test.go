@@ -55,6 +55,9 @@ type statsDoc struct {
 		Pinned          int   `json:"pinned_frames"`
 		Appends         int64 `json:"appends"`
 		AppendedBytes   int64 `json:"appended_bytes"`
+		Mapped          int64 `json:"mapped"`
+		Spare           int64 `json:"spare"`
+		Mappings        int64 `json:"mappings"`
 	} `json:"pool"`
 	Recovery string `json:"recovery"`
 }
@@ -182,16 +185,19 @@ var poolLeaves = []string{
 	"pool.bytes_read number",
 	"pool.evictions number",
 	"pool.hits number",
+	"pool.mapped number",
+	"pool.mappings number",
 	"pool.misses number",
 	"pool.peak number",
 	"pool.pinned_frames number",
 	"pool.resident number",
 	"pool.resident_logical number",
+	"pool.spare number",
 }
 
 // TestStatsLeafSet pins /stats's shape: the exact set of leaf paths and
 // their JSON kinds, for a segment store with ingest and a WAL after one
-// insert (58 leaves) and for an in-memory store (47, no pool section).
+// insert (61 leaves) and for an in-memory store (47, no pool section).
 func TestStatsLeafSet(t *testing.T) {
 	check := func(label string, got, want []string) {
 		t.Helper()
@@ -258,6 +264,8 @@ var statsPathOf = map[string]string{
 	"ssb_cache_entries":               "server.cache_entries",
 	"ssb_pool_resident_bytes":         "pool.resident",
 	"ssb_pool_resident_logical_bytes": "pool.resident_logical",
+	"ssb_pool_spare_bytes":            "pool.spare",
+	"ssb_pool_mapped_bytes":           "pool.mapped",
 	"ssb_pool_pinned_frames":          "pool.pinned_frames",
 	"ssb_ws_pending_bytes":            "server.delta.pending_bytes",
 	"ssb_ws_pending_rows":             "server.delta.pending_rows",
@@ -325,7 +333,7 @@ func TestStatsMetricsAgree(t *testing.T) {
 		t.Errorf("/metrics exports %d counters and gauges, want %d", exported, len(statsPathOf))
 	}
 	for _, path := range []string{"server.cache_hits", "server.inserts", "server.deleted_rows",
-		"server.ws_full_rejects", "server.retry_after_sent", "server.wal.syncs", "pool.evictions"} {
+		"server.ws_full_rejects", "server.retry_after_sent", "server.wal.syncs", "pool.evictions", "pool.mapped"} {
 		if st[path] == 0 {
 			t.Errorf("%s is zero after the traffic meant to move it", path)
 		}

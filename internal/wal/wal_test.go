@@ -358,3 +358,42 @@ func BenchmarkGroupCommit(b *testing.B) {
 		}
 	}
 }
+
+// TestRewriteFailsOnDirSyncError makes the directory fsync after a rewrite's
+// rename fail: Rewrite must return that error, and the log must refuse
+// every later append, since the records it would ack may not survive a
+// crash.
+func TestRewriteFailsOnDirSyncError(t *testing.T) {
+	path := tempLog(t)
+	l, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Commit(appendAll(t, l, sampleRecords())); err != nil {
+		t.Fatal(err)
+	}
+	injected := fmt.Errorf("injected directory fsync failure")
+	l.syncDir = func(string) error { return injected }
+	err = l.Rewrite([]Record{Insert{Row: 7, Cols: [][]int32{{1}}}})
+	if err == nil || !strings.Contains(err.Error(), injected.Error()) {
+		t.Fatalf("Rewrite = %v, want the directory fsync's error", err)
+	}
+	if _, err := l.Append(Delete{WS: []int64{7}}); err == nil {
+		t.Fatal("Append after a failed rewrite succeeded")
+	}
+	if st := l.Stats(); st.Rewrites != 0 {
+		t.Fatalf("a failed rewrite was counted: %+v", st)
+	}
+}
+
+// TestSyncDirReportsErrors pins that syncDir returns what it hits instead
+// of swallowing it.
+func TestSyncDirReportsErrors(t *testing.T) {
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir on a directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("syncDir on a missing directory returned nil")
+	}
+}
