@@ -19,10 +19,12 @@ var updateDigest = flag.Bool("update", false, "rewrite testdata/segment_digest_s
 const digestPath = "testdata/segment_digest_sf001.json"
 
 // segmentDigests are the SHA-256 values of the two files TestSegmentFileDigest
-// writes, hex encoded.
+// writes, hex encoded, and the appended file's size in bytes (so a change in
+// what an append writes shows in the golden's diff as a number).
 type segmentDigests struct {
-	Saved    string `json:"saved"`
-	Appended string `json:"appended"`
+	Saved         string `json:"saved"`
+	Appended      string `json:"appended"`
+	AppendedBytes int64  `json:"appended_bytes"`
 }
 
 // TestSegmentFileDigest pins the physical layout byte for byte: the file
@@ -71,6 +73,11 @@ func TestSegmentFileDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.Appended = fileSHA256(t, path)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.AppendedBytes = fi.Size()
 
 	if *updateDigest {
 		raw, err := json.MarshalIndent(got, "", " ")
@@ -95,6 +102,9 @@ func TestSegmentFileDigest(t *testing.T) {
 	}
 	if got.Appended != want.Appended {
 		t.Errorf("appended segment file SHA-256 %s, golden %s: the write path's layout changed", got.Appended, want.Appended)
+	}
+	if got.AppendedBytes != want.AppendedBytes {
+		t.Errorf("appended segment file is %d bytes, golden %d", got.AppendedBytes, want.AppendedBytes)
 	}
 }
 
