@@ -27,9 +27,12 @@ import (
 //     (locateFooter) recovers the pre-append state, losing only the rows
 //     of the interrupted append, and a writable reopen trims the torn
 //     tail.
-//   - Each append leaves the superseded footer+trailer behind as dead
-//     bytes inside the payload region — the space cost of crash safety,
-//     bounded by one directory per tuple-mover pass.
+//   - Each append leaves the superseded footer+trailer behind inside the
+//     payload region — the space cost of crash safety. The new footer
+//     references every dictionary an earlier footer already holds instead
+//     of re-encoding it (format.go), so what goes dead per tuple-mover
+//     pass is one dictionary-free directory, and the referenced
+//     dictionaries stay live for as long as a footer names them.
 //   - Every footer carries the appended table's Checkpoint, written in the
 //     same commit as the rows it accounts for, so the recovery record can
 //     never disagree with the file: a torn append loses the rows and the
@@ -124,12 +127,13 @@ func (s *Store) Append(table string, cols []AppendColumn, ck Checkpoint) error {
 		merged = append(merged, vals...)
 
 		nc := &colMeta{
-			table: cm.table,
-			name:  cm.name,
-			sort:  colstore.AppendSortKind(cm.sort, hasPrev, prevMax, merged),
-			dict:  cm.dict,
-			ord:   cm.ord,
-			segs:  append([]segMeta(nil), keep...),
+			table:  cm.table,
+			name:   cm.name,
+			sort:   colstore.AppendSortKind(cm.sort, hasPrev, prevMax, merged),
+			dict:   cm.dict,
+			dictAt: cm.dictAt,
+			ord:    cm.ord,
+			segs:   append([]segMeta(nil), keep...),
 		}
 		nextPid := pidBase[i]
 		for off := 0; off < len(merged); off += colstore.BlockSize {
@@ -230,7 +234,7 @@ func (s *Store) commit(tm *tableMeta, ck Checkpoint, newPhys [][]segMeta, payloa
 	}
 	writeAt := s.writeEnd
 	s.mu.RUnlock()
-	footer := encodeFooter(metas)
+	footer, placed := encodeFooter(metas)
 
 	// Two-sync commit protocol: payloads and footer must be durable BEFORE
 	// the trailer that makes them discoverable. With a single sync the
@@ -258,8 +262,14 @@ func (s *Store) commit(tm *tableMeta, ck Checkpoint, newPhys [][]segMeta, payloa
 	}
 	s.syncs.Add(1)
 
-	// Durable on disk: swap the live directory.
+	// Durable on disk: swap the live directory, and let later footers
+	// reference the dictionaries this one wrote inline.
+	footerAt := uint64(writeAt) + uint64(len(payload))
 	s.mu.Lock()
+	for _, p := range placed {
+		p.at.off += footerAt
+		p.col.dictAt = p.at
+	}
 	s.tables[tm.name] = tm
 	for i, nc := range tm.cols {
 		s.cols[nc.ord] = nc

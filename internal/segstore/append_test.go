@@ -2,12 +2,16 @@ package segstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/compress"
 )
 
 // appendCols builds an AppendColumn set of n rows for the test table: the
@@ -269,5 +273,182 @@ func TestTornAppendRecovery(t *testing.T) {
 	got2, _ := re2.Table("t")
 	if got2.NumRows() != rowsAfterFirst+100 {
 		t.Fatalf("post-heal table has %d rows, want %d", got2.NumRows(), rowsAfterFirst+100)
+	}
+}
+
+// TestAppendReferencesDictionaries pins what an append writes: a footer that
+// references the dictionaries the file already holds instead of repeating
+// them. Over k appends and checkpoints on a table whose dictionary is large,
+// the file grows by at most the payload plus k dictionary-free footers and
+// trailers; a reopen resolves the references to the original values; a torn
+// last append recovers to the previous footer, whose references still
+// resolve; and a flipped byte inside a referenced range fails Open naming the
+// column.
+func TestAppendReferencesDictionaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names := make([]string, 20000)
+	for i := range names {
+		names[i] = fmt.Sprintf("Customer#%09d %08x", i, rng.Uint32())
+	}
+	dict := compress.BuildDict(names)
+	rows := colstore.BlockSize + 500
+	strs := make([]string, rows)
+	for i := range strs {
+		strs[i] = names[rng.Intn(len(names))]
+	}
+	small, tab := buildTestTable(t, rows), colstore.NewTable("t")
+	for _, name := range []string{"sorted", "lowcard", "mono"} {
+		tab.AddColumn(small.MustColumn(name))
+	}
+	tab.AddColumn(colstore.NewColumn("region", dict.Encode(strs, nil), dict, colstore.Unsorted, true))
+	st, path := saveTestStore(t, tab, 0)
+
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// dictFree is the live footer's size with every dictionary reduced to a
+	// reference.
+	dictFree := func() int64 {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer, at := footerOf(raw)
+		metas, err := decodeFooter(footer, at, readFrom(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := 0
+		for _, c := range metas[0].cols {
+			if c.dict != nil {
+				c.dict, refs = nil, refs+1
+			}
+		}
+		stripped, _ := encodeFooter(metas)
+		return int64(len(stripped) + refs*(8+8+4))
+	}
+	inlineBytes := int64(st.tables["t"].cols[3].dictAt.n)
+	if inlineBytes < 500_000 {
+		t.Fatalf("dictionary is %d bytes inline; the test needs a large one", inlineBytes)
+	}
+
+	// Commits alternate checkpoint, append, ..., ending with an append.
+	const k = 6
+	appended := func(i int) int { return 3000 + 30000*i }
+	var prevSize int64
+	for i := 0; i < k; i++ {
+		before, payloadBefore := size(), st.Pool().Stats().AppendedBytes
+		if i%2 == 1 {
+			n := appended(i)
+			if err := st.Append("t", appendCols(n, int32(rows/3), true, int64(20+i)), Checkpoint{LogRows: int64(rows)}); err != nil {
+				t.Fatal(err)
+			}
+			rows += n
+		} else if err := st.SetCheckpoint("t", Checkpoint{LogRows: int64(rows), Deleted: deleted(rows, [2]int{i, 2*i + 1})}); err != nil {
+			t.Fatal(err)
+		}
+		payload := st.Pool().Stats().AppendedBytes - payloadBefore
+		if grew, bound := size()-before, payload+dictFree()+20; grew > bound {
+			t.Fatalf("commit %d grew the file by %d B; payload %d B + dictionary-free footer and trailer allow %d B", i, grew, payload, bound)
+		}
+		if i == k-2 {
+			prevSize = size()
+		}
+	}
+	loc := st.tables["t"].cols[3].dictAt
+	st.Close()
+
+	check := func(label, p string, wantRows int) {
+		t.Helper()
+		re, err := OpenWith(p, OpenOptions{Log: func(string) {}})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer re.Close()
+		got, err := re.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows() != wantRows {
+			t.Fatalf("%s: %d rows, want %d", label, got.NumRows(), wantRows)
+		}
+		if !slices.Equal(got.MustColumn("region").Dict.Values(), dict.Values()) {
+			t.Fatalf("%s: the reopened dictionary differs from the original", label)
+		}
+	}
+	check("reopen", path, rows)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last commit was an append: cut the file halfway through it.
+	torn := filepath.Join(t.TempDir(), "torn.seg")
+	if err := os.WriteFile(torn, raw[:prevSize+(int64(len(raw))-prevSize)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("torn last append", torn, rows-appended(k-1))
+
+	flipped := filepath.Join(t.TempDir(), "flipped.seg")
+	raw[loc.off+loc.n/2] ^= 0x20
+	if err := os.WriteFile(flipped, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := Open(flipped, 0); err == nil {
+		re.Close()
+		t.Fatal("a store whose referenced dictionary is corrupt opened")
+	} else if !strings.Contains(err.Error(), `table "t" column "region"`) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("corrupt referenced dictionary: err = %v, want a checksum error naming the column", err)
+	}
+}
+
+// TestCommitPlacesInlineDictionary covers a dictionary with no known copy in
+// the file: commit writes it inline once, records where, and the next footer
+// references that copy instead of writing it again.
+func TestCommitPlacesInlineDictionary(t *testing.T) {
+	tab := buildTestTable(t, 1000)
+	st, path := saveTestStore(t, tab, 0)
+	region := st.tables["t"].cols[3]
+	region.dictAt = dictLoc{}
+	footerLen := func() int {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer, _ := footerOf(raw)
+		return len(footer)
+	}
+	before := st.writeEnd
+	if err := st.SetCheckpoint("t", Checkpoint{LogRows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	placed, inlineLen := region.dictAt, footerLen()
+	if placed.n == 0 || placed.off < uint64(before) {
+		t.Fatalf("the dictionary written inline was not placed in the new footer: %+v (footer starts past %d)", placed, before)
+	}
+	if err := st.SetCheckpoint("t", Checkpoint{LogRows: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := footerLen(), inlineLen-int(placed.n)+8+8+4; got != want || region.dictAt != placed {
+		t.Fatalf("next footer is %d B, want %d with a reference to %+v (have %+v)", got, want, placed, region.dictAt)
+	}
+	re, err := Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, err := re.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.MustColumn("region").Dict.Values(), tab.MustColumn("region").Dict.Values()) {
+		t.Fatal("the reopened dictionary differs from the original")
 	}
 }

@@ -2,9 +2,12 @@ package segstore
 
 import (
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,21 +161,40 @@ func TestOpenRejectsEarlierFormat(t *testing.T) {
 	}
 }
 
-// footerOf returns a store file's live footer bytes.
-func footerOf(raw []byte) []byte {
+// footerOf returns a store file's live footer bytes and their offset.
+func footerOf(raw []byte) ([]byte, int64) {
 	n := int(binary.LittleEndian.Uint64(raw[len(raw)-16 : len(raw)-8]))
-	return raw[len(raw)-20-n : len(raw)-20]
+	at := len(raw) - 20 - n
+	return raw[at : at+n], int64(at)
 }
 
-// FuzzFooter feeds arbitrary bytes to the footer decoder, seeded with valid
-// footers that carry checkpoints (log rows, deletion runs). The contract:
-// an error, never a panic, and no allocation sized by a count the bytes
-// cannot back (every count is bounded by the bytes left to read). A footer
-// that decodes re-encodes to one that decodes to the same directory.
+// readFrom resolves dictionary references against a file's bytes.
+func readFrom(raw []byte) func(off int64, n int) ([]byte, error) {
+	return func(off int64, n int) ([]byte, error) {
+		if off < 0 || n < 0 || off > int64(len(raw))-int64(n) {
+			return nil, fmt.Errorf("read [%d,+%d) past EOF %d", off, n, len(raw))
+		}
+		return raw[off : off+int64(n)], nil
+	}
+}
+
+// FuzzFooter feeds arbitrary bytes to the footer decoder as the live footer
+// of a seed file that has been appended to, seeded with valid footers that
+// carry checkpoints (log rows, deletion runs) and dictionary references, and
+// with references that must fail: into their own footer, past EOF, with a
+// wrong CRC. The contract: an error, never a panic, and no allocation sized
+// by a count the bytes cannot back (every count is bounded by the bytes left
+// to read, every reference by the file before its footer). A footer that
+// decodes re-encodes, appended after it, to one that decodes to the same
+// directory and references the same dictionary bytes.
 func FuzzFooter(f *testing.F) {
 	tab := buildTestTable(f, colstore.BlockSize+300)
 	path := filepath.Join(f.TempDir(), "seed.seg")
 	if err := Save(path, 1, []*colstore.Table{tab}); err != nil {
+		f.Fatal(err)
+	}
+	base, err := os.ReadFile(path)
+	if err != nil {
 		f.Fatal(err)
 	}
 	st, err := Open(path, 0)
@@ -180,6 +202,10 @@ func FuzzFooter(f *testing.F) {
 		f.Fatal(err)
 	}
 	rows := colstore.BlockSize + 300
+	if err := st.Append("t", appendCols(500, int32(rows/3), true, 9), Checkpoint{LogRows: 500}); err != nil {
+		f.Fatal(err)
+	}
+	rows += 500
 	if err := st.SetCheckpoint("t", Checkpoint{LogRows: 1 << 40, Deleted: deleted(rows, [2]int{0, 2}, [2]int{64, 65}, [2]int{rows - 3, rows})}); err != nil {
 		f.Fatal(err)
 	}
@@ -188,20 +214,61 @@ func FuzzFooter(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	withCk := footerOf(raw)
+	withCk, at := footerOf(raw)
+	inline, baseAt := footerOf(base)
 	f.Add(withCk)
+	f.Add(inline)
 	f.Add(withCk[:len(withCk)-5]) // a run cut short
 	f.Add([]byte{})
 	bad := append([]byte(nil), withCk...)
 	binary.LittleEndian.PutUint32(bad[len(bad)-28:], 1<<31) // implausible run count (three runs follow it)
 	f.Add(bad)
+	// Broken references to the "region" dictionary, each refused naming the
+	// column and the fault.
+	for _, bc := range []struct {
+		want     string
+		breakRef func(l *dictLoc)
+	}{
+		{"not within", func(l *dictLoc) { l.off = uint64(at) }},            // into its own footer
+		{"not within", func(l *dictLoc) { l.off = uint64(len(raw)) + 64 }}, // past EOF
+		{"checksum mismatch", func(l *dictLoc) { l.crc ^= 1 }},             // wrong CRC
+		{"not one dictionary", func(l *dictLoc) { l.n += 4 }},              // trailing bytes
+	} {
+		metas, err := decodeFooter(withCk, at, readFrom(raw))
+		if err != nil {
+			f.Fatal(err)
+		}
+		l := &metas[0].cols[3].dictAt
+		bc.breakRef(l)
+		if bc.want == "not one dictionary" {
+			l.crc = crc32.ChecksumIEEE(raw[l.off : l.off+l.n])
+		}
+		footer, _ := encodeFooter(metas)
+		_, err = decodeFooter(footer, at, readFrom(raw))
+		if err == nil || !strings.Contains(err.Error(), `table "t" column "region"`) || !strings.Contains(err.Error(), bc.want) {
+			f.Fatalf("broken dictionary reference: err = %v, want one naming the column and saying %q", err, bc.want)
+		}
+		f.Add(footer)
+	}
+	// Intact referenced bytes that do not lie before the footer naming them:
+	// the appended footer read as if it sat where the base footer does.
+	if _, err := decodeFooter(withCk, baseAt, readFrom(raw)); err == nil || !strings.Contains(err.Error(), "not within") {
+		f.Fatalf("a reference past its footer's start: err = %v", err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		metas, err := decodeFooter(data)
+		metas, err := decodeFooter(data, at, readFrom(raw))
 		if err != nil {
 			return
 		}
-		again, err := decodeFooter(encodeFooter(metas))
+		// Append the re-encoded footer after this one, as a commit would:
+		// every dictionary now lies in the file before it.
+		file := append(append(append([]byte(nil), raw[:at]...), data...), make([]byte, 20)...)
+		footer, placed := encodeFooter(metas)
+		if len(placed) != 0 {
+			t.Fatalf("re-encoded footer wrote %d dictionaries inline, want references only", len(placed))
+		}
+		again, err := decodeFooter(footer, int64(len(file)), readFrom(file))
 		if err != nil {
 			t.Fatalf("re-encoded footer does not decode: %v", err)
 		}
@@ -211,6 +278,12 @@ func FuzzFooter(f *testing.F) {
 		for i := range metas {
 			if again[i].logRows != metas[i].logRows || !reflect.DeepEqual(again[i].deleted, metas[i].deleted) {
 				t.Fatalf("table %d checkpoint changed across re-encoding", i)
+			}
+			for j, c := range metas[i].cols {
+				d := again[i].cols[j]
+				if d.dictAt != c.dictAt || (c.dict == nil) != (d.dict == nil) || c.dict != nil && !slices.Equal(c.dict.Values(), d.dict.Values()) {
+					t.Fatalf("table %d column %q: dictionary changed across re-encoding (at %+v, was %+v)", i, c.name, d.dictAt, c.dictAt)
+				}
 			}
 		}
 		// The checkpoint a reader builds from the footer stays inside the

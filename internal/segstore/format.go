@@ -24,6 +24,24 @@
 // Every segment except a column's last holds exactly colstore.BlockSize
 // rows, which positional addressing relies on.
 //
+// A column's dictionary follows a one-byte flag:
+//
+//	0  no dictionary
+//	1  inline: u32 value count, then per value a u32 length and its bytes
+//	2  reference: u64 file offset, u64 length and u32 CRC32 of the inline
+//	   encoding (the bytes after a flag 1) in an earlier footer of the
+//	   same file
+//
+// Save writes every dictionary inline. An appended footer references each
+// dictionary the file already holds, so a tuple-mover pass writes only the
+// directory that changed, not the dimension dictionaries that never do. A
+// reference must lie wholly between the header and the start of the footer
+// naming it, match its CRC and parse as exactly one dictionary, or Open
+// fails naming the table and column. It stays valid because nothing before
+// the live trailer is ever overwritten (see below). A build that predates
+// flag 2 refuses an appended file with "bad dictionary flag 2": it fails
+// closed rather than misread it.
+//
 // After its columns, each table's footer entry carries its Checkpoint: the
 // count of write-ahead-logged insert rows the table has absorbed (u64) and
 // its deletion vector as sorted, disjoint runs (u32 count, then u32 start
@@ -56,8 +74,10 @@
 // through Store.Append (append.go), which writes new segment payloads, a
 // fresh footer and a new trailer strictly after the current trailer
 // (Store.SetCheckpoint writes the footer and trailer alone) — nothing
-// earlier is ever overwritten, at the cost of one superseded directory left
-// behind as dead bytes per append. Directory snapshots
+// earlier is ever overwritten. Each append leaves the superseded footer
+// behind; it is dead bytes except for the dictionaries later footers
+// reference, so what an append leaves is its directory's zone maps and
+// checkpoints, not a copy of every dictionary. Directory snapshots
 // taken before an append keep scanning exactly what they saw, and a torn
 // append is recovered at open by scanning backward to the previous valid
 // trailer (locateFooter) instead of losing the file.
@@ -66,6 +86,7 @@ package segstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
@@ -79,8 +100,33 @@ const Magic = "SSBSEGM2"
 // magicV1 begins a store written before footers carried a Checkpoint.
 const magicV1 = "SSBSEGM1"
 
+// headerLen is the size of the file header: the magic and the scale factor.
+const headerLen = len(Magic) + 8
+
 // segEntryBytes is one zone-map entry's size in the footer.
 const segEntryBytes = 8 + 8 + 8 + 1 + 4 + 4 + 4 + 4
+
+// Dictionary flags: what follows a column's dictionary flag byte.
+const (
+	dictNone   = 0 // no dictionary
+	dictInline = 1 // the dictionary's values
+	dictRef    = 2 // a dictLoc naming the inline values in an earlier footer
+)
+
+// dictLoc locates a dictionary's inline encoding in the file: n bytes at
+// off whose CRC32 is crc. n == 0 means the dictionary has no known place in
+// the file yet, so the next footer writes it inline.
+type dictLoc struct {
+	off, n uint64
+	crc    uint32
+}
+
+// placedDict is a dictionary encodeFooter wrote inline: the column, and
+// where its bytes sit with off relative to the footer's start.
+type placedDict struct {
+	col *colMeta
+	at  dictLoc
+}
 
 // Checkpoint is the write path's recovery record for one table, carried in
 // every footer: how far into the write-ahead log's insert stream the table
@@ -128,8 +174,14 @@ type colMeta struct {
 	name  string
 	sort  colstore.SortKind
 	dict  *compress.Dict
-	segs  []segMeta
-	ord   int32 // global column ordinal, the pool key namespace
+	// dictAt is where dict's inline bytes already lie in the file, so a
+	// footer written after them references them instead of repeating them.
+	// Open sets it from the footer it parses, Append carries it to the
+	// column's next colMeta, and commit sets it for a dictionary it wrote
+	// inline. Only the append path reads it, under Store.appendMu.
+	dictAt dictLoc
+	segs   []segMeta
+	ord    int32 // global column ordinal, the pool key namespace
 }
 
 // tableMeta is one table's footer entry.
@@ -205,8 +257,10 @@ func (w *footerWriter) str32(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// encodeFooter renders the directory.
-func encodeFooter(tables []*tableMeta) []byte {
+// encodeFooter renders the directory. A dictionary whose bytes the file
+// already holds (colMeta.dictAt) is written as a reference; any other is
+// written inline and returned in placed.
+func encodeFooter(tables []*tableMeta) (footer []byte, placed []placedDict) {
 	w := &footerWriter{}
 	w.u32(uint32(len(tables)))
 	for _, t := range tables {
@@ -215,15 +269,27 @@ func encodeFooter(tables []*tableMeta) []byte {
 		for _, c := range t.cols {
 			w.str16(c.name)
 			w.u8(byte(c.sort))
-			if c.dict != nil {
-				w.u8(1)
+			switch {
+			case c.dict == nil:
+				w.u8(dictNone)
+			case c.dictAt.n > 0:
+				w.u8(dictRef)
+				w.u64(c.dictAt.off)
+				w.u64(c.dictAt.n)
+				w.u32(c.dictAt.crc)
+			default:
+				w.u8(dictInline)
+				start := len(w.buf)
 				vals := c.dict.Values()
 				w.u32(uint32(len(vals)))
 				for _, v := range vals {
 					w.str32(v)
 				}
-			} else {
-				w.u8(0)
+				placed = append(placed, placedDict{col: c, at: dictLoc{
+					off: uint64(start),
+					n:   uint64(len(w.buf) - start),
+					crc: crc32.ChecksumIEEE(w.buf[start:]),
+				}})
 			}
 			w.u32(uint32(len(c.segs)))
 			for _, s := range c.segs {
@@ -244,7 +310,7 @@ func encodeFooter(tables []*tableMeta) []byte {
 			w.u32(r.n)
 		}
 	}
-	return w.buf
+	return w.buf, placed
 }
 
 // footerReader walks the footer with bounds checking.
@@ -308,9 +374,25 @@ func (r *footerReader) strN(n int) string {
 	return s
 }
 
-// decodeFooter parses the directory, assigning global column ordinals in
-// footer order.
-func decodeFooter(data []byte) ([]*tableMeta, error) {
+// dictVals reads one dictionary's inline encoding; ok is false when the
+// bytes run out.
+func (r *footerReader) dictVals() (vals []string, ok bool) {
+	nvals := int(r.u32())
+	if r.bad || nvals < 0 || nvals > 1<<24 || nvals > r.left()/4 {
+		return nil, false
+	}
+	vals = make([]string, nvals)
+	for i := range vals {
+		vals[i] = r.strN(int(r.u32()))
+	}
+	return vals, !r.bad
+}
+
+// decodeFooter parses the directory found at file offset at, assigning
+// global column ordinals in footer order. read returns n bytes of the file
+// at off; it resolves dictionary references, each of which must lie between
+// the header and at.
+func decodeFooter(data []byte, at int64, read func(off int64, n int) ([]byte, error)) ([]*tableMeta, error) {
 	r := &footerReader{data: data}
 	ntables := int(r.u32())
 	if r.bad || ntables < 0 || ntables > 1<<10 {
@@ -331,21 +413,28 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 			if c.sort > colstore.SecondarySort {
 				return nil, fmt.Errorf("segstore: table %q column %q: bad sort kind %d", t.name, c.name, c.sort)
 			}
-			if hasDict := r.u8(); hasDict == 1 {
-				nvals := int(r.u32())
-				if r.bad || nvals < 0 || nvals > 1<<24 || nvals > r.left()/4 {
-					return nil, fmt.Errorf("segstore: table %q column %q: implausible dictionary size %d", t.name, c.name, nvals)
-				}
-				vals := make([]string, nvals)
-				for i := range vals {
-					vals[i] = r.strN(int(r.u32()))
-				}
-				if r.bad {
-					return nil, fmt.Errorf("segstore: table %q column %q: truncated dictionary", t.name, c.name)
+			switch flag := r.u8(); flag {
+			case dictNone:
+			case dictInline:
+				start := r.pos
+				vals, ok := r.dictVals()
+				if !ok {
+					return nil, fmt.Errorf("segstore: table %q column %q: truncated or implausible dictionary", t.name, c.name)
 				}
 				c.dict = compress.BuildDict(vals)
-			} else if hasDict != 0 {
-				return nil, fmt.Errorf("segstore: table %q column %q: bad dictionary flag %d", t.name, c.name, hasDict)
+				c.dictAt = dictLoc{off: uint64(at) + uint64(start), n: uint64(r.pos - start), crc: crc32.ChecksumIEEE(data[start:r.pos])}
+			case dictRef:
+				loc := dictLoc{off: r.u64(), n: r.u64(), crc: r.u32()}
+				if r.bad {
+					return nil, fmt.Errorf("segstore: table %q column %q: truncated dictionary reference", t.name, c.name)
+				}
+				dict, err := resolveDict(loc, at, read)
+				if err != nil {
+					return nil, fmt.Errorf("segstore: table %q column %q: %w", t.name, c.name, err)
+				}
+				c.dict, c.dictAt = dict, loc
+			default:
+				return nil, fmt.Errorf("segstore: table %q column %q: bad dictionary flag %d", t.name, c.name, flag)
 			}
 			nsegs := int(r.u32())
 			if r.bad || nsegs < 0 || nsegs > 1<<24 || nsegs > r.left()/segEntryBytes {
@@ -396,4 +485,27 @@ func decodeFooter(data []byte) ([]*tableMeta, error) {
 		return nil, fmt.Errorf("segstore: %d trailing bytes after footer directory", len(data)-r.pos)
 	}
 	return tables, nil
+}
+
+// resolveDict reads the dictionary loc references, for a footer at file
+// offset at: the bytes must lie in [headerLen, at), match loc's CRC and be
+// exactly one inline dictionary.
+func resolveDict(loc dictLoc, at int64, read func(off int64, n int) ([]byte, error)) (*compress.Dict, error) {
+	// Check the length before offset+length so a crafted n cannot wrap.
+	if at < int64(headerLen) || loc.n > uint64(at) || loc.off < uint64(headerLen) || loc.off > uint64(at)-loc.n {
+		return nil, fmt.Errorf("dictionary reference [%d,+%d) is not within [%d,%d), the bytes before its footer", loc.off, loc.n, headerLen, at)
+	}
+	b, err := read(int64(loc.off), int(loc.n))
+	if err != nil {
+		return nil, fmt.Errorf("reading referenced dictionary [%d,+%d): %w", loc.off, loc.n, err)
+	}
+	if crc := crc32.ChecksumIEEE(b); crc != loc.crc {
+		return nil, fmt.Errorf("referenced dictionary [%d,+%d) checksum mismatch (file corrupt): got %08x want %08x", loc.off, loc.n, crc, loc.crc)
+	}
+	r := &footerReader{data: b}
+	vals, ok := r.dictVals()
+	if !ok || r.pos != len(b) {
+		return nil, fmt.Errorf("referenced bytes [%d,+%d) are not one dictionary", loc.off, loc.n)
+	}
+	return compress.BuildDict(vals), nil
 }

@@ -298,13 +298,15 @@ func TestOpenRejectsRetiredEncodingTags(t *testing.T) {
 		4:  "retired encoding (delta/bitvec) — regenerate the store with ssb-gen -out",
 		99: "unknown encoding tag 99",
 	} {
-		metas, err := decodeFooter(raw[footerStart : footerStart+footerLen])
+		metas, err := decodeFooter(raw[footerStart:footerStart+footerLen], int64(footerStart), readFrom(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		metas[0].cols[2].segs[0].enc = tag // t.mono, segment 0
+		// Rewritten in place, the footer keeps its dictionary inline.
+		metas[0].cols[3].dictAt = dictLoc{}
 		buf := append([]byte(nil), raw...)
-		footer := encodeFooter(metas)
+		footer, _ := encodeFooter(metas)
 		if len(footer) != footerLen {
 			t.Fatalf("re-encoded footer is %d bytes, was %d", len(footer), footerLen)
 		}
