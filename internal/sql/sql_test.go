@@ -196,6 +196,9 @@ func TestParseErrors(t *testing.T) {
 		"trailing":         `SELECT sum(lo_revenue) FROM lineorder ; extra`,
 		"fact pred col":    `SELECT sum(lo_revenue) FROM lineorder WHERE lo_tax = 3`,
 		"bad alias ref":    `SELECT sum(lo_revenue) FROM lineorder WHERE z.year = 1995`,
+		"mixed between":    `SELECT sum(lo_revenue) FROM lineorder, customer WHERE lo_custkey = c_custkey AND c_nation BETWEEN '' AND 0`,
+		"mixed in":         `SELECT sum(lo_revenue) FROM lineorder WHERE lo_quantity IN (1, 'x')`,
+		"int32 overflow":   `SELECT sum(lo_revenue) FROM lineorder WHERE lo_quantity < 2147483648`,
 	}
 	for name, text := range cases {
 		if _, err := Parse("x", text); err == nil {
