@@ -133,6 +133,11 @@ func appendToSeg(path string, rows int, seed int64, walPath string) error {
 	st := db.SegmentStore()
 	col := db.ColumnDB(true)
 	before := col.NumRows()
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	sizeBefore := fi.Size()
 	if err := db.EnableIngestWAL(false, 0, walPath, wal.Options{}); err != nil {
 		return err
 	}
@@ -152,9 +157,14 @@ func appendToSeg(path string, rows int, seed int64, walPath string) error {
 	}
 	ds := col.DeltaStats()
 	ps := st.Pool().Stats()
-	fmt.Printf("appended %d rows (seed %d) to %s: %d -> %d rows, %d compaction passes, %.2f MB written, %d live segments\n",
+	if fi, err = os.Stat(path); err != nil {
+		return err
+	}
+	// The file grows by the payload plus one footer and trailer per pass;
+	// a growth well past the payload is bytes no live directory uses.
+	fmt.Printf("appended %d rows (seed %d) to %s: %d -> %d rows, %d compaction passes, %.2f MB payload written, file grew %.2f MB, %d live segments\n",
 		rows, seed, path, before, col.NumRows(), ds.Compactions,
-		float64(ps.AppendedBytes)/1e6, st.NumSegments())
+		float64(ps.AppendedBytes)/1e6, float64(fi.Size()-sizeBefore)/1e6, st.NumSegments())
 	if walPath != "" {
 		ws := col.WALStats()
 		fmt.Printf("wal: %d appends, %d fsyncs, %d replayed, %d bytes\n",
