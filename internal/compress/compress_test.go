@@ -424,6 +424,133 @@ func TestDictEncodePred(t *testing.T) {
 	}
 }
 
+// checkDictOracle checks BuildDict(vals) against a sorted slice and a map
+// built from the same values: Size, Value, Values, Code and Encode over vals
+// and probes, and every EncodePred operator for every pair of operands drawn
+// from the values and probes, with an In set that repeats its members.
+func checkDictOracle(t *testing.T, vals, probes []string) {
+	t.Helper()
+	uniq := slices.Compact(slices.Sorted(slices.Values(vals)))
+	code := make(map[string]int32, len(uniq))
+	for c, v := range uniq {
+		code[v] = int32(c)
+	}
+	d := BuildDict(vals)
+	if d.Size() != len(uniq) {
+		t.Fatalf("size %d, oracle %d", d.Size(), len(uniq))
+	}
+	if got := d.Values(); !slices.Equal(got, uniq) {
+		t.Fatalf("values %q, oracle %q", got, uniq)
+	} else if len(got) > 0 {
+		got[0] = "mutated"
+		if d.Value(0) != uniq[0] {
+			t.Fatal("Values shares memory with the dictionary")
+		}
+	}
+	for c, v := range uniq {
+		if got := d.Value(int32(c)); got != v {
+			t.Fatalf("Value(%d) = %q, oracle %q", c, got, v)
+		}
+	}
+	all := append(append([]string(nil), vals...), probes...)
+	enc := d.Encode(all, nil)
+	for i, s := range all {
+		want, ok := code[s]
+		if !ok {
+			want = -1
+		}
+		if got, gotOK := d.Code(s); gotOK != ok || ok && got != want {
+			t.Fatalf("Code(%q) = %d, %v; oracle %d, %v", s, got, gotOK, want, ok)
+		}
+		if enc[i] != want {
+			t.Fatalf("Encode(%q) = %d, oracle %d", s, enc[i], want)
+		}
+	}
+	operands := append(append([]string(nil), uniq...), probes...)
+	for op := OpEq; op <= OpIn; op++ {
+		for _, a := range operands {
+			for _, b := range operands {
+				p := d.EncodePred(op, a, b, []string{a, b, a})
+				for c, s := range uniq {
+					var want bool
+					switch op {
+					case OpEq:
+						want = s == a
+					case OpNe:
+						want = s != a
+					case OpLt:
+						want = s < a
+					case OpLe:
+						want = s <= a
+					case OpGt:
+						want = s > a
+					case OpGe:
+						want = s >= a
+					case OpBetween:
+						want = s >= a && s <= b
+					case OpIn:
+						want = s == a || s == b
+					}
+					if p.Match(int32(c)) != want {
+						t.Fatalf("op %v (%q, %q) on %q: codes say %v, strings say %v", op, a, b, s, p.Match(int32(c)), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDictOracle runs the oracle over the shapes a binary search can get
+// wrong: no values, the empty string as a value, values that share
+// prefixes, duplicates, and probes absent from the dictionary (below, above,
+// between and prefix-related to the values).
+func TestDictOracle(t *testing.T) {
+	probes := []string{"", "\x00", "A", "AS", "ASIA", "ASIAN", "ASIA ", "B", "MIDDLE", "zz", "\xff"}
+	for name, vals := range map[string][]string{
+		"empty":        nil,
+		"one":          {"ASIA"},
+		"empty string": {"", "ASIA", "", "EUROPE"},
+		"only empty":   {""},
+		"prefixes":     {"ASIA", "AS", "A", "ASIAN", "ASIA ", "ASIA", "AS"},
+		"regions":      {"EUROPE", "ASIA", "AMERICA", "ASIA", "AFRICA", "MIDDLE EAST"},
+		"bytes":        {"\xff", "\x00", "a\x00", "a", "\xfe\xff"},
+	} {
+		t.Run(name, func(t *testing.T) { checkDictOracle(t, vals, probes) })
+	}
+}
+
+// TestNewSortedDict: the constructor adopts values that are strictly
+// ascending, the empty string first included, and refuses duplicates,
+// descending pairs and offsets that do not partition the bytes.
+func TestNewSortedDict(t *testing.T) {
+	for _, c := range []struct {
+		data string
+		offs []uint32
+		ok   bool
+	}{
+		{"", []uint32{0}, true},
+		{"", []uint32{0, 0}, true},
+		{"ab", []uint32{0, 0, 1, 2}, true},
+		{"ASIAASIAN", []uint32{0, 4, 9}, true},
+		{"ba", []uint32{0, 1, 2}, false},     // descending
+		{"aa", []uint32{0, 1, 2}, false},     // duplicate
+		{"a", []uint32{0, 0, 0, 1}, false},   // duplicate ""
+		{"ab", []uint32{0, 1}, false},        // does not reach the end
+		{"ab", []uint32{1, 2}, false},        // does not start at 0
+		{"abc", []uint32{0, 2, 1, 3}, false}, // decreasing offset
+		{"", nil, false},
+	} {
+		d, err := NewSortedDict(c.data, c.offs)
+		if (err == nil) != c.ok {
+			t.Errorf("NewSortedDict(%q, %v): err = %v, want ok=%v", c.data, c.offs, err, c.ok)
+			continue
+		}
+		if c.ok && d.Bytes() != int64(len(c.data)+4*len(c.offs)) {
+			t.Errorf("NewSortedDict(%q, %v): Bytes = %d", c.data, c.offs, d.Bytes())
+		}
+	}
+}
+
 // TestQuickDictPredEquivalence: for random string universes and predicates,
 // evaluating the string predicate directly must equal evaluating the encoded
 // code predicate.

@@ -100,6 +100,26 @@ type footprintCache struct {
 	max map[*colstore.Column]int64
 }
 
+// DictBytes is the memory every dictionary of the DB holds (values and
+// offsets, fact and dimension tables alike). Dictionaries are frozen when
+// the DB is built or opened — inserts must draw from them — so the number
+// does not change while the DB serves.
+func (db *DB) DictBytes() int64 {
+	tables := []*colstore.Table{db.Fact}
+	for _, t := range db.Dims {
+		tables = append(tables, t)
+	}
+	var n int64
+	for _, t := range tables {
+		for _, name := range t.ColumnNames() {
+			if d := t.MustColumn(name).Dict; d != nil {
+				n += d.Bytes()
+			}
+		}
+	}
+	return n
+}
+
 // NumRows returns the fact cardinality a query starting now would see:
 // sealed rows plus the live write-store delta.
 func (db *DB) NumRows() int {

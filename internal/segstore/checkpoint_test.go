@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
+	"repro/internal/compress"
 )
 
 // deleted builds an n-row deletion vector with the given [start, end) runs.
@@ -182,7 +183,8 @@ func readFrom(raw []byte) func(off int64, n int) ([]byte, error) {
 // of a seed file that has been appended to, seeded with valid footers that
 // carry checkpoints (log rows, deletion runs) and dictionary references, and
 // with references that must fail: into their own footer, past EOF, with a
-// wrong CRC. The contract: an error, never a panic, and no allocation sized
+// wrong CRC; and with dictionaries out of order or duplicated, which must
+// fail too. The contract: an error, never a panic, and no allocation sized
 // by a count the bytes cannot back (every count is bounded by the bytes left
 // to read, every reference by the file before its footer). A footer that
 // decodes re-encodes, appended after it, to one that decodes to the same
@@ -249,6 +251,58 @@ func FuzzFooter(f *testing.F) {
 			f.Fatalf("broken dictionary reference: err = %v, want one naming the column and saying %q", err, bc.want)
 		}
 		f.Add(footer)
+	}
+	// Dictionaries stored out of order or with a duplicate are refused naming
+	// the column, inline and referenced alike: re-sorting them would remap
+	// the codes their segments hold. A first value "" is in order.
+	withDict := func(vals []string, patch byte) ([]byte, dictLoc) {
+		metas, err := decodeFooter(inline, baseAt, readFrom(base))
+		if err != nil {
+			f.Fatal(err)
+		}
+		c := metas[0].cols[3]
+		c.dict, c.dictAt = compress.BuildDict(vals), dictLoc{}
+		footer, placed := encodeFooter(metas)
+		loc := placed[0].at
+		if patch != 0 {
+			// The second value's one byte: count, length, value 0, length.
+			footer[loc.off+4+4+uint64(len(vals[0]))+4] = patch
+		}
+		return footer, loc
+	}
+	for _, bc := range []struct {
+		name  string
+		vals  []string
+		patch byte
+	}{
+		{"descending", []string{"b", "c"}, 'a'},
+		{"duplicate", []string{"b", "c"}, 'b'},
+		{"empty first", []string{"", "c"}, 0},
+	} {
+		footer, loc := withDict(bc.vals, bc.patch)
+		metas, err := decodeFooter(footer, baseAt, readFrom(base))
+		if bc.patch == 0 {
+			if err != nil || metas[0].cols[3].dict.Value(0) != "" {
+				f.Fatalf("%s: err = %v, want the dictionary accepted", bc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), `table "t" column "region"`) || !strings.Contains(err.Error(), "not above") {
+			f.Fatalf("%s inline dictionary: err = %v, want one naming the column and the order", bc.name, err)
+		}
+		f.Add(footer)
+		// The same bytes referenced from a later footer: a file holding
+		// only the header and them.
+		dict := footer[loc.off : loc.off+loc.n]
+		file := append(append([]byte(nil), base[:headerLen]...), dict...)
+		metas, err = decodeFooter(inline, baseAt, readFrom(base))
+		if err != nil {
+			f.Fatal(err)
+		}
+		metas[0].cols[3].dictAt = dictLoc{off: uint64(headerLen), n: loc.n, crc: crc32.ChecksumIEEE(dict)}
+		ref, _ := encodeFooter(metas)
+		_, err = decodeFooter(ref, int64(len(file)), readFrom(file))
+		if (err == nil) != (bc.patch == 0) || err != nil && (!strings.Contains(err.Error(), `table "t" column "region"`) || !strings.Contains(err.Error(), "not above")) {
+			f.Fatalf("%s referenced dictionary: err = %v", bc.name, err)
+		}
 	}
 	// Intact referenced bytes that do not lie before the footer naming them:
 	// the appended footer read as if it sat where the base footer does.

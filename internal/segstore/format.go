@@ -27,7 +27,8 @@
 // A column's dictionary follows a one-byte flag:
 //
 //	0  no dictionary
-//	1  inline: u32 value count, then per value a u32 length and its bytes
+//	1  inline: u32 value count, then per value a u32 length and its bytes,
+//	   the values strictly ascending (their codes are their positions)
 //	2  reference: u64 file offset, u64 length and u32 CRC32 of the inline
 //	   encoding (the bytes after a flag 1) in an earlier footer of the
 //	   same file
@@ -41,6 +42,10 @@
 // the live trailer is ever overwritten (see below). A build that predates
 // flag 2 refuses an appended file with "bad dictionary flag 2": it fails
 // closed rather than misread it.
+//
+// Open also refuses, naming the table and column, a dictionary (inline or
+// referenced) whose values are duplicated or out of order: re-sorting it
+// would remap the codes its segments store.
 //
 // After its columns, each table's footer entry carries its Checkpoint: the
 // count of write-ahead-logged insert rows the table has absorbed (u64) and
@@ -87,6 +92,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"strings"
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
@@ -280,10 +287,9 @@ func encodeFooter(tables []*tableMeta) (footer []byte, placed []placedDict) {
 			default:
 				w.u8(dictInline)
 				start := len(w.buf)
-				vals := c.dict.Values()
-				w.u32(uint32(len(vals)))
-				for _, v := range vals {
-					w.str32(v)
+				w.u32(uint32(c.dict.Size()))
+				for i := range c.dict.Size() {
+					w.str32(c.dict.Value(int32(i)))
 				}
 				placed = append(placed, placedDict{col: c, at: dictLoc{
 					off: uint64(start),
@@ -374,18 +380,39 @@ func (r *footerReader) strN(n int) string {
 	return s
 }
 
-// dictVals reads one dictionary's inline encoding; ok is false when the
-// bytes run out.
-func (r *footerReader) dictVals() (vals []string, ok bool) {
+// dict reads one dictionary's inline encoding — a u32 count, then each
+// value as a u32 length and its bytes — into one string and an offset array,
+// with no string per value: a first pass bounds-checks the lengths and sizes
+// the string, a second copies the bytes. The values must be strictly
+// ascending, as every writer stores them (codes follow that order).
+func (r *footerReader) dict() (*compress.Dict, error) {
 	nvals := int(r.u32())
 	if r.bad || nvals < 0 || nvals > 1<<24 || nvals > r.left()/4 {
-		return nil, false
+		return nil, fmt.Errorf("truncated or implausible dictionary (%d values)", nvals)
 	}
-	vals = make([]string, nvals)
-	for i := range vals {
-		vals[i] = r.strN(int(r.u32()))
+	start, total := r.pos, 0
+	for range nvals {
+		n := int(r.u32())
+		if r.bad || n > r.left() {
+			r.bad = true
+			return nil, fmt.Errorf("truncated dictionary")
+		}
+		r.pos += n
+		total += n
 	}
-	return vals, !r.bad
+	if total > math.MaxUint32 {
+		return nil, fmt.Errorf("dictionary of %d bytes overflows its 32-bit offsets", total)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	offs := make([]uint32, 1, nvals+1)
+	for p := start; p < r.pos; {
+		n := int(binary.LittleEndian.Uint32(r.data[p:]))
+		b.Write(r.data[p+4 : p+4+n])
+		p += 4 + n
+		offs = append(offs, uint32(b.Len()))
+	}
+	return compress.NewSortedDict(b.String(), offs)
 }
 
 // decodeFooter parses the directory found at file offset at, assigning
@@ -417,11 +444,11 @@ func decodeFooter(data []byte, at int64, read func(off int64, n int) ([]byte, er
 			case dictNone:
 			case dictInline:
 				start := r.pos
-				vals, ok := r.dictVals()
-				if !ok {
-					return nil, fmt.Errorf("segstore: table %q column %q: truncated or implausible dictionary", t.name, c.name)
+				dict, err := r.dict()
+				if err != nil {
+					return nil, fmt.Errorf("segstore: table %q column %q: %w", t.name, c.name, err)
 				}
-				c.dict = compress.BuildDict(vals)
+				c.dict = dict
 				c.dictAt = dictLoc{off: uint64(at) + uint64(start), n: uint64(r.pos - start), crc: crc32.ChecksumIEEE(data[start:r.pos])}
 			case dictRef:
 				loc := dictLoc{off: r.u64(), n: r.u64(), crc: r.u32()}
@@ -503,9 +530,12 @@ func resolveDict(loc dictLoc, at int64, read func(off int64, n int) ([]byte, err
 		return nil, fmt.Errorf("referenced dictionary [%d,+%d) checksum mismatch (file corrupt): got %08x want %08x", loc.off, loc.n, crc, loc.crc)
 	}
 	r := &footerReader{data: b}
-	vals, ok := r.dictVals()
-	if !ok || r.pos != len(b) {
+	dict, err := r.dict()
+	if err != nil {
+		return nil, fmt.Errorf("referenced bytes [%d,+%d) are not one dictionary: %w", loc.off, loc.n, err)
+	}
+	if r.pos != len(b) {
 		return nil, fmt.Errorf("referenced bytes [%d,+%d) are not one dictionary", loc.off, loc.n)
 	}
-	return compress.BuildDict(vals), nil
+	return dict, nil
 }

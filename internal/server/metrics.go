@@ -84,6 +84,9 @@ func (s *Server) initMetrics() {
 			}
 			return int64(seg.Pool().PinnedFrames())
 		})
+	dictBytes := s.col.DictBytes()
+	r.GaugeFunc("ssb_dict_bytes", "server.dict_bytes", "Bytes every dictionary of the store holds: each one string of its values plus its offsets.",
+		func() int64 { return dictBytes })
 	r.GaugeFunc("ssb_ws_pending_bytes", "", "Write-store bytes awaiting compaction; zero when ingest is off.",
 		func() int64 { return s.col.DeltaStats().PendingBytes })
 	r.GaugeFunc("ssb_ws_pending_rows", "", "Write-store rows awaiting compaction; zero when ingest is off.",

@@ -152,6 +152,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ssb_pool_mapped_bytes gauge",
 		"ssb_pool_spare_bytes gauge",
 		"ssb_pool_pinned_frames gauge",
+		"ssb_dict_bytes gauge",
 		"ssb_ws_pending_bytes gauge",
 		"ssb_ws_pending_rows gauge",
 		"ssb_query_duration_seconds histogram",

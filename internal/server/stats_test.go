@@ -37,6 +37,7 @@ type statsDoc struct {
 		Inserts        int64           `json:"inserts"`
 		InsertedRows   int64           `json:"inserted_rows"`
 		Deletes        int64           `json:"deletes"`
+		DictBytes      int64           `json:"dict_bytes"`
 		DeletedRows    int64           `json:"deleted_rows"`
 		Delta          exec.DeltaStats `json:"delta"`
 		WSFullRejects  int64           `json:"ws_full_rejects"`
@@ -137,6 +138,7 @@ var serverLeaves = []string{
 	"server.cache_misses number",
 	"server.deleted_rows number",
 	"server.deletes number",
+	"server.dict_bytes number",
 	"server.delta.compactions number",
 	"server.delta.deletes number",
 	"server.delta.enabled bool",
@@ -197,7 +199,7 @@ var poolLeaves = []string{
 
 // TestStatsLeafSet pins /stats's shape: the exact set of leaf paths and
 // their JSON kinds, for a segment store with ingest and a WAL after one
-// insert (61 leaves) and for an in-memory store (47, no pool section).
+// insert (62 leaves) and for an in-memory store (48, no pool section).
 func TestStatsLeafSet(t *testing.T) {
 	check := func(label string, got, want []string) {
 		t.Helper()
@@ -267,6 +269,7 @@ var statsPathOf = map[string]string{
 	"ssb_pool_spare_bytes":            "pool.spare",
 	"ssb_pool_mapped_bytes":           "pool.mapped",
 	"ssb_pool_pinned_frames":          "pool.pinned_frames",
+	"ssb_dict_bytes":                  "server.dict_bytes",
 	"ssb_ws_pending_bytes":            "server.delta.pending_bytes",
 	"ssb_ws_pending_rows":             "server.delta.pending_rows",
 }
@@ -333,7 +336,7 @@ func TestStatsMetricsAgree(t *testing.T) {
 		t.Errorf("/metrics exports %d counters and gauges, want %d", exported, len(statsPathOf))
 	}
 	for _, path := range []string{"server.cache_hits", "server.inserts", "server.deleted_rows",
-		"server.ws_full_rejects", "server.retry_after_sent", "server.wal.syncs", "pool.evictions", "pool.mapped"} {
+		"server.ws_full_rejects", "server.retry_after_sent", "server.wal.syncs", "pool.evictions", "pool.mapped", "server.dict_bytes"} {
 		if st[path] == 0 {
 			t.Errorf("%s is zero after the traffic meant to move it", path)
 		}

@@ -43,6 +43,17 @@ func dimOfTable(name string) (ssb.Dim, bool) {
 	return 0, false
 }
 
+// numTables counts the canonical tables: lineorder and the four dimensions.
+const numTables = 5
+
+// tableIndex numbers a canonical table name: lineorder 0, dimension d 1+d.
+func tableIndex(canon string) int {
+	if d, ok := dimOfTable(canon); ok {
+		return 1 + int(d)
+	}
+	return 0
+}
+
 // ssbPrefix maps the SSB column prefix to its table.
 var ssbPrefix = map[string]string{
 	"lo": "lineorder",
@@ -77,6 +88,9 @@ func (p *parser) resolve(name string) (colRef, error) {
 	}
 	if table == "" {
 		return colRef{}, fmt.Errorf("sql: cannot resolve column %q (use an SSB prefix like lo_/d_ or qualify it)", name)
+	}
+	if u := &p.firstUse[tableIndex(table)]; u.text == "" {
+		u.table, u.text = table, name
 	}
 	if table == "lineorder" {
 		if _, ok := ssb.FindCol(ssb.FactCols, col); !ok {

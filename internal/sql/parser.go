@@ -48,6 +48,13 @@ type parser struct {
 	toks    []token
 	i       int
 	aliases map[string]string // alias -> canonical table name
+	// The statement's scope is closed: every column resolved must belong
+	// to a table FROM lists. listed marks the tables FROM names and firstUse
+	// holds, per table, the first column resolved on it, both indexed by
+	// tableIndex. They are checked once the statement is read, because the
+	// SELECT list resolves before FROM.
+	listed   [numTables]bool
+	firstUse [numTables]struct{ table, text string }
 }
 
 // Parse compiles a statement in the SSBM dialect into an ssb.Query with the
@@ -225,6 +232,14 @@ func (p *parser) parseStatement() (*stmt, error) {
 		return nil, fmt.Errorf("sql: trailing input at offset %d: %q", p.cur().pos, p.cur().text)
 	}
 
+	for i, u := range p.firstUse {
+		if u.text != "" && !p.listed[i] {
+			// Clones: an error sharing p's strings would make escape
+			// analysis move every parse's aliases map to the heap.
+			return nil, fmt.Errorf("sql: column %q belongs to %s, which FROM does not list", strings.Clone(u.text), strings.Clone(u.table))
+		}
+	}
+
 	// Move join-equality predicates out of preds into joins.
 	var keep []pred
 	for _, pr := range s.preds {
@@ -334,6 +349,7 @@ func (p *parser) parseFrom() error {
 		}
 		p.aliases[alias] = canon
 		p.aliases[canon] = canon
+		p.listed[tableIndex(canon)] = true
 		if p.cur().kind == tokSymbol && p.cur().text == "," {
 			p.next()
 			continue

@@ -281,3 +281,32 @@ func TestCatalogResolvesSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestFromClosesScope: a column of a table FROM does not list is an error,
+// however the column is spelled, and every statement the repository
+// renders — the thirteen queries and RandQuery plans — lists each table it
+// uses, so all of them still parse.
+func TestFromClosesScope(t *testing.T) {
+	for name, text := range map[string]string{
+		"dimension by prefix": `select sum(lo_revenue) from lineorder where lo_custkey = c_custkey and c_region = 'ASIA'`,
+		"dimension by table":  `select sum(lo_revenue) from lineorder where lo_custkey = customer.custkey and customer.region = 'ASIA'`,
+		"fact in aggregate":   `select sum(lo_revenue) from customer`,
+		"group by":            `select sum(lo_revenue) from lineorder, customer where lo_custkey = c_custkey group by d_year`,
+		"select item":         `select sum(lo_revenue), s_nation from lineorder, customer where lo_custkey = c_custkey group by s_nation`,
+	} {
+		_, err := Parse("x", text)
+		if err == nil || !strings.Contains(err.Error(), "which FROM does not list") {
+			t.Errorf("%s: err = %v, want one naming the table FROM does not list", name, err)
+		}
+	}
+	for _, q := range ssb.Queries() {
+		if _, err := Parse(q.ID, q.SQL()); err != nil {
+			t.Errorf("query %s: %v", q.ID, err)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		if _, err := Parse("r", ssb.RandQuery(seed).SQL()); err != nil {
+			t.Errorf("RandQuery(%d): %v", seed, err)
+		}
+	}
+}
