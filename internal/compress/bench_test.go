@@ -46,7 +46,8 @@ func uniformVals(rng *rand.Rand, n int, vmin int32, span int64) []int32 {
 var benchSink int
 
 // BenchmarkFilterKernels is the in-package kernel table: every encoding at
-// four value widths, Filter at three selectivities (flat across them is the
+// five value widths (11, 15 and 18 are the SF=1 store's suppkey, custkey and
+// partkey), Filter at three selectivities (flat across them is the
 // evidence that a kernel has no data-dependent branch), FilterSet against a
 // one-in-three dense set, whole-block decode, and a one-in-sixteen gather —
 // all in ns per value.
@@ -58,7 +59,7 @@ func BenchmarkFilterKernels(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nVals), "ns/value")
 	}
 	for _, shape := range benchShapes {
-		for _, width := range []uint{4, 11, 18, 32} {
+		for _, width := range []uint{4, 11, 15, 18, 32} {
 			span := int64(1)<<width - 1
 			vmin := int32(-span/2 - 1)
 			vals := shape.vals(rand.New(rand.NewSource(int64(width))), benchBlockLen, vmin, span)

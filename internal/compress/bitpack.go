@@ -53,7 +53,8 @@ func NewBitPackBlock(vals []int32) *BitPackBlock {
 }
 
 // field returns the i-th width-bit field of a packed word array: the
-// random-access cursor (whole-block passes stream through unpack64 instead).
+// random-access cursor (whole-block passes go a group at a time instead,
+// through unpack64 or a generated interval routine).
 // A field of at most 32 bits lies within the 8 bytes from its first byte, so
 // one unaligned load serves; the load is clamped to the array's last 8
 // bytes, so a field near the end never reads past it.
@@ -107,13 +108,28 @@ func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
 func (b *BitPackBlock) Get(i int) int32 { return int32(int64(b.min) + int64(b.get(i))) }
 
 // filter is the block's one selection loop: unpack a group, test and pack
-// it, OR one result word into bm.
+// it, OR one result word into bm. An interval is first moved into code
+// space and clamped to the block's codes: one that misses them all returns
+// at once, and each full group is tested in place by its width's generated
+// routine (unpack_gen.go); only the tail group is unpacked.
 func (b *BitPackBlock) filter(t groupTest, base int, bm *bitmap.Bitmap) {
 	if t.kind == testNone {
 		return
 	}
+	pos := 0
+	if t.kind == testInterval {
+		lo := int64(int32(t.lo)) - int64(b.min)
+		clo, chi := max(lo, 0), min(lo+int64(t.span), 1<<b.width-1)
+		if clo > chi {
+			return
+		}
+		for src := b.words; pos+groupLen <= b.n; pos += groupLen {
+			bm.OrWord(base+pos, intervalGroup(src, b.width, uint32(clo), uint64(chi-clo)))
+			src = src[b.width*8:]
+		}
+	}
 	var g group
-	for pos := 0; pos < b.n; pos += groupLen {
+	for ; pos < b.n; pos += groupLen {
 		bm.OrWord(base+pos, t.pack(&g, b.unpack(pos, &g)))
 	}
 }

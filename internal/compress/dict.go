@@ -62,7 +62,7 @@ func BuildDict(vals []string) *Dict {
 // stored against such a dictionary would not follow the order of the
 // values. It does not copy data or offs.
 func NewSortedDict(data string, offs []uint32) (*Dict, error) {
-	if len(data) > math.MaxUint32 {
+	if uint64(len(data)) > math.MaxUint32 {
 		return nil, fmt.Errorf("dictionary of %d bytes overflows its 32-bit offsets", len(data))
 	}
 	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != uint32(len(data)) {

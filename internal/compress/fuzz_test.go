@@ -284,9 +284,10 @@ func FuzzAggSelect(f *testing.F) {
 func FuzzFilter(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzFilter) holds one block per
 	// bit-pack width class (1, 7, 8, 31, 32 bits), a 65-value block (one
-	// full group and a one-value tail) and inverted intervals, one over a
-	// block with a negative minimum; these two add the empty block and a
-	// low-cardinality one every encoding accepts.
+	// full group and a one-value tail), inverted intervals, one over a
+	// block with a negative minimum, and 130-value blocks at widths 15 and
+	// 18 (two full groups) under an interval straddling one end; these two
+	// add the empty block and a low-cardinality one every encoding accepts.
 	f.Add([]byte{0}, uint8(OpEq), int32(0), int32(0), uint16(0), uint64(0))
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}, uint8(OpIn), int32(0), int32(2), uint16(64), ^uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, opRaw uint8, a, b int32, baseRaw uint16, prefill uint64) {

@@ -6,7 +6,11 @@ import "repro/internal/bitmap"
 // works on groups of 64 values: decoded onto the stack, tested without
 // a data-dependent branch into one 64-bit result word, delivered with one
 // Bitmap.OrWord. The cost of a selection is then the bytes read and the
-// unpack, whatever the selectivity.
+// unpack, whatever the selectivity. The commonest selection, an interval
+// over a full bit-packed group, skips the stack: its width's generated
+// routine (unpack_gen.go) tests the packed codes in place. unpack64 serves
+// the tail group, every other test and the decoders, and is the routines'
+// oracle.
 const groupLen = 64
 
 type group = [groupLen]int32

@@ -85,7 +85,7 @@ func setSelection(name string, set *bitmap.Bitmap, setMin int32) selection {
 
 // contractSelections is the predicate table for values spanning
 // [vmin, vmax]: every operator, the non-interval shapes, and the empty,
-// inverted, disjoint and over-wide intervals.
+// inverted, disjoint, straddling, one-value and over-wide intervals.
 func contractSelections(rng *rand.Rand, vals []int32, vmin, vmax int32) []selection {
 	mid := int32((int64(vmin) + int64(vmax)) / 2)
 	quarter := int32((int64(vmin) + int64(mid)) / 2)
@@ -110,13 +110,19 @@ func contractSelections(rng *rand.Rand, vals []int32, vmin, vmax int32) []select
 		predSelection(Between(math.MinInt32, math.MaxInt32)),
 		predSelection(Ge(math.MinInt32)),
 	}
-	// Intervals entirely below and above the block, where int32 has room.
+	// Intervals entirely below and above the block, and ones straddling
+	// its ends (a bit-packed block clamps them to its code space), where
+	// int32 has room.
 	if vmin > math.MinInt32+8 {
-		sels = append(sels, predSelection(Between(vmin-8, vmin-1)), predSelection(Lt(vmin)))
+		sels = append(sels, predSelection(Between(vmin-8, vmin-1)), predSelection(Lt(vmin)),
+			predSelection(Between(vmin-8, mid)))
 	}
 	if vmax < math.MaxInt32-8 {
-		sels = append(sels, predSelection(Between(vmax+1, vmax+8)), predSelection(Gt(vmax)))
+		sels = append(sels, predSelection(Between(vmax+1, vmax+8)), predSelection(Gt(vmax)),
+			predSelection(Between(mid, vmax+8)))
 	}
+	// One value at either end: the lowest and the highest code alone.
+	sels = append(sels, predSelection(Between(vmin, vmin)), predSelection(Between(vmax, vmax)))
 
 	// Dense sets: a window over the middle of the range (so values fall
 	// below, inside and above it), one anchored below the block, one that

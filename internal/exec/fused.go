@@ -61,13 +61,15 @@ const fusedWorkerDenseLimit = 1 << 20
 // encoding tag (available from the zone map without loading the block) so
 // the decision costs no I/O.
 //
-// The gate is deliberately unchanged by the group-of-64 kernels, though they
-// moved its premise: a whole-block Filter over a bit-packed block now costs
-// 1.8–2.3 ns per position at any selectivity (BenchmarkFilterKernels; it was
-// 2.5 at 1 %, 9–10 at 50 %) against 2.2–2.6 ns per survivor for Gather, so a
-// selection denser than about three in four is already cheaper to re-filter
-// than to gather. Widening the gate or reordering probes changes which bytes
-// are read and charged — the iostats goldens — and is its own change.
+// The gate is deliberately unchanged, though the bit-packed kernels moved
+// its premise: a whole-block interval Filter over a bit-packed block costs
+// 0.7–1.2 ns per position at any selectivity (BenchmarkFilterKernels,
+// bitpack-wire, w4–w32) against 2.5–3.0 ns per survivor for Gather, so a
+// selection denser than about one in three is already cheaper to re-filter
+// with an interval than to gather (not with a dense set: FilterSet costs
+// 3.4–4.5 ns per position). Widening the gate or reordering probes changes
+// which bytes are read and charged — the iostats goldens — and is its own
+// change.
 func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
 
 // fusedGroupSpace is the catalog upper bound on the composite group

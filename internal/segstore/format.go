@@ -400,7 +400,7 @@ func (r *footerReader) dict() (*compress.Dict, error) {
 		r.pos += n
 		total += n
 	}
-	if total > math.MaxUint32 {
+	if uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("dictionary of %d bytes overflows its 32-bit offsets", total)
 	}
 	var b strings.Builder
