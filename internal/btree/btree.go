@@ -56,8 +56,7 @@ type node[K cmp.Ordered] interface{ isNode() }
 func (*leaf[K]) isNode()     {}
 func (*interior[K]) isNode() {}
 
-// Tree is a B+Tree keyed by K. The zero value is not usable; call New or
-// Build.
+// Tree is a B+Tree keyed by K. The zero value is not usable; call Build.
 type Tree[K cmp.Ordered] struct {
 	root      node[K]
 	firstLeaf *leaf[K]
@@ -65,15 +64,9 @@ type Tree[K cmp.Ordered] struct {
 	keyBytes  int
 }
 
-// New returns an empty tree. keyBytes is the on-disk size of one key,
-// used for I/O accounting (e.g. 4 for int32 keys, avg length for strings).
-func New[K cmp.Ordered](keyBytes int) *Tree[K] {
-	lf := &leaf[K]{}
-	return &Tree[K]{root: lf, firstLeaf: lf, keyBytes: keyBytes}
-}
-
-// Build bulk-loads a tree from entries sorted ascending by (Key, RID). It is
-// the fast path used when indexing a freshly generated table.
+// Build bulk-loads a tree from entries sorted ascending by (Key, RID); it is
+// how every index is made. keyBytes is the on-disk size of one key, used for
+// I/O accounting (e.g. 4 for int32 keys, avg length for strings).
 func Build[K cmp.Ordered](entries []Entry[K], keyBytes int) *Tree[K] {
 	t := &Tree[K]{keyBytes: keyBytes, n: len(entries)}
 	if len(entries) == 0 {
@@ -124,74 +117,6 @@ func Build[K cmp.Ordered](entries []Entry[K], keyBytes int) *Tree[K] {
 	}
 	t.root = level[0]
 	return t
-}
-
-// Len returns the number of entries.
-func (t *Tree[K]) Len() int { return t.n }
-
-// Insert adds an entry, keeping duplicates (secondary indexes are
-// non-unique).
-func (t *Tree[K]) Insert(key K, rid, aux int32) {
-	t.n++
-	newChild, sk, sr := t.insert(t.root, Entry[K]{Key: key, RID: rid, Aux: aux})
-	if newChild != nil {
-		t.root = &interior[K]{
-			keys:     []K{sk},
-			rids:     []int32{sr},
-			children: []node[K]{t.root, newChild},
-		}
-	}
-}
-
-func (t *Tree[K]) insert(nd node[K], e Entry[K]) (node[K], K, int32) {
-	var zeroK K
-	switch n := nd.(type) {
-	case *leaf[K]:
-		i := lowerBoundEntry(n.entries, e.Key, e.RID)
-		n.entries = append(n.entries, Entry[K]{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = e
-		if len(n.entries) < degree {
-			return nil, zeroK, 0
-		}
-		mid := len(n.entries) / 2
-		right := &leaf[K]{entries: append([]Entry[K](nil), n.entries[mid:]...), next: n.next}
-		n.entries = n.entries[:mid]
-		n.next = right
-		return right, right.entries[0].Key, right.entries[0].RID
-	case *interior[K]:
-		// Descend to the rightmost child whose range can hold e:
-		// first separator strictly greater than (key, rid).
-		ci := n.childFor(e.Key, e.RID)
-		newChild, sk, sr := t.insert(n.children[ci], e)
-		if newChild == nil {
-			return nil, zeroK, 0
-		}
-		n.keys = append(n.keys, zeroK)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = sk
-		n.rids = append(n.rids, 0)
-		copy(n.rids[ci+1:], n.rids[ci:])
-		n.rids[ci] = sr
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = newChild
-		if len(n.children) <= degree {
-			return nil, zeroK, 0
-		}
-		mid := len(n.keys) / 2
-		upK, upR := n.keys[mid], n.rids[mid]
-		right := &interior[K]{
-			keys:     append([]K(nil), n.keys[mid+1:]...),
-			rids:     append([]int32(nil), n.rids[mid+1:]...),
-			children: append([]node[K](nil), n.children[mid+1:]...),
-		}
-		n.keys = n.keys[:mid]
-		n.rids = n.rids[:mid]
-		n.children = n.children[:mid+1]
-		return right, upK, upR
-	}
-	return nil, zeroK, 0
 }
 
 // childFor returns the index of the child whose subtree should contain the

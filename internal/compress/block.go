@@ -226,9 +226,6 @@ func (b *PlainBlock) AppendTo(dst []int32) []int32 {
 	return append(dst, b.vals...)
 }
 
-// Values exposes the underlying slice for the block-iteration fast path.
-func (b *PlainBlock) Values() []int32 { return b.vals }
-
 // Get implements IntBlock.
 func (b *PlainBlock) Get(i int) int32 { return b.vals[i] }
 

@@ -72,16 +72,6 @@ func (r *wireReader) u32() uint32 {
 	return v
 }
 
-func (r *wireReader) u64() uint64 {
-	if r.pos+8 > len(r.data) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
-}
-
 // words returns the next n 64-bit words as a view of the payload, not a
 // copy. Its capacity ends with it, so an append to the view cannot write
 // into the bytes after it.

@@ -137,7 +137,7 @@ func TestExplainAllSystems(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	// A flightless ad-hoc plan cannot run on per-flight MV designs.
-	adhoc := &ssb.Query{ID: "adhoc", Agg: ssb.AggRevenue}
+	adhoc := &ssb.Query{ID: "adhoc", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}}
 	if _, _, err := testDB.RunPlan(adhoc, RowMV()); err == nil {
 		t.Error("RowMV should reject flightless plans")
 	}
@@ -146,7 +146,7 @@ func TestValidationErrors(t *testing.T) {
 	}
 	// A plan referencing attributes outside the denormalized schema.
 	odd := &ssb.Query{
-		ID: "odd", Agg: ssb.AggRevenue,
+		ID: "odd", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}},
 		DimFilters: []ssb.DimFilter{{Dim: ssb.DimCustomer, Col: "mktsegment", Op: compress.OpEq, StrA: "BUILDING"}},
 	}
 	if _, _, err := testDB.RunPlan(odd, Denormalized(exec.DenormIntC)); err == nil {

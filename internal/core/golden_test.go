@@ -257,9 +257,9 @@ func (f ioStatsFile) marshal(t *testing.T) []byte {
 // limits here and is past both from SF=0.02.
 func wideGroupPlans() []*ssb.Query {
 	return []*ssb.Query{
-		{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		{ID: "wide-names", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
-		{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		{ID: "wide-cities", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}},
 	}
 }

@@ -46,8 +46,8 @@ func TestIngestEngineGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(db.Data.NumLineorders() + 777); res.Rows[0].Agg != want {
-		t.Fatalf("compressed column count %d, want %d", res.Rows[0].Agg, want)
+	if want := int64(db.Data.NumLineorders() + 777); res.Rows[0].Aggs[0] != want {
+		t.Fatalf("compressed column count %d, want %d", res.Rows[0].Aggs[0], want)
 	}
 
 	for _, cfg := range []Config{

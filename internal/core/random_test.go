@@ -19,7 +19,7 @@ func randomQuery(rng *rand.Rand, id int) *ssb.Query {
 	q := &ssb.Query{ID: fmt.Sprintf("rnd-%d", id)}
 
 	// Aggregate.
-	q.Agg = []ssb.AggKind{ssb.AggDiscountRevenue, ssb.AggRevenue, ssb.AggProfit}[rng.Intn(3)]
+	q.Aggs = ssb.QueryByID([]string{"1.1", "2.1", "4.1"}[rng.Intn(3)]).Aggs
 
 	// Fact measure filters.
 	if rng.Intn(2) == 0 {

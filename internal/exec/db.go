@@ -53,11 +53,6 @@ type DB struct {
 	// (ingest.go) share one pool.
 	fusedPool *sync.Pool
 
-	// footCache memoizes per-column maximum block bytes for
-	// EstimateFootprint (footprint.go), keyed by column pointer; a pointer
-	// so the tuple mover's copy of the DB can carry a fresh one.
-	footCache *footprintCache
-
 	// seg is the backing segment store for file-backed DBs (nil for
 	// in-memory builds); the tuple mover appends frozen delta blocks to it.
 	seg *segstore.Store
@@ -74,9 +69,8 @@ type DB struct {
 
 // sealedCopy returns a read-only DB over db's dimensions and the given fact
 // table: the sealed snapshot the tuple mover publishes. It shares the worker
-// pool and store, and has no write half and a fresh footprint memo (that
-// memo is keyed by column pointers, which just changed). Copy field by field
-// (the write half's atomic must not be copied): a new DB field belongs here.
+// pool and store, and has no write half. Copy field by field (the write
+// half's atomic must not be copied): a new DB field belongs here.
 func (db *DB) sealedCopy(fact *colstore.Table, numRows int) *DB {
 	return &DB{
 		Compressed:   db.Compressed,
@@ -88,16 +82,9 @@ func (db *DB) sealedCopy(fact *colstore.Table, numRows int) *DB {
 		dateKeyMin:   db.dateKeyMin,
 		numRows:      numRows,
 		fusedPool:    db.fusedPool,
-		footCache:    &footprintCache{max: map[*colstore.Column]int64{}},
 		seg:          db.seg,
 		ckpt:         db.ckpt,
 	}
-}
-
-// footprintCache is the concurrency-safe per-column max-block-bytes memo.
-type footprintCache struct {
-	mu  sync.Mutex
-	max map[*colstore.Column]int64
 }
 
 // DictBytes is the memory every dictionary of the DB holds (values and
@@ -144,7 +131,6 @@ func BuildDB(d *ssb.Data, compressed bool) *DB {
 		Dims:       map[ssb.Dim]*colstore.Table{},
 		numRows:    d.NumLineorders(),
 		fusedPool:  &sync.Pool{},
-		footCache:  &footprintCache{max: map[*colstore.Column]int64{}},
 	}
 
 	// Date keeps generation (chronological) order; its key is yyyymmdd.

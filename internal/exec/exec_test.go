@@ -26,9 +26,9 @@ var (
 // sits in the one-worker band (fusedWorkerDenseLimit..denseLimit) below.
 func wideGroupPlans() []*ssb.Query {
 	return []*ssb.Query{
-		{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		{ID: "wide-names", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
-		{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		{ID: "wide-cities", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}},
 	}
 }

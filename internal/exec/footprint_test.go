@@ -8,18 +8,19 @@ import (
 )
 
 // TestEstimateFootprintBounds pins the admission estimate as a provable
-// upper bound: for every engine configuration (kernels on and off), the
-// estimate must be at least the peak bytes the query actually held resident
-// in the buffer pool. The pool runs with the smallest budget the store
-// accepts (256 KB here, just over the largest single segment) so unpinned
-// frames evict aggressively — its Peak high-water mark then tracks the
-// maximum concurrently pinned payload plus at most one budget's worth of
-// cached frames, which is exactly the shared-resource pressure the
-// estimate exists to bound. Scratch
-// (selection bitmaps, gather buffers, dense aggregation arrays) is charged
-// by the estimate on top, so the inequality has real slack by construction;
-// what this test refutes is an estimate recalibrated below the pinned
-// working set.
+// upper bound: the estimate for the fused engine at a configuration's
+// worker count must be at least the peak bytes the query actually held
+// resident in the buffer pool. The pool runs with the smallest budget the
+// store accepts (256 KB here, just over the largest single segment) so
+// unpinned frames evict aggressively — its Peak high-water mark then tracks
+// the maximum concurrently pinned payload plus at most one budget's worth of
+// cached frames, which is exactly the shared-resource pressure the estimate
+// exists to bound. Scratch (selection bitmaps, gather buffers, dense
+// aggregation arrays) is charged by the estimate on top, so the inequality
+// has real slack by construction; what this test refutes is an estimate
+// recalibrated below the pinned working set. The server runs only the fused
+// engine; the per-probe and early-mat rows also pin one block per column at
+// a time, and every row checks that its run leaves no frame pinned.
 func TestEstimateFootprintBounds(t *testing.T) {
 	data := ssb.Generate(0.01)
 	mem := BuildDB(data, true)
@@ -59,7 +60,7 @@ func TestEstimateFootprintBounds(t *testing.T) {
 		for _, c := range configs {
 			t.Run(fmt.Sprintf("%s/%s", q.ID, c.label), func(t *testing.T) {
 				store.Pool().Reset()
-				est := segDB.EstimateFootprint(q, c.cfg)
+				est := segDB.EstimateFootprint(q, c.cfg.Workers)
 				segDB.Run(q, c.cfg, nil)
 				ps := store.Pool().Stats()
 				if est < ps.Peak {

@@ -409,7 +409,7 @@ func TestIngestEpochSnapshot(t *testing.T) {
 		t.Fatalf("fresh DB epoch %d, want 0", got)
 	}
 	countQ := &ssb.Query{ID: "count", Aggs: []ssb.AggSpec{{Func: ssb.FuncCount}}}
-	base := db.Run(countQ, FusedOpt, nil).Rows[0].Agg
+	base := db.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]
 	if int(base) != data.NumLineorders() {
 		t.Fatalf("base count %d, want %d", base, data.NumLineorders())
 	}
@@ -425,7 +425,7 @@ func TestIngestEpochSnapshot(t *testing.T) {
 	if epoch != 1234 {
 		t.Fatalf("epoch after first insert %d, want 1234", epoch)
 	}
-	if got := db.Run(countQ, FusedOpt, nil).Rows[0].Agg; got != base+1234 {
+	if got := db.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]; got != base+1234 {
 		t.Fatalf("count after insert %d, want %d", got, base+1234)
 	}
 	// The pre-insert result was computed against the old snapshot and must
@@ -434,7 +434,7 @@ func TestIngestEpochSnapshot(t *testing.T) {
 	if _, err := db.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Run(countQ, FusedOpt, nil).Rows[0].Agg; got != base+1234 {
+	if got := db.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]; got != base+1234 {
 		t.Fatalf("count after compaction %d, want %d (compaction must not change visibility)", got, base+1234)
 	}
 	if got := db.Epoch(); got != 1234 {
@@ -543,7 +543,7 @@ func TestIngestConcurrentSnapshots(t *testing.T) {
 					return
 				default:
 				}
-				got := segDB.Run(countQ, cfg, nil).Rows[0].Agg
+				got := segDB.Run(countQ, cfg, nil).Rows[0].Aggs[0]
 				if got < last {
 					errCh <- fmt.Errorf("reader %d: count went backwards (%d -> %d)", r, last, got)
 					return
@@ -576,7 +576,7 @@ func TestIngestConcurrentSnapshots(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if got := res.Rows[0].Agg; got != base+tr.Epoch {
+				if got := res.Rows[0].Aggs[0]; got != base+tr.Epoch {
 					errCh <- fmt.Errorf("traced reader %d: counted %d rows but the trace names epoch %d (base %d)", r, got, tr.Epoch, base)
 					return
 				}
@@ -596,7 +596,7 @@ func TestIngestConcurrentSnapshots(t *testing.T) {
 	}
 	segDB.CloseDelta()
 	want := base + inserters*batches*batchRows
-	if got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Agg; got != want {
+	if got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]; got != want {
 		t.Fatalf("final count %d, want %d", got, want)
 	}
 	if ds := segDB.DeltaStats(); ds.Err != "" {
@@ -637,7 +637,7 @@ func TestDeleteConcurrentSnapshots(t *testing.T) {
 			Aggs:        []ssb.AggSpec{{Func: ssb.FuncCount}},
 			FactFilters: []ssb.FactFilter{{Col: "orderkey", Pred: compress.Eq(key)}},
 		}
-		return segDB.Run(q, cfg, nil).Rows[0].Agg
+		return segDB.Run(q, cfg, nil).Rows[0].Aggs[0]
 	}
 
 	var wg sync.WaitGroup
@@ -699,7 +699,7 @@ func TestDeleteConcurrentSnapshots(t *testing.T) {
 				return
 			default:
 			}
-			got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Agg
+			got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]
 			if d := got - base; d < 0 || d%batchRows != 0 {
 				errCh <- fmt.Errorf("count %d is not base+k*%d — a reader saw a torn insert or delete", got, batchRows)
 				return
@@ -737,7 +737,7 @@ func TestDeleteConcurrentSnapshots(t *testing.T) {
 	}
 	segDB.CloseDelta()
 	want := base + int64(inserters*batches-len(deleted))*batchRows
-	if got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Agg; got != want {
+	if got := segDB.Run(countQ, FusedOpt, nil).Rows[0].Aggs[0]; got != want {
 		t.Fatalf("final count %d, want %d (%d batches deleted)", got, want, len(deleted))
 	}
 	isDeleted := map[int32]bool{}

@@ -49,7 +49,6 @@ func OpenSegmentDB(store *segstore.Store) (*DB, error) {
 		Compressed: true,
 		Dims:       map[ssb.Dim]*colstore.Table{},
 		fusedPool:  &sync.Pool{},
-		footCache:  &footprintCache{max: map[*colstore.Column]int64{}},
 		seg:        store,
 	}
 	fact, err := store.Table(segFactName)

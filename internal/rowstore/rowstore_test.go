@@ -149,42 +149,6 @@ func TestTupleOverheadVisible(t *testing.T) {
 	}
 }
 
-func TestPartitionedTable(t *testing.T) {
-	s := NewSchema([]string{"orderdate", "v"}, []ColType{TInt, TInt})
-	pt := NewPartitionedTable("lo", s, "orderdate", func(d int32) int32 { return d / 10000 })
-	for y := int32(1992); y <= 1998; y++ {
-		for i := 0; i < 100; i++ {
-			pt.Append(Row{{I: y*10000 + 101 + int32(i)%300}, {I: int32(i)}})
-		}
-	}
-	if pt.NumPartitions() != 7 || pt.NumRows() != 700 {
-		t.Fatalf("parts=%d rows=%d", pt.NumPartitions(), pt.NumRows())
-	}
-	// Full scan.
-	count := 0
-	pt.Scan(nil, nil, func(Row) bool { count++; return true })
-	if count != 700 {
-		t.Fatalf("full scan visited %d", count)
-	}
-	// Pruned scan reads fewer bytes.
-	var stAll, stOne iosim.Stats
-	pt.Scan(nil, &stAll, func(Row) bool { return true })
-	count = 0
-	pt.Scan(func(k int32) bool { return k == 1994 }, &stOne, func(row Row) bool {
-		if row[0].I/10000 != 1994 {
-			t.Fatal("pruned scan leaked other years")
-		}
-		count++
-		return true
-	})
-	if count != 100 {
-		t.Fatalf("pruned scan visited %d", count)
-	}
-	if stOne.BytesRead*5 > stAll.BytesRead {
-		t.Fatalf("pruning saved too little: %d vs %d", stOne.BytesRead, stAll.BytesRead)
-	}
-}
-
 func TestBuildVertical(t *testing.T) {
 	s := testSchema()
 	tb := NewTable("t", s)

@@ -87,14 +87,6 @@ type Value struct {
 // Row is a decoded tuple in schema order.
 type Row []Value
 
-// Clone deep-copies a row (strings are shared, which is safe: they are
-// immutable).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // TupleHeaderBytes is the per-tuple storage overhead. The paper measures
 // about 8 bytes of overhead per row in System X plus a 4-byte record-id
 // where one must be stored explicitly; we charge the 8-byte header on every

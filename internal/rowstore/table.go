@@ -105,86 +105,6 @@ func (t *Table) Fetch(rid int32, st *iosim.Stats) Row {
 	return t.scratch
 }
 
-// PartitionedTable horizontally partitions tuples by an integer column
-// (the paper's System X "partitions the lineorder table on orderdate by
-// year"). Each partition is its own heap table; a query with a restriction
-// on the partitioning column scans only matching partitions.
-type PartitionedTable struct {
-	Name    string
-	Schema  *Schema
-	PartCol string
-
-	partCol int
-	keyOf   func(v int32) int32 // maps column value -> partition key
-	parts   map[int32]*Table
-	keys    []int32
-	n       int
-}
-
-// NewPartitionedTable partitions on column partCol, grouping values through
-// keyOf (e.g. orderdate 19930214 -> year 1993).
-func NewPartitionedTable(name string, schema *Schema, partCol string, keyOf func(int32) int32) *PartitionedTable {
-	return &PartitionedTable{
-		Name:    name,
-		Schema:  schema,
-		PartCol: partCol,
-		partCol: schema.MustColIndex(partCol),
-		keyOf:   keyOf,
-		parts:   map[int32]*Table{},
-	}
-}
-
-// Append routes the tuple to its partition.
-func (t *PartitionedTable) Append(r Row) {
-	key := t.keyOf(r[t.partCol].I)
-	p, ok := t.parts[key]
-	if !ok {
-		p = NewTable(t.Name, t.Schema)
-		t.parts[key] = p
-		t.keys = append(t.keys, key)
-		sort.Slice(t.keys, func(i, j int) bool { return t.keys[i] < t.keys[j] })
-	}
-	p.Append(r)
-	t.n++
-}
-
-// NumRows returns the total tuple count across partitions.
-func (t *PartitionedTable) NumRows() int { return t.n }
-
-// NumPartitions returns the partition count.
-func (t *PartitionedTable) NumPartitions() int { return len(t.parts) }
-
-// HeapBytes sums all partition heaps.
-func (t *PartitionedTable) HeapBytes() int64 {
-	var b int64
-	for _, p := range t.parts {
-		b += p.HeapBytes()
-	}
-	return b
-}
-
-// Scan visits tuples in partitions whose key k satisfies keep(k); pass nil
-// to scan everything. Row is reused; rid is partition-local and therefore
-// NOT globally unique — partition scans are used only by full-tuple plans.
-func (t *PartitionedTable) Scan(keep func(key int32) bool, st *iosim.Stats, fn func(row Row) bool) {
-	for _, k := range t.keys {
-		if keep != nil && !keep(k) {
-			continue
-		}
-		done := false
-		t.parts[k].Scan(st, func(_ int32, row Row) bool {
-			if !fn(row) {
-				done = true
-				return false
-			}
-			return true
-		})
-		if done {
-			return
-		}
-	}
-}
-
 // VerticalTable is one column's two-column table in the fully vertically
 // partitioned design: (position, value) pairs, exactly as Section 4
 // describes ("this approach creates one physical table for each column...

@@ -250,7 +250,6 @@ func (s *Store) commit(tm *tableMeta, ck Checkpoint, newPhys [][]segMeta, payloa
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("segstore: %s: syncing append payload: %w", s.path, err)
 	}
-	s.syncs.Add(1)
 	trailer := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(footer))
 	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(len(footer)))
 	trailer = append(trailer, Magic...)
@@ -260,7 +259,6 @@ func (s *Store) commit(tm *tableMeta, ck Checkpoint, newPhys [][]segMeta, payloa
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("segstore: %s: syncing append trailer: %w", s.path, err)
 	}
-	s.syncs.Add(1)
 
 	// Durable on disk: swap the live directory, and let later footers
 	// reference the dictionaries this one wrote inline.

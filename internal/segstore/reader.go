@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/compress"
@@ -57,10 +56,6 @@ type Store struct {
 	// appendMu serializes appends; separate from mu so readers are never
 	// blocked behind append file I/O.
 	appendMu sync.Mutex
-
-	// syncs counts fsyncs issued by the append commit protocol (two per
-	// append: payload+footer, then trailer). Observability only.
-	syncs atomic.Int64
 
 	pool *Pool
 }
@@ -320,44 +315,8 @@ func (s *Store) NumSegments() int {
 	return n
 }
 
-// CompressedBytes returns the total live on-disk payload bytes.
-func (s *Store) CompressedBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, c := range s.cols {
-		for _, seg := range c.segs {
-			n += int64(seg.plen)
-		}
-	}
-	return n
-}
-
-// RawBytes returns the decoded (4 bytes/value) footprint of all columns —
-// the memory a wholesale eagerly-decoded load would need. Note the buffer
-// pool never holds segments in this form: frames cache wire-native blocks
-// and the -mem-budget is charged compressed payload bytes (CompressedBytes,
-// as PoolStats.Resident reports), so a budget far below RawBytes can still
-// keep the hot working set resident. RawBytes is the denominator for the
-// pool's effective compression ratio (see PoolStats.ResidentLogical).
-func (s *Store) RawBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, c := range s.cols {
-		for _, seg := range c.segs {
-			n += int64(seg.rows) * 4
-		}
-	}
-	return n
-}
-
 // Pool returns the store's buffer pool (statistics, budget).
 func (s *Store) Pool() *Pool { return s.pool }
-
-// Syncs reports how many fsyncs the append commit protocol has issued on
-// this store since open.
-func (s *Store) Syncs() int64 { return s.syncs.Load() }
 
 // Close gives back the buffer of every unpinned pool frame and every spare,
 // then closes the underlying file. A segment pinned at Close stays usable

@@ -44,8 +44,8 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Result.Rows[0].Agg != base || r1.Cached {
-		t.Fatalf("first count: agg=%d cached=%v, want %d/false", r1.Result.Rows[0].Agg, r1.Cached, base)
+	if r1.Result.Rows[0].Aggs[0] != base || r1.Cached {
+		t.Fatalf("first count: agg=%d cached=%v, want %d/false", r1.Result.Rows[0].Aggs[0], r1.Cached, base)
 	}
 	r2, err := srv.Execute(ctx, countQ)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestInsertVisibilityAndCacheEpoch(t *testing.T) {
 	if r3.Cached {
 		t.Fatal("post-insert query served from the pre-insert cache entry — epoch keying broken")
 	}
-	if got := r3.Result.Rows[0].Agg; got != base+2500 {
+	if got := r3.Result.Rows[0].Aggs[0]; got != base+2500 {
 		t.Fatalf("post-insert count %d, want %d", got, base+2500)
 	}
 	planHits, planMisses, _ := srv.plans.counters()
@@ -403,7 +403,7 @@ func TestDeleteHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matching := pre.Result.Rows[0].Agg
+	matching := pre.Result.Rows[0].Aggs[0]
 	if matching == 0 {
 		t.Fatal("no rows with quantity=30; the fixture lost its value domain")
 	}
@@ -432,14 +432,14 @@ func TestDeleteHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := after.Result.Rows[0].Agg; got != 0 {
+	if got := after.Result.Rows[0].Aggs[0]; got != 0 {
 		t.Fatalf("post-delete quantity=30 count %d, want 0", got)
 	}
 	afterTotal, err := srv.Execute(ctx, countQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := afterTotal.Result.Rows[0].Agg, total.Result.Rows[0].Agg-matching; got != want {
+	if got, want := afterTotal.Result.Rows[0].Aggs[0], total.Result.Rows[0].Aggs[0]-matching; got != want {
 		t.Fatalf("post-delete count(*) %d, want %d", got, want)
 	}
 	// Idempotent: the same predicate now tombstones nothing.
@@ -600,7 +600,7 @@ func TestConcurrentInsertQueryStress(t *testing.T) {
 					return
 				}
 				if q == countQ {
-					got := resp.Result.Rows[0].Agg
+					got := resp.Result.Rows[0].Aggs[0]
 					if got < last || (got-base)%batchRows != 0 {
 						errCh <- fmt.Errorf("count invariant violated: got %d after %d (base %d)", got, last, base)
 						return

@@ -5,9 +5,9 @@
 //
 //   - Admission control. A FIFO byte-budget semaphore (admit.go) bounds the
 //     estimated transient footprint (exec.DB.EstimateFootprint: pinned
-//     segments + dense aggregation arrays + position lists) of the queries
-//     executing at any instant, so concurrent traffic cannot thrash a small
-//     segstore.Pool into fetch-evict-refetch livelock.
+//     segments + per-worker block scratch + dense aggregation arrays) of
+//     the queries executing at any instant, so concurrent traffic cannot
+//     thrash a small segstore.Pool into fetch-evict-refetch livelock.
 //   - Cancellation. Every query runs under its caller's context (for HTTP,
 //     the request context — a disconnected client is a canceled query), and
 //     the executors' block loops observe it, so abandoned queries stop
@@ -218,9 +218,6 @@ func New(db *core.DB, opts Options) (*Server, error) {
 // /debug/queries and /debug/summary render it; tests read it directly).
 func (s *Server) Recorder() *obs.Recorder { return s.recorder }
 
-// History exposes the metrics-history ring behind /metrics/history.
-func (s *Server) History() *obs.History { return s.history }
-
 // Insert appends a batch of logical lineorder rows to the write store,
 // returning the new epoch. Concurrent with queries and other inserters; a
 // query started before this call never observes the batch, one started
@@ -342,7 +339,7 @@ func (s *Server) execute(ctx context.Context, q *ssb.Query, sql string) (e *cach
 		return hit, true, 0, nil
 	}
 
-	weight := s.col.EstimateFootprint(q, s.coreCfg.Col)
+	weight := s.col.EstimateFootprint(q, s.coreCfg.Col.Workers)
 	admitStart := time.Now()
 	granted, err := s.sem.acquire(ctx, weight)
 	if err != nil {

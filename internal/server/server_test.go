@@ -180,9 +180,9 @@ func TestServingPathIsFused(t *testing.T) {
 	defer srv.Close()
 
 	plans := append(ssb.Queries(),
-		&ssb.Query{ID: "wide-names", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		&ssb.Query{ID: "wide-names", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "name"}, {Dim: ssb.DimPart, Col: "name"}, {Dim: ssb.DimDate, Col: "date"}}},
-		&ssb.Query{ID: "wide-cities", Agg: ssb.AggRevenue, GroupBy: []ssb.GroupCol{
+		&ssb.Query{ID: "wide-cities", Aggs: []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}, GroupBy: []ssb.GroupCol{
 			{Dim: ssb.DimCustomer, Col: "city"}, {Dim: ssb.DimSupplier, Col: "city"}, {Dim: ssb.DimPart, Col: "brand1"}}})
 	for i := int64(0); i < 200; i++ {
 		plans = append(plans, ssb.RandQuery(stressSeedBase+i))

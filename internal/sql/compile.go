@@ -14,26 +14,14 @@ func compile(id string, s *stmt) (*ssb.Query, error) {
 	q := &ssb.Query{ID: id}
 
 	// Aggregates: each is sum/min/max over a measure expression, or
-	// count(*). The legacy AggKind is kept in sync for the three published
-	// SSBM forms so the figure harnesses can still classify plans.
-	specs := make([]ssb.AggSpec, len(s.aggs))
+	// count(*).
+	q.Aggs = make([]ssb.AggSpec, len(s.aggs))
 	for i, it := range s.aggs {
 		spec, err := compileAgg(it)
 		if err != nil {
 			return nil, err
 		}
-		specs[i] = spec
-	}
-	q.Aggs = specs
-	if len(specs) == 1 && specs[0].Func == ssb.FuncSum {
-		switch specs[0].Expr {
-		case (ssb.AggExpr{ColA: "extendedprice", Op: '*', ColB: "discount"}):
-			q.Agg = ssb.AggDiscountRevenue
-		case (ssb.AggExpr{ColA: "revenue"}):
-			q.Agg = ssb.AggRevenue
-		case (ssb.AggExpr{ColA: "revenue", Op: '-', ColB: "supplycost"}):
-			q.Agg = ssb.AggProfit
-		}
+		q.Aggs[i] = spec
 	}
 
 	// Predicates.

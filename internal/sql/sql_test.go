@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestParsePieces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Agg != ssb.AggRevenue || len(q.DimFilters) != 1 || len(q.GroupBy) != 1 {
+	if !slices.Equal(q.Aggs, ssb.QueryByID("2.1").Aggs) || len(q.DimFilters) != 1 || len(q.GroupBy) != 1 {
 		t.Fatalf("parsed shape wrong: %+v", q)
 	}
 	f := q.DimFilters[0]

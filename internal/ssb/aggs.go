@@ -8,11 +8,10 @@ import (
 	"repro/internal/compress"
 )
 
-// This file defines the generalized aggregate model: a query carries a list
-// of aggregates (SUM/COUNT/MIN/MAX) over fact-measure expressions instead of
-// one hardwired AggKind. The thirteen fixed SSBM queries keep their AggKind
-// for the figure harnesses; every engine consumes the list form via
-// Query.AggSpecs, which normalizes legacy queries to a single SUM spec.
+// This file defines the aggregate model: a query carries a list of
+// aggregates (SUM/COUNT/MIN/MAX) over fact-measure expressions, and a result
+// row carries one value per aggregate. Each of the thirteen SSBM queries
+// lists one SUM; every engine reads the list.
 
 // AggFunc is the aggregate function applied to an expression.
 type AggFunc uint8
@@ -173,27 +172,8 @@ func FinalizeCells(specs []AggSpec, cells []int64, rows int64) []int64 {
 	return cells
 }
 
-// Spec returns the generalized form of a legacy aggregate kind.
-func (a AggKind) Spec() AggSpec {
-	switch a {
-	case AggDiscountRevenue:
-		return AggSpec{Func: FuncSum, Expr: AggExpr{ColA: "extendedprice", Op: '*', ColB: "discount"}}
-	case AggRevenue:
-		return AggSpec{Func: FuncSum, Expr: AggExpr{ColA: "revenue"}}
-	default:
-		return AggSpec{Func: FuncSum, Expr: AggExpr{ColA: "revenue", Op: '-', ColB: "supplycost"}}
-	}
-}
-
-// AggSpecs returns the query's aggregate list. Queries built before the
-// generalization (the fixed thirteen) normalize to one SUM spec derived
-// from their AggKind.
-func (q *Query) AggSpecs() []AggSpec {
-	if len(q.Aggs) > 0 {
-		return q.Aggs
-	}
-	return []AggSpec{q.Agg.Spec()}
-}
+// AggSpecs returns the query's aggregate list.
+func (q *Query) AggSpecs() []AggSpec { return q.Aggs }
 
 // AggInputs lays out the distinct fact columns the aggregate list reads and
 // resolves each spec's expression operands to indexes into that list (-1
@@ -227,16 +207,10 @@ func AggInputs(specs []AggSpec) (cols []string, ia, ib []int) {
 	return cols, ia, ib
 }
 
-// MakeRow builds a canonical result row from accumulated cells: Agg carries
-// the first aggregate (what the figure harnesses read); Aggs carries the
-// full list only for multi-aggregate queries, so single-aggregate rows
-// compare equal regardless of which code path produced them.
+// MakeRow builds a result row from accumulated cells. It copies cells, so
+// callers may reuse their accumulator.
 func MakeRow(keys []string, cells []int64) ResultRow {
-	r := ResultRow{Keys: keys, Agg: cells[0]}
-	if len(cells) > 1 {
-		r.Aggs = append([]int64(nil), cells...)
-	}
-	return r
+	return ResultRow{Keys: keys, Aggs: append([]int64(nil), cells...)}
 }
 
 // MeasureCols are the LINEORDER measure columns open to generalized fact

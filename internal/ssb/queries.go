@@ -135,31 +135,6 @@ type GroupCol struct {
 	Col string
 }
 
-// AggKind selects the aggregate expression.
-type AggKind uint8
-
-const (
-	// AggDiscountRevenue is sum(lo_extendedprice * lo_discount)
-	// (flight 1).
-	AggDiscountRevenue AggKind = iota
-	// AggRevenue is sum(lo_revenue) (flights 2 and 3).
-	AggRevenue
-	// AggProfit is sum(lo_revenue - lo_supplycost) (flight 4).
-	AggProfit
-)
-
-// Columns returns the fact measure columns the aggregate reads.
-func (a AggKind) Columns() []string {
-	switch a {
-	case AggDiscountRevenue:
-		return []string{"extendedprice", "discount"}
-	case AggRevenue:
-		return []string{"revenue"}
-	default:
-		return []string{"revenue", "supplycost"}
-	}
-}
-
 // Query is one SSBM query as a logical plan. Both the row and column
 // executors compile Queries from this shared description, so result
 // equivalence checks compare like with like.
@@ -169,9 +144,8 @@ type Query struct {
 	FactFilters []FactFilter
 	DimFilters  []DimFilter
 	GroupBy     []GroupCol
-	Agg         AggKind
-	// Aggs is the generalized aggregate list. When empty the query is a
-	// legacy single-SUM plan described by Agg; see AggSpecs.
+	// Aggs is the SELECT list: one SUM for each of the thirteen SSBM
+	// queries, any list of aggregates for ad-hoc plans.
 	Aggs []AggSpec
 	// PaperSelectivity is the LINEORDER selectivity published in paper
 	// Section 3, pinned by generator tests.
@@ -202,11 +176,18 @@ func strEq(d Dim, col, v string) DimFilter {
 	return DimFilter{Dim: d, Col: col, Op: compress.OpEq, StrA: v}
 }
 
+// sumOf is the one-aggregate list of an SSBM query: sum(a), sum(a*b) or
+// sum(a-b). Each query gets its own slice, since callers may edit the plans
+// Queries returns.
+func sumOf(a string, op byte, b string) []AggSpec {
+	return []AggSpec{{Func: FuncSum, Expr: AggExpr{ColA: a, Op: op, ColB: b}}}
+}
+
 // Queries returns the thirteen SSBM queries (paper Section 3).
 func Queries() []*Query {
 	return []*Query{
 		{
-			ID: "1.1", Flight: 1, Agg: AggDiscountRevenue,
+			ID: "1.1", Flight: 1, Aggs: sumOf("extendedprice", '*', "discount"),
 			DimFilters: []DimFilter{
 				{Dim: DimDate, Col: "year", Op: compress.OpEq, IsInt: true, IntA: 1993},
 			},
@@ -217,7 +198,7 @@ func Queries() []*Query {
 			PaperSelectivity: 1.9e-2,
 		},
 		{
-			ID: "1.2", Flight: 1, Agg: AggDiscountRevenue,
+			ID: "1.2", Flight: 1, Aggs: sumOf("extendedprice", '*', "discount"),
 			DimFilters: []DimFilter{
 				{Dim: DimDate, Col: "yearmonthnum", Op: compress.OpEq, IsInt: true, IntA: 199401},
 			},
@@ -228,7 +209,7 @@ func Queries() []*Query {
 			PaperSelectivity: 6.5e-4,
 		},
 		{
-			ID: "1.3", Flight: 1, Agg: AggDiscountRevenue,
+			ID: "1.3", Flight: 1, Aggs: sumOf("extendedprice", '*', "discount"),
 			DimFilters: []DimFilter{
 				{Dim: DimDate, Col: "weeknuminyear", Op: compress.OpEq, IsInt: true, IntA: 6},
 				{Dim: DimDate, Col: "year", Op: compress.OpEq, IsInt: true, IntA: 1994},
@@ -240,7 +221,7 @@ func Queries() []*Query {
 			PaperSelectivity: 7.5e-5,
 		},
 		{
-			ID: "2.1", Flight: 2, Agg: AggRevenue,
+			ID: "2.1", Flight: 2, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				strEq(DimPart, "category", "MFGR#12"),
 				strEq(DimSupplier, "region", "AMERICA"),
@@ -252,7 +233,7 @@ func Queries() []*Query {
 			PaperSelectivity: 8.0e-3,
 		},
 		{
-			ID: "2.2", Flight: 2, Agg: AggRevenue,
+			ID: "2.2", Flight: 2, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				{Dim: DimPart, Col: "brand1", Op: compress.OpBetween, StrA: "MFGR#2221", StrB: "MFGR#2228"},
 				strEq(DimSupplier, "region", "ASIA"),
@@ -264,7 +245,7 @@ func Queries() []*Query {
 			PaperSelectivity: 1.6e-3,
 		},
 		{
-			ID: "2.3", Flight: 2, Agg: AggRevenue,
+			ID: "2.3", Flight: 2, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				strEq(DimPart, "brand1", "MFGR#2239"),
 				strEq(DimSupplier, "region", "EUROPE"),
@@ -276,7 +257,7 @@ func Queries() []*Query {
 			PaperSelectivity: 2.0e-4,
 		},
 		{
-			ID: "3.1", Flight: 3, Agg: AggRevenue,
+			ID: "3.1", Flight: 3, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				strEq(DimCustomer, "region", "ASIA"),
 				strEq(DimSupplier, "region", "ASIA"),
@@ -290,7 +271,7 @@ func Queries() []*Query {
 			PaperSelectivity: 3.4e-2,
 		},
 		{
-			ID: "3.2", Flight: 3, Agg: AggRevenue,
+			ID: "3.2", Flight: 3, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				strEq(DimCustomer, "nation", "UNITED STATES"),
 				strEq(DimSupplier, "nation", "UNITED STATES"),
@@ -304,7 +285,7 @@ func Queries() []*Query {
 			PaperSelectivity: 1.4e-3,
 		},
 		{
-			ID: "3.3", Flight: 3, Agg: AggRevenue,
+			ID: "3.3", Flight: 3, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				{Dim: DimCustomer, Col: "city", Op: compress.OpIn, StrSet: []string{CityOf("UNITED KINGDOM", 1), CityOf("UNITED KINGDOM", 5)}},
 				{Dim: DimSupplier, Col: "city", Op: compress.OpIn, StrSet: []string{CityOf("UNITED KINGDOM", 1), CityOf("UNITED KINGDOM", 5)}},
@@ -318,7 +299,7 @@ func Queries() []*Query {
 			PaperSelectivity: 5.5e-5,
 		},
 		{
-			ID: "3.4", Flight: 3, Agg: AggRevenue,
+			ID: "3.4", Flight: 3, Aggs: sumOf("revenue", 0, ""),
 			DimFilters: []DimFilter{
 				{Dim: DimCustomer, Col: "city", Op: compress.OpIn, StrSet: []string{CityOf("UNITED KINGDOM", 1), CityOf("UNITED KINGDOM", 5)}},
 				{Dim: DimSupplier, Col: "city", Op: compress.OpIn, StrSet: []string{CityOf("UNITED KINGDOM", 1), CityOf("UNITED KINGDOM", 5)}},
@@ -332,7 +313,7 @@ func Queries() []*Query {
 			PaperSelectivity: 7.6e-7,
 		},
 		{
-			ID: "4.1", Flight: 4, Agg: AggProfit,
+			ID: "4.1", Flight: 4, Aggs: sumOf("revenue", '-', "supplycost"),
 			DimFilters: []DimFilter{
 				strEq(DimCustomer, "region", "AMERICA"),
 				strEq(DimSupplier, "region", "AMERICA"),
@@ -345,7 +326,7 @@ func Queries() []*Query {
 			PaperSelectivity: 1.6e-2,
 		},
 		{
-			ID: "4.2", Flight: 4, Agg: AggProfit,
+			ID: "4.2", Flight: 4, Aggs: sumOf("revenue", '-', "supplycost"),
 			DimFilters: []DimFilter{
 				strEq(DimCustomer, "region", "AMERICA"),
 				strEq(DimSupplier, "region", "AMERICA"),
@@ -360,7 +341,7 @@ func Queries() []*Query {
 			PaperSelectivity: 4.5e-3,
 		},
 		{
-			ID: "4.3", Flight: 4, Agg: AggProfit,
+			ID: "4.3", Flight: 4, Aggs: sumOf("revenue", '-', "supplycost"),
 			DimFilters: []DimFilter{
 				strEq(DimCustomer, "region", "AMERICA"),
 				strEq(DimSupplier, "nation", "UNITED STATES"),

@@ -2,29 +2,20 @@ package ssb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // ResultRow is one output row: the group-by key values (rendered as
-// strings, integers in decimal) and the aggregate(s).
+// strings, integers in decimal) and one value per aggregate of the query.
 type ResultRow struct {
 	Keys []string
-	// Agg is the first (for the thirteen SSBM queries: only) aggregate.
-	Agg int64
-	// Aggs holds the full aggregate list for multi-aggregate queries
-	// (Aggs[0] == Agg); nil for single-aggregate rows. Engines build rows
-	// through MakeRow so the representation is canonical.
 	Aggs []int64
 }
 
-// AggValues returns all aggregate values of the row.
-func (r ResultRow) AggValues() []int64 {
-	if r.Aggs != nil {
-		return r.Aggs
-	}
-	return []int64{r.Agg}
-}
+// AggValues returns the row's aggregate values.
+func (r ResultRow) AggValues() []int64 { return r.Aggs }
 
 // Result is a canonicalized query result: rows sorted by group keys so that
 // results from different engines compare with simple equality.
@@ -52,24 +43,10 @@ func (r *Result) Equal(o *Result) bool {
 	if len(r.Rows) != len(o.Rows) {
 		return false
 	}
-	for i := range r.Rows {
-		a, b := r.Rows[i], o.Rows[i]
-		if a.Agg != b.Agg || len(a.Keys) != len(b.Keys) {
+	for i, a := range r.Rows {
+		b := o.Rows[i]
+		if !slices.Equal(a.Keys, b.Keys) || !slices.Equal(a.Aggs, b.Aggs) {
 			return false
-		}
-		for k := range a.Keys {
-			if a.Keys[k] != b.Keys[k] {
-				return false
-			}
-		}
-		av, bv := a.AggValues(), b.AggValues()
-		if len(av) != len(bv) {
-			return false
-		}
-		for k := range av {
-			if av[k] != bv[k] {
-				return false
-			}
 		}
 	}
 	return true
@@ -89,21 +66,12 @@ func (r *Result) Diff(o *Result) string {
 	diffs := 0
 	for i := 0; i < n && diffs < 5; i++ {
 		a, c := r.Rows[i], o.Rows[i]
-		if fmt.Sprint(a.AggValues()) != fmt.Sprint(c.AggValues()) || strings.Join(a.Keys, "|") != strings.Join(c.Keys, "|") {
-			fmt.Fprintf(&b, "row %d: %v=%v vs %v=%v\n", i, a.Keys, a.AggValues(), c.Keys, c.AggValues())
+		if !slices.Equal(a.Aggs, c.Aggs) || !slices.Equal(a.Keys, c.Keys) {
+			fmt.Fprintf(&b, "row %d: %v=%v vs %v=%v\n", i, a.Keys, a.Aggs, c.Keys, c.Aggs)
 			diffs++
 		}
 	}
 	return b.String()
-}
-
-// TotalAgg sums the aggregate over all rows (a cheap checksum).
-func (r *Result) TotalAgg() int64 {
-	var t int64
-	for _, row := range r.Rows {
-		t += row.Agg
-	}
-	return t
 }
 
 // String renders the result as an aligned table.
@@ -115,7 +83,7 @@ func (r *Result) String() string {
 			fmt.Fprintf(&b, "  ... %d more rows\n", len(r.Rows)-20)
 			break
 		}
-		vals := row.AggValues()
+		vals := row.Aggs
 		rendered := make([]string, len(vals))
 		for k, v := range vals {
 			rendered[k] = fmt.Sprintf("%15d", v)

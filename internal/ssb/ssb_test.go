@@ -250,7 +250,7 @@ func TestReferenceQ11Formula(t *testing.T) {
 		}
 	}
 	res := Reference(d, QueryByID("1.1"))
-	if len(res.Rows) != 1 || res.Rows[0].Agg != want {
+	if len(res.Rows) != 1 || res.Rows[0].Aggs[0] != want {
 		t.Fatalf("Q1.1 reference = %v, want %d", res.Rows, want)
 	}
 	if want == 0 {
@@ -284,23 +284,32 @@ func TestReferenceGroupedQueries(t *testing.T) {
 }
 
 func TestResultEqualAndDiff(t *testing.T) {
-	a := NewResult("x", []ResultRow{{Keys: []string{"b"}, Agg: 2}, {Keys: []string{"a"}, Agg: 1}})
-	b := NewResult("x", []ResultRow{{Keys: []string{"a"}, Agg: 1}, {Keys: []string{"b"}, Agg: 2}})
+	row := func(key string, aggs ...int64) ResultRow { return ResultRow{Keys: []string{key}, Aggs: aggs} }
+	a := NewResult("x", []ResultRow{row("b", 2), row("a", 1)})
+	b := NewResult("x", []ResultRow{row("a", 1), row("b", 2)})
 	if !a.Equal(b) {
 		t.Fatal("order-insensitive equality failed")
 	}
-	c := NewResult("x", []ResultRow{{Keys: []string{"a"}, Agg: 1}, {Keys: []string{"b"}, Agg: 3}})
-	if a.Equal(c) {
-		t.Fatal("unequal results compared equal")
-	}
-	if a.Diff(c) == "" {
-		t.Fatal("Diff should describe the mismatch")
-	}
-	if a.TotalAgg() != 3 {
-		t.Fatal("TotalAgg wrong")
-	}
 	if !strings.Contains(a.String(), "2 rows") {
 		t.Fatal("String() header wrong")
+	}
+	// Each pair differs in one row's aggregate list only: in the first
+	// value, after it, or in its length.
+	for _, tc := range []struct{ x, y []int64 }{
+		{[]int64{1}, []int64{3}},
+		{[]int64{1, 2, 3}, []int64{1, 2, 4}},
+		{[]int64{1, 2}, []int64{1}},
+		{[]int64{1}, []int64{1, 0}},
+		{nil, []int64{0}},
+	} {
+		x := NewResult("x", []ResultRow{row("a", 1), row("b", tc.x...)})
+		y := NewResult("x", []ResultRow{row("a", 1), row("b", tc.y...)})
+		if x.Equal(y) || y.Equal(x) {
+			t.Errorf("aggs %v and %v compared equal", tc.x, tc.y)
+		}
+		if d := x.Diff(y); !strings.Contains(d, "row 1:") {
+			t.Errorf("aggs %v vs %v: Diff %q does not name row 1", tc.x, tc.y, d)
+		}
 	}
 }
 

@@ -162,58 +162,3 @@ func AppendSeq(dst []int32, start, end int32) []int32 {
 	}
 	return dst
 }
-
-// And intersects two position lists over a column of n rows and returns the
-// result. Representation of the result follows the cheaper input: two ranges
-// intersect to a range; anything involving a bitmap stays a bitmap.
-func And(a, b *Positions, n int) *Positions {
-	if a.Kind == PosRange && b.Kind == PosRange {
-		start := a.Start
-		if b.Start > start {
-			start = b.Start
-		}
-		end := a.End
-		if b.End < end {
-			end = b.End
-		}
-		if end < start {
-			end = start
-		}
-		return NewRangePositions(start, end)
-	}
-	if a.Kind == PosExplicit && b.Kind == PosExplicit {
-		return NewExplicitPositions(intersectSorted(a.List, b.List))
-	}
-	// Mixed or bitmap-involving: intersect as bitmaps.
-	ab := a.ToBitmap(n)
-	bb := b.ToBitmap(n)
-	out := ab.Clone()
-	out.And(bb)
-	return NewBitmapPositions(out)
-}
-
-// intersectSorted merges two ascending position slices.
-func intersectSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,7 +2,6 @@ package vector
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -95,102 +94,6 @@ func TestRangeToBitmapAndSlice(t *testing.T) {
 	s := p.ToSlice(nil)
 	if len(s) != 10 || s[0] != 60 || s[9] != 69 {
 		t.Fatalf("range ToSlice got %v", s)
-	}
-}
-
-func TestAndRangeRange(t *testing.T) {
-	out := And(NewRangePositions(0, 50), NewRangePositions(30, 80), 100)
-	if out.Kind != PosRange || out.Start != 30 || out.End != 50 {
-		t.Fatalf("range∧range got kind=%v [%d,%d)", out.Kind, out.Start, out.End)
-	}
-	// Disjoint ranges.
-	out = And(NewRangePositions(0, 10), NewRangePositions(20, 30), 100)
-	if out.Len() != 0 {
-		t.Fatalf("disjoint ranges len = %d", out.Len())
-	}
-}
-
-func TestAndExplicitExplicit(t *testing.T) {
-	a := NewExplicitPositions([]int32{1, 3, 5, 7})
-	b := NewExplicitPositions([]int32{3, 4, 5, 9})
-	out := And(a, b, 10)
-	s := out.ToSlice(nil)
-	if len(s) != 2 || s[0] != 3 || s[1] != 5 {
-		t.Fatalf("explicit∧explicit got %v", s)
-	}
-}
-
-func TestAndMixed(t *testing.T) {
-	bm := bitmap.New(10)
-	for _, i := range []int{2, 3, 8} {
-		bm.Set(i)
-	}
-	out := And(NewRangePositions(3, 9), NewBitmapPositions(bm), 10)
-	s := out.ToSlice(nil)
-	if len(s) != 2 || s[0] != 3 || s[1] != 8 {
-		t.Fatalf("range∧bitmap got %v", s)
-	}
-}
-
-// TestQuickAndOracle checks And across all representation pairs against a
-// naive set intersection.
-func TestQuickAndOracle(t *testing.T) {
-	mk := func(rng *rand.Rand, n int) (*Positions, map[int32]bool) {
-		set := map[int32]bool{}
-		switch rng.Intn(3) {
-		case 0:
-			s := int32(rng.Intn(n))
-			e := s + int32(rng.Intn(n-int(s)+1))
-			for i := s; i < e; i++ {
-				set[i] = true
-			}
-			return NewRangePositions(s, e), set
-		case 1:
-			var list []int32
-			for i := 0; i < n; i++ {
-				if rng.Intn(3) == 0 {
-					list = append(list, int32(i))
-					set[int32(i)] = true
-				}
-			}
-			return NewExplicitPositions(list), set
-		default:
-			b := bitmap.New(n)
-			for i := 0; i < n; i++ {
-				if rng.Intn(3) == 0 {
-					b.Set(i)
-					set[int32(i)] = true
-				}
-			}
-			return NewBitmapPositions(b), set
-		}
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300) + 1
-		a, as := mk(rng, n)
-		b, bs := mk(rng, n)
-		out := And(a, b, n)
-		var want []int32
-		for k := range as {
-			if bs[k] {
-				want = append(want, k)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := out.ToSlice(nil)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -403,9 +403,6 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Append frames r, assigns it the next LSN and writes it into the OS
 // buffer. The record is NOT durable until a Commit at or past the returned
 // LSN succeeds.
@@ -570,7 +567,9 @@ func syncDir(dir string) error {
 }
 
 // Sync forces an immediate fsync of everything written so far, outside any
-// group (used by shutdown paths).
+// group: records appended before it are durable when it returns nil, and
+// a later Commit of any of them returns at once. A failed fsync latches the
+// log's error, as a failed group commit does.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	for l.syncing {
