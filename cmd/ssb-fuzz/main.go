@@ -2,7 +2,8 @@
 // generates seeded random ad-hoc queries over the SSBM schema, runs each
 // one through every engine that executes ad-hoc plans — the brute-force
 // reference, the per-probe column pipeline, the fused morsel-parallel
-// pipeline at 1 and 8 workers, and the row-store designs — and fails on any
+// pipeline at 1 and 8 workers, the row-store designs, and the pre-joined
+// table's three modes on the plans its schema covers — and fails on any
 // divergence in results or in the fused pipeline's worker-count-invariant
 // I/O accounting.
 //
@@ -41,8 +42,9 @@ func main() {
 	data := ssb.Generate(*sf)
 	dbc := exec.BuildDB(data, true)
 	sx := rowexec.Build(data, rowexec.BuildOptions{VP: true, Indexes: true, Bitmaps: true})
+	pjs := []*exec.DenormDB{exec.BuildDenorm(data, exec.DenormNoC), exec.BuildDenorm(data, exec.DenormIntC), exec.BuildDenorm(data, exec.DenormMaxC)}
 
-	failures, nonEmpty := 0, 0
+	failures, nonEmpty, prejoined := 0, 0, 0
 	for i := 0; i < *n; i++ {
 		s := *seed + int64(i)
 		q := ssb.RandQuery(s)
@@ -94,10 +96,16 @@ func main() {
 		if *heavy || i%4 == 2 {
 			check("rowexec AI", sx.Run(q, rowexec.AllIndexes, nil))
 		}
+		if pjs[0].Supports(q) { // every mode inlines the same attributes
+			prejoined++
+			for _, pj := range pjs {
+				check(pj.Mode.String(), pj.Run(q, nil))
+			}
+		}
 	}
 
-	fmt.Printf("ran %d queries (%d with non-empty results) against 7+ engine paths: %d failure(s)\n",
-		*n, nonEmpty, failures)
+	fmt.Printf("ran %d queries (%d with non-empty results, %d on the pre-joined table) against 7+ engine paths: %d failure(s)\n",
+		*n, nonEmpty, prejoined, failures)
 	if failures > 0 {
 		os.Exit(1)
 	}

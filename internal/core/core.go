@@ -364,19 +364,16 @@ func (db *DB) RunPlanCtx(ctx context.Context, q *ssb.Query, cfg Config) (*ssb.Re
 	var st iosim.Stats
 	var res *ssb.Result
 	var start time.Time
+	var err error
 	switch cfg.Kind {
 	case KindColumn:
 		col := db.ColumnDB(cfg.Col.Compression)
 		start = time.Now() // exclude lazy build
-		var err error
 		res, err = col.RunCtx(ctx, q, cfg.Col, &st)
-		if err != nil {
-			return nil, RunStats{}, err
-		}
 	case KindColumnRowMV:
 		mv := db.rowMV(q.Flight)
 		start = time.Now() // exclude lazy MV construction
-		res = db.ColumnDB(true).RunRowMV(q, mv, &st)
+		res, err = db.ColumnDB(true).RunRowMV(q, mv, &st)
 	case KindRow:
 		sx := db.RowDB()
 		if cfg.SuperTuples {
@@ -391,6 +388,9 @@ func (db *DB) RunPlanCtx(ctx context.Context, q *ssb.Query, cfg Config) (*ssb.Re
 		d := db.DenormDB(cfg.Denorm)
 		start = time.Now()
 		res = d.Run(q, &st)
+	}
+	if err != nil {
+		return nil, RunStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		// Row-oriented engines do not observe ctx mid-run; drop their

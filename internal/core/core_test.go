@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/rowexec"
 	"repro/internal/segstore"
+	"repro/internal/sql"
 	"repro/internal/ssb"
 )
 
@@ -155,6 +156,58 @@ func TestValidationErrors(t *testing.T) {
 	// The same plan runs fine on the column store.
 	if _, _, err := testDB.RunPlan(odd, ColumnStore(exec.FullOpt)); err != nil {
 		t.Errorf("column store rejected a valid plan: %v", err)
+	}
+}
+
+// TestGroupSpaceOverflow: a GROUP BY whose composite group space does not
+// fit in int64 fails its query with an error on every engine that keys
+// groups by that index (the column engines, CS (Row-MV) included), and the
+// engines that key groups by rendered values (the row store, the pre-joined
+// table) still answer it.
+func TestGroupSpaceOverflow(t *testing.T) {
+	const joins = "from lineorder, customer, supplier, dwdate where lo_custkey = c_custkey " +
+		"and lo_suppkey = s_suppkey and lo_orderdate = d_datekey "
+	const custSupp = "c_name, c_address, c_phone, s_name, s_address, s_phone"
+	fused, ticl := ColumnStore(exec.FusedOpt), ColumnStore(exec.Figure7Configs()[6])
+	pj := []Config{Denormalized(exec.DenormNoC), Denormalized(exec.DenormIntC), Denormalized(exec.DenormMaxC)}
+	for _, tc := range []struct {
+		sql            string
+		refuse, answer []Config
+	}{
+		// About 1.2e20 catalog cells at this scale factor.
+		{"select count(*) " + joins + "and lo_quantity < 3 group by d_date, d_yearmonthnum, d_daynuminyear, " + custSupp,
+			[]Config{fused, ColumnStore(exec.FullOpt), ticl}, []Config{RowStore(rowexec.Traditional)}},
+		// Its aggregate is covered by the flight-3 MV, so it reaches CS (Row-MV).
+		{"select sum(lo_revenue) " + joins + "group by d_date, d_yearmonthnum, d_daynuminyear, " + custSupp,
+			[]Config{RowMV()}, nil},
+		// Without d_daynuminyear, about 3.4e17 cells: the plan fits.
+		{"select count(*) " + joins + "and lo_quantity < 3 group by d_date, d_yearmonthnum, " + custSupp,
+			nil, []Config{fused}},
+		// Every attribute the pre-joined table inlines.
+		{"select count(*) from lineorder, customer, supplier, part, dwdate where lo_custkey = c_custkey " +
+			"and lo_suppkey = s_suppkey and lo_partkey = p_partkey and lo_orderdate = d_datekey " +
+			"group by c_region, c_nation, c_city, s_region, s_nation, s_city, p_mfgr, p_category, p_brand1, " +
+			"d_yearmonth, d_year, d_yearmonthnum, d_weeknuminyear",
+			[]Config{fused}, pj},
+	} {
+		q, err := sql.Parse("wide", tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range tc.refuse {
+			if res, _, err := testDB.RunPlanCtx(t.Context(), q, cfg); err == nil || !strings.Contains(err.Error(), "GROUP BY") {
+				t.Errorf("%s on %s: got %v, %v; want the group-space error\nSQL: %s", q.ID, cfg.Label(), res, err, tc.sql)
+			}
+		}
+		want := ssb.Reference(testDB.Data, q)
+		for _, cfg := range tc.answer {
+			res, _, err := testDB.RunPlanCtx(t.Context(), q, cfg)
+			if err != nil {
+				t.Errorf("%s on %s: %v\nSQL: %s", q.ID, cfg.Label(), err, tc.sql)
+			} else if !res.Equal(want) {
+				t.Errorf("%s on %s diverges from reference\nSQL: %s\n%s", q.ID, cfg.Label(), tc.sql, want.Diff(res))
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/bitmap"
@@ -67,13 +69,39 @@ func (db *DB) newGroupExtractor(g ssb.GroupCol) *groupExtractor {
 	if ex.isDate {
 		ex.posDense, ex.keyMin = db.datePosDense, db.dateKeyMin
 	}
-	if ex.dict != nil {
-		ex.card = int32(ex.dict.Size())
-	} else {
-		mn, mx := attrCol.MinMax()
-		ex.minCode, ex.card = mn, mx-mn+1
-	}
+	var card int64
+	ex.minCode, card = codeSpace(attrCol)
+	ex.card = int32(card)
 	return ex
+}
+
+// codeSpace is a group column's catalog code space: its dictionary's codes,
+// or else its zone-map range, as card codes from minCode.
+func codeSpace(attrCol *colstore.Column) (minCode int32, card int64) {
+	if attrCol.Dict != nil {
+		return 0, int64(attrCol.Dict.Size())
+	}
+	mn, mx := attrCol.MinMax()
+	return mn, int64(mx) - int64(mn) + 1
+}
+
+// groupSpace is the catalog bound on q's composite group space: the product
+// of its group columns' code spaces, computed without charging I/O or
+// compiling a plan. Phase 1 only narrows a code space (compact), so no
+// plan's space exceeds it. When the product overflows int64, the composite
+// index's type, groupSpace saturates at math.MaxInt64 and returns an error:
+// no engine keyed by that index can run q.
+func (db *DB) groupSpace(q *ssb.Query) (int64, error) {
+	total := int64(1)
+	for _, g := range q.GroupBy {
+		_, card := codeSpace(db.Dims[g.Dim].MustColumn(g.Col))
+		card = max(card, 1)
+		if total > math.MaxInt64/card {
+			return math.MaxInt64, fmt.Errorf("exec: query %s: the %d GROUP BY columns span more than 2^63 groups; group by fewer columns", q.ID, len(q.GroupBy))
+		}
+		total *= card
+	}
+	return total, nil
 }
 
 // load reads the dimension attribute column, charging st, and for hash-join

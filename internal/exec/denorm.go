@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/bitmap"
@@ -294,46 +295,29 @@ func (db *DenormDB) Run(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 	if pos == nil {
 		pos = vector.NewRangePositions(0, int32(db.numRows))
 	}
+	out := ssb.NewAggregator(q)
 	if pos.Len() == 0 {
-		return emptyResult(q)
+		return out.Result()
 	}
 
-	// Aggregate inputs: evaluate every aggregate expression at the final
-	// positions.
+	// Gather the aggregate inputs, then the group keys, at the final
+	// positions; both come straight from the inlined columns.
 	specs := q.AggSpecs()
-	n := pos.Len()
-	values := evalAggValues(specs, n, func(name string) []int32 {
-		return db.intCols[name].Gather(pos, nil, st)
-	})
-	if len(q.GroupBy) == 0 {
-		cells := make([]int64, len(specs))
-		ssb.InitCells(specs, cells)
-		for k, s := range specs {
-			if values[k] == nil { // COUNT: one per row
-				cells[k] += int64(n)
-				continue
-			}
-			for _, v := range values[k] {
-				cells[k] = s.Combine(cells[k], v)
-			}
-		}
-		return ssb.NewResult(q.ID, []ssb.ResultRow{ssb.MakeRow(nil, ssb.FinalizeCells(specs, cells, int64(n)))})
+	cols, _, _ := ssb.AggInputs(specs)
+	inputs := make([][]int32, len(cols))
+	for i, name := range cols {
+		inputs[i] = db.intCols[name].Gather(pos, nil, st)
 	}
-
-	// Group keys come straight from the inlined columns.
 	groupKeys := make([][]string, len(q.GroupBy))
 	for gi, g := range q.GroupBy {
 		name := denormColName(g.Dim, g.Col)
-		keys := make([]string, 0, n)
+		keys := make([]string, 0, pos.Len())
 		if sc, ok := db.strCols[name]; ok {
-			if db.numRows > 0 {
-				st.Read(sc.bytes * int64(pos.Len()) / int64(db.numRows))
-			}
+			st.Read(sc.bytes * int64(pos.Len()) / int64(db.numRows))
 			pos.ForEach(func(p int32) { keys = append(keys, sc.vals[p]) })
 		} else {
 			col := db.intCols[name]
-			vals := col.Gather(pos, nil, st)
-			for _, v := range vals {
+			for _, v := range col.Gather(pos, nil, st) {
 				if col.Dict != nil {
 					keys = append(keys, col.Dict.Value(v))
 				} else {
@@ -343,87 +327,14 @@ func (db *DenormDB) Run(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 		}
 		groupKeys[gi] = keys
 	}
-	type cell struct {
-		keys  []string
-		cells []int64
-	}
-	m := map[string]*cell{}
-	for r := 0; r < n; r++ {
-		ck := ""
+
+	eval := ssb.NewAggEval(specs, func(c string) int { return slices.Index(cols, c) })
+	keys := make([]string, len(groupKeys))
+	for r := range pos.Len() {
 		for gi := range groupKeys {
-			if gi > 0 {
-				ck += "\x00"
-			}
-			ck += groupKeys[gi][r]
+			keys[gi] = groupKeys[gi][r]
 		}
-		c, ok := m[ck]
-		if !ok {
-			keys := make([]string, len(groupKeys))
-			for gi := range groupKeys {
-				keys[gi] = groupKeys[gi][r]
-			}
-			c = &cell{keys: keys, cells: make([]int64, len(specs))}
-			ssb.InitCells(specs, c.cells)
-			m[ck] = c
-		}
-		for k, s := range specs {
-			var v int64
-			if values[k] != nil {
-				v = values[k][r]
-			}
-			c.cells[k] = s.Combine(c.cells[k], v)
-		}
+		out.Add(keys, eval.Eval(func(i int) int32 { return inputs[i][r] }))
 	}
-	rows := make([]ssb.ResultRow, 0, len(m))
-	for _, c := range m {
-		rows = append(rows, ssb.MakeRow(c.keys, c.cells))
-	}
-	return ssb.NewResult(q.ID, rows)
-}
-
-// evalAggValues gathers the distinct aggregate input columns through the
-// caller's gather function and evaluates every aggregate expression into
-// one int64 column per spec. COUNT specs get a nil column — Combine counts
-// rows without reading an input — so accumulation loops must treat nil as
-// "any value".
-func evalAggValues(specs []ssb.AggSpec, n int, gather func(name string) []int32) [][]int64 {
-	colNames, ia, ib := ssb.AggInputs(specs)
-	measures := make([][]int32, len(colNames))
-	for i, name := range colNames {
-		measures[i] = gather(name)
-	}
-	values := make([][]int64, len(specs))
-	for k, s := range specs {
-		if s.Func == ssb.FuncCount {
-			continue
-		}
-		v := make([]int64, n)
-		a := measures[ia[k]]
-		switch s.Expr.Op {
-		case '*':
-			for i, b := range measures[ib[k]][:n] {
-				v[i] = int64(a[i]) * int64(b)
-			}
-		case '-':
-			for i, b := range measures[ib[k]][:n] {
-				v[i] = int64(a[i]) - int64(b)
-			}
-		default:
-			for i := range v {
-				v[i] = int64(a[i])
-			}
-		}
-		values[k] = v
-	}
-	return values
-}
-
-// emptyResult matches the reference semantics: aggregates over an empty
-// input render as a single all-zero row for ungrouped queries and no rows
-// for grouped ones.
-func emptyResult(q *ssb.Query) *ssb.Result {
-	if len(q.GroupBy) == 0 {
-		return ssb.NewResult(q.ID, []ssb.ResultRow{ssb.MakeRow(nil, make([]int64, len(q.AggSpecs())))})
-	}
-	return ssb.NewResult(q.ID, nil)
+	return out.Result()
 }

@@ -43,8 +43,9 @@ func segBackedDB(t *testing.T, db *DB, sf float64, budget int64) (*DB, *segstore
 // ad-hoc queries run through the brute-force reference, the per-probe
 // column pipeline, the fused pipeline at 1 and 8 workers, the segment-
 // store-backed engines (same queries over a buffer pool small enough to
-// force eviction churn), and the row-store engines, and every result must
-// be byte-identical. The fused pipeline must also report identical I/O
+// force eviction churn), the row-store engines, and the pre-joined table in
+// its three modes wherever its schema covers the plan, and every result
+// must be byte-identical. The fused pipeline must also report identical I/O
 // accounting at every worker count (the morsel merge invariant), and the
 // segment-backed fused pipeline must charge exactly the logical I/O the
 // in-memory one does. Each plan additionally round-trips through the SQL
@@ -56,6 +57,7 @@ func TestDifferential(t *testing.T) {
 	// A 256 KB budget on a ~1.2 MB compressed dataset keeps the pool under
 	// real eviction pressure for the whole run.
 	segDB, _ := segBackedDB(t, dbc, data.SF, 256<<10)
+	pjs := []*DenormDB{BuildDenorm(data, DenormNoC), BuildDenorm(data, DenormIntC), BuildDenorm(data, DenormMaxC)}
 
 	for i := 0; i < diffTrials; i++ {
 		seed := diffSeedBase + int64(i)
@@ -139,6 +141,12 @@ func TestDifferential(t *testing.T) {
 			check("rowexec VP", sx.Run(q, rowexec.VerticalPartitioning, nil))
 		case 2:
 			check("rowexec AI", sx.Run(q, rowexec.AllIndexes, nil))
+		}
+
+		for _, pj := range pjs {
+			if pj.Supports(q) {
+				check(pj.Mode.String(), pj.Run(q, nil))
+			}
 		}
 	}
 }

@@ -89,7 +89,10 @@ func TestRowMVMatchesReference(t *testing.T) {
 			}
 			want := ssb.Reference(testData, q)
 			var st iosim.Stats
-			got := testDBC.RunRowMV(q, mv, &st)
+			got, err := testDBC.RunRowMV(q, mv, &st)
+			if err != nil {
+				t.Fatalf("Q%s Row-MV: %v", q.ID, err)
+			}
 			if !got.Equal(want) {
 				t.Errorf("Q%s Row-MV: results differ\n%s", q.ID, want.Diff(got))
 			}

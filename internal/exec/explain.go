@@ -26,6 +26,10 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 		return b.String()
 	}
 
+	if _, err := db.groupSpace(q); err != nil {
+		fmt.Fprintf(&b, "  refused: %v\n", err)
+		return b.String()
+	}
 	plan := db.compile(q, cfg, nil)
 	probes := plan.probes
 	if cfg.FusedActive() {
@@ -70,7 +74,8 @@ func (db *DB) Explain(q *ssb.Query, cfg Config) string {
 		}
 	}
 	if cfg.FusedActive() && len(q.GroupBy) > 0 {
-		fmt.Fprintf(&b, "  group space: %d cells (attribute domains: %d)\n", plan.total, db.fusedGroupSpace(q))
+		domains, _ := db.groupSpace(q)
+		fmt.Fprintf(&b, "  group space: %d cells (attribute domains: %d)\n", plan.total, domains)
 	}
 	rendered := make([]string, len(plan.specs))
 	for i, s := range plan.specs {

@@ -64,7 +64,7 @@ func (db *DB) estimateFrozen(q *ssb.Query, cfgWorkers int) int64 {
 		// the aggregator hashes and its footprint tracks the groups actually
 		// seen; bound it by the dense limit rather than the raw (possibly
 		// astronomically overestimated) space.
-		space := db.fusedGroupSpace(q)
+		space, _ := db.groupSpace(q) // saturated past int64: RunCtx refuses such a query
 		cells := max(min(space, fusedWorkerDenseLimit)*workers, min(space, denseLimit))
 		foot += cells * nAggs * 8
 		// Each GROUP BY column decodes its dimension attribute column.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/obs"
-	"repro/internal/ssb"
 	"repro/internal/vector"
 )
 
@@ -71,35 +69,6 @@ const fusedWorkerDenseLimit = 1 << 20
 // which bytes are read and charged — the iostats goldens — and is its own
 // change.
 func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
-
-// fusedGroupSpace is the catalog upper bound on the composite group
-// cardinality: the product of the group attributes' domains (dictionary
-// sizes, min/max ranges), saturating at math.MaxInt64, computed without
-// charging I/O or compiling a plan. Admission control (EstimateFootprint)
-// keeps using it to size a query before it is admitted. A compiled fused
-// plan's Plan.total is at most this: it counts only the attribute values
-// phase 1 admits (compile).
-func (db *DB) fusedGroupSpace(q *ssb.Query) int64 {
-	total := int64(1)
-	for _, g := range q.GroupBy {
-		col := db.Dims[g.Dim].MustColumn(g.Col)
-		var card int64
-		if col.Dict != nil {
-			card = int64(col.Dict.Size())
-		} else {
-			mn, mx := col.MinMax()
-			card = int64(mx) - int64(mn) + 1
-		}
-		if card < 1 {
-			card = 1
-		}
-		if total > math.MaxInt64/card {
-			return math.MaxInt64
-		}
-		total *= card
-	}
-	return total
-}
 
 // fusedWorkersFor returns the worker count the fused scan actually uses:
 // cfgWorkers clamped to at least one, degraded to one when the composite

@@ -106,7 +106,7 @@ func TestFusedHashShape(t *testing.T) {
 		{Dim: ssb.DimDate, Col: "yearmonthnum", Op: compress.OpEq, IsInt: true, IntA: 199406},
 	}
 	for _, q := range append(wideGroupPlans(), &filtered) {
-		if space := testDBC.fusedGroupSpace(q); space <= denseLimit {
+		if space, _ := testDBC.groupSpace(q); space <= denseLimit {
 			t.Fatalf("%s: group space %d fits dense arrays at SF=%g; the hash shape is not exercised", q.ID, space, testSF)
 		}
 		want := ssb.Reference(testData, q)

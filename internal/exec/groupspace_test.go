@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/iosim"
+	"repro/internal/sql"
 	"repro/internal/ssb"
 )
 
@@ -81,15 +84,16 @@ func TestGroupSpaceFromPhase1(t *testing.T) {
 		if want := answerSpace(data, q); plan.total != want {
 			t.Errorf("%s: plan.total = %d, want %d admitted group values\nSQL: %s", q.ID, plan.total, want, q.SQL())
 		}
-		if domains := db.fusedGroupSpace(q); plan.total > domains {
+		if domains, _ := db.groupSpace(q); plan.total > domains {
 			t.Errorf("%s: plan.total = %d exceeds the attribute domains' product %d", q.ID, plan.total, domains)
 		}
 	}
 	q43 := ssb.QueryByID("4.3")
 	plan := db.compile(q43, FusedOpt, nil)
 	if got := fusedWorkersFor(8, plan.total, 8); got != 8 {
+		domains, _ := db.groupSpace(q43)
 		t.Errorf("Q4.3: group space %d (domains %d) runs on %d workers, want 8",
-			plan.total, db.fusedGroupSpace(q43), got)
+			plan.total, domains, got)
 	}
 }
 
@@ -122,4 +126,36 @@ func TestPooledAggregatorsSizedByAnswer(t *testing.T) {
 		}
 	}
 	t.Logf("%d pooled workers checked against %d cells", pooled, maxCells)
+}
+
+// overflowSQL groups by nine columns whose catalog code spaces multiply to
+// about 1.2e20 cells at SF=0.01, and more at larger scale: past int64, the
+// type of the composite group index.
+const overflowSQL = "select count(*) from lineorder, customer, supplier, dwdate " +
+	"where lo_custkey = c_custkey and lo_suppkey = s_suppkey and lo_orderdate = d_datekey and lo_quantity < 3 " +
+	"group by d_date, d_yearmonthnum, d_daynuminyear, c_name, c_address, c_phone, s_name, s_address, s_phone"
+
+// TestGroupSpaceOverflowRefused: a GROUP BY whose composite group space
+// does not fit in int64 fails its one query with an error, before anything
+// is read, on the fused, per-probe and tuple-at-a-time engines, instead of
+// panicking in the aggregate layout.
+func TestGroupSpaceOverflowRefused(t *testing.T) {
+	q, err := sql.Parse("overflow", overflowSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticl := Figure7Configs()[6]
+	for _, run := range []struct {
+		db  *DB
+		cfg Config
+	}{{testDBC, FusedOpt}, {testDBC, FullOpt}, {testDBPlain, ticl}} {
+		var st iosim.Stats
+		res, err := run.db.RunCtx(context.Background(), q, run.cfg, &st)
+		if err == nil || res != nil {
+			t.Errorf("%s: got result %v, error %v; want an error", run.cfg.Code(), res, err)
+		}
+		if st != (iosim.Stats{}) {
+			t.Errorf("%s: charged %+v before refusing", run.cfg.Code(), st)
+		}
+	}
 }

@@ -117,7 +117,7 @@ func TestIngestDifferential(t *testing.T) {
 		// delete landing inside the merged batches.
 		{1900, 37, false, nil, []ssb.FactFilter{{Col: "quantity", Pred: compress.Between(30, 33)}}},
 	}
-	if space := mem.fusedGroupSpace(wideGroupPlans()[0]); space <= denseLimit {
+	if space, _ := mem.groupSpace(wideGroupPlans()[0]); space <= denseLimit {
 		t.Fatalf("wide-group plan spans %d groups at this scale factor: dense, so no round would hash-aggregate", space)
 	}
 	const queriesPerRound = 6

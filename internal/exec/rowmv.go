@@ -55,10 +55,14 @@ func (db *DB) BuildRowMV(flight int) *RowMV {
 // reconstruct each tuple by parsing its string form, then process rows just
 // like a row store ("after it performs this tuple reconstruction, it
 // proceeds to execute the rest of the query plan using standard row-store
-// operators").
-func (db *DB) RunRowMV(q *ssb.Query, mv *RowMV, st *iosim.Stats) *ssb.Result {
+// operators"). Like RunCtx, it refuses a GROUP BY too wide for the
+// composite group index before reading anything.
+func (db *DB) RunRowMV(q *ssb.Query, mv *RowMV, st *iosim.Stats) (*ssb.Result, error) {
 	if q.Flight != mv.Flight {
 		panic("exec: query flight does not match RowMV flight")
+	}
+	if _, err := db.groupSpace(q); err != nil {
+		return nil, err
 	}
 	// Row-store-style plan over the MV's tuple layout; the dimension
 	// columns are decoded in full, as a row store would scan them.
@@ -71,7 +75,7 @@ func (db *DB) RunRowMV(q *ssb.Query, mv *RowMV, st *iosim.Stats) *ssb.Result {
 		parseTuple(raw, tup)
 		rp.eval(tup)
 	}
-	return rp.agg.render(q.ID)
+	return rp.agg.render(q.ID), nil
 }
 
 // parseTuple decodes a pipe-delimited tuple into dst.

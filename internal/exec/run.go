@@ -42,7 +42,8 @@ func (db *DB) Run(q *ssb.Query, cfg Config, st *iosim.Stats) *ssb.Result {
 // block routine into the same aggregator (morsel.go), and one render turns
 // the cells into rows — so inserts accepted after the snapshot are
 // invisible to this query and inserts accepted before are always included,
-// for every engine.
+// for every engine. A GROUP BY whose catalog group space overflows int64
+// (groupSpace) is an error, returned before anything is read.
 func (db *DB) RunCtx(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats) (*ssb.Result, error) {
 	// The trace rides in the context so no signature above exec changes;
 	// it is extracted exactly once per query. tr == nil is the untraced
@@ -73,6 +74,9 @@ func (db *DB) RunCtx(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.St
 // view, masking the snapshot's deletion vectors (nil = none) so every
 // engine excludes tombstoned rows identically.
 func (db *DB) execute(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.Stats, view *delta.View, del tombstones, tr *obs.Trace) (*ssb.Result, error) {
+	if _, err := db.groupSpace(q); err != nil {
+		return nil, err
+	}
 	hasDelta := view != nil && view.Len() > 0
 	var agg *aggregator
 	if cfg.LateMat {

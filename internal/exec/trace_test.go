@@ -117,7 +117,8 @@ func TestTracedDifferential(t *testing.T) {
 			wantWorkers := 1
 			if tc.cfg.FusedActive() {
 				nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
-				wantWorkers = fusedWorkersFor(tc.cfg.Workers, db.fusedGroupSpace(q), nb)
+				space, _ := db.groupSpace(q)
+				wantWorkers = fusedWorkersFor(tc.cfg.Workers, space, nb)
 			}
 			if tr.Workers != wantWorkers || trNil.Workers != wantWorkers {
 				t.Errorf("%s seed %d: trace reports %d/%d workers, %d ran",

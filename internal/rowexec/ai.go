@@ -109,9 +109,9 @@ func (sx *SystemX) runIndexOnlyPlan(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 		attrMaps[gi] = sx.dimIndexAttrMap(g.Dim, g.Col, st)
 		attrPos[gi] = colPos[g.Dim.FactFK()]
 	}
-	agg := newAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
+	agg := ssb.NewAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
 
-	out := newAggregator(q.ID, len(q.GroupBy) > 0, agg.specs)
+	out := ssb.NewAggregator(q)
 	keys := make([]string, len(q.GroupBy))
 tupleLoop:
 	for _, vals := range tuples {
@@ -128,9 +128,9 @@ tupleLoop:
 		for gi := range q.GroupBy {
 			keys[gi] = attrMaps[gi][vals[attrPos[gi]]]
 		}
-		out.add(keys, agg.evalVals(vals))
+		out.Add(keys, agg.Eval(func(i int) int32 { return vals[i] }))
 	}
-	return out.result()
+	return out.Result()
 }
 
 // dimIndexKeys evaluates one dimension filter through an index range scan

@@ -101,8 +101,8 @@ func (j *hashJoin) Next() (rowstore.Row, bool) {
 
 // hashAgg drains the child, grouping on the given row positions (string
 // values produced by joins, or integer columns rendered in decimal).
-func hashAgg(child Iterator, queryID string, groupIdx []int, agg *aggEval) *ssb.Result {
-	out := newAggregator(queryID, len(groupIdx) > 0, agg.specs)
+func hashAgg(child Iterator, q *ssb.Query, groupIdx []int, agg *ssb.AggEval) *ssb.Result {
+	out := ssb.NewAggregator(q)
 	keys := make([]string, len(groupIdx))
 	for {
 		row, ok := child.Next()
@@ -112,7 +112,7 @@ func hashAgg(child Iterator, queryID string, groupIdx []int, agg *aggEval) *ssb.
 		for i, gi := range groupIdx {
 			keys[i] = row[gi].S
 		}
-		out.add(keys, agg.evalRow(row))
+		out.Add(keys, agg.Eval(func(i int) int32 { return row[i].I }))
 	}
-	return out.result()
+	return out.Result()
 }

@@ -157,6 +157,6 @@ func (sx *SystemX) runScanPlan(q *ssb.Query, src *rowstore.Table, prune bool, st
 		it = newHashJoin(it, fkIdx, b.table)
 	}
 
-	agg := newAggEval(q.AggSpecs(), src.Schema.MustColIndex)
-	return hashAgg(it, q.ID, groupIdx, agg)
+	agg := ssb.NewAggEval(q.AggSpecs(), src.Schema.MustColIndex)
+	return hashAgg(it, q, groupIdx, agg)
 }

@@ -142,7 +142,7 @@ func (sx *SystemX) RunSuperVP(q *ssb.Query, super map[string]*SuperVP, st *iosim
 		attrMaps[gi] = sx.dimAttrMap(g.Dim, g.Col, st)
 		attrCol[gi] = colPos[g.Dim.FactFK()]
 	}
-	agg := newAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
+	agg := ssb.NewAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
 
 	// Zip-scan: pull one batch from every column cursor in lockstep (the
 	// positional merge join of the paper's conclusion — virtual
@@ -157,7 +157,7 @@ func (sx *SystemX) RunSuperVP(q *ssb.Query, super map[string]*SuperVP, st *iosim
 	}
 	batches := make([][]int32, len(cols))
 
-	out := newAggregator(q.ID, len(q.GroupBy) > 0, agg.specs)
+	out := ssb.NewAggregator(q)
 	keys := make([]string, len(q.GroupBy))
 	for {
 		n := -1
@@ -189,8 +189,8 @@ func (sx *SystemX) RunSuperVP(q *ssb.Query, super map[string]*SuperVP, st *iosim
 			for gi := range q.GroupBy {
 				keys[gi] = attrMaps[gi][batches[attrCol[gi]][r]]
 			}
-			out.add(keys, agg.evalFunc(func(i int) int32 { return batches[i][r] }))
+			out.Add(keys, agg.Eval(func(i int) int32 { return batches[i][r] }))
 		}
 	}
-	return out.result()
+	return out.Result()
 }

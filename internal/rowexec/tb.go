@@ -119,9 +119,9 @@ func (sx *SystemX) runBitmapPlan(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 	for i, b := range builds {
 		fkIdx[i] = sx.Fact.Schema.MustColIndex(b.dim.FactFK())
 	}
-	agg := newAggEval(q.AggSpecs(), sx.Fact.Schema.MustColIndex)
+	agg := ssb.NewAggEval(q.AggSpecs(), sx.Fact.Schema.MustColIndex)
 
-	out := newAggregator(q.ID, len(q.GroupBy) > 0, agg.specs)
+	out := ssb.NewAggregator(q)
 	keys := make([]string, len(q.GroupBy))
 	sx.Fact.ScanRidBitmap(acc, st, func(_ int32, row rowstore.Row) bool {
 		for _, r := range residuals {
@@ -138,10 +138,10 @@ func (sx *SystemX) runBitmapPlan(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 				keys[gi] = payload[pi].S
 			}
 		}
-		out.add(keys, agg.evalRow(row))
+		out.Add(keys, agg.Eval(func(i int) int32 { return row[i].I }))
 		return true
 	})
-	return out.result()
+	return out.Result()
 }
 
 // rangeScanKeyThreshold is the optimizer crossover between per-key index

@@ -145,9 +145,9 @@ func (sx *SystemX) runVPPlan(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 		attrMaps[gi] = sx.dimAttrMap(g.Dim, g.Col, st)
 		attrCol[gi] = colPos[g.Dim.FactFK()]
 	}
-	agg := newAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
+	agg := ssb.NewAggEval(q.AggSpecs(), func(c string) int { return colPos[c] })
 
-	out := newAggregator(q.ID, len(q.GroupBy) > 0, agg.specs)
+	out := ssb.NewAggregator(q)
 	keys := make([]string, len(q.GroupBy))
 	for _, vals := range tuples {
 		if len(vals) != len(cols) {
@@ -156,9 +156,9 @@ func (sx *SystemX) runVPPlan(q *ssb.Query, st *iosim.Stats) *ssb.Result {
 		for gi := range q.GroupBy {
 			keys[gi] = attrMaps[gi][vals[attrCol[gi]]]
 		}
-		out.add(keys, agg.evalVals(vals))
+		out.Add(keys, agg.Eval(func(i int) int32 { return vals[i] }))
 	}
-	return out.result()
+	return out.Result()
 }
 
 func inSet(s map[int32]struct{}, v int32) bool {

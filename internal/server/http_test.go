@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -145,4 +146,43 @@ func TestHTTPQueryEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.Client(), ts.URL+"/query?id=1.1&seed=7", &e); code != http.StatusBadRequest {
 		t.Fatalf("two selectors: status %d", code)
 	}
+}
+
+// TestHTTPGroupSpaceOverflow: a GROUP BY too wide for the composite group
+// index fails its one request with 422, the flight recorder keeps the
+// error, and the server goes on answering.
+func TestHTTPGroupSpaceOverflow(t *testing.T) {
+	srv, data, _ := openSegServer(t, 1<<20, Options{Workers: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	wide := "select count(*) from lineorder, customer, supplier, dwdate where lo_custkey = c_custkey " +
+		"and lo_suppkey = s_suppkey and lo_orderdate = d_datekey and lo_quantity < 3 " +
+		"group by d_date, d_yearmonthnum, d_daynuminyear, c_name, c_address, c_phone, s_name, s_address, s_phone"
+	body, err := json.Marshal(queryRequest{SQL: wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v (the connection was dropped)", err)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e["error"], "GROUP BY") {
+		t.Fatalf("status %d, body %v; want 422 naming the GROUP BY", resp.StatusCode, e)
+	}
+	if rec := srv.Recorder().Snapshot(1)[0]; !strings.Contains(rec.Error, "GROUP BY") {
+		t.Errorf("flight recorder kept %+v; want the group-space error", rec)
+	}
+
+	var next queryResponse
+	if code := getJSON(t, ts.Client(), ts.URL+"/query?id=2.1", &next); code != http.StatusOK {
+		t.Fatalf("next query: status %d", code)
+	}
+	checkRows(t, "Q2.1 after the refused query", next, ssb.Reference(data, ssb.QueryByID("2.1")))
 }
