@@ -49,8 +49,8 @@ var benchSink int
 // five value widths (11, 15 and 18 are the SF=1 store's suppkey, custkey and
 // partkey), Filter at three selectivities (flat across them is the
 // evidence that a kernel has no data-dependent branch), FilterSet against a
-// one-in-three dense set, whole-block decode, and a one-in-sixteen gather —
-// all in ns per value.
+// one-in-three dense set and a sparse one (flat across them too), whole-block
+// decode, and a one-in-sixteen gather — all in ns per value.
 func BenchmarkFilterKernels(b *testing.B) {
 	perValue := func(b *testing.B, nVals int, fn func()) {
 		for i := 0; i < b.N; i++ {
@@ -82,6 +82,15 @@ func BenchmarkFilterKernels(b *testing.B) {
 			}
 			b.Run("FilterSet/"+name, func(b *testing.B) {
 				perValue(b, n, func() { bm.Reset(); blk.FilterSet(set, vmin, 0, bm) })
+			})
+			// Q3.3's shape: 238 members scattered over the first 30 000 keys.
+			sparse := bitmap.New(int(min(span+1, 30_000)))
+			setRng := rand.New(rand.NewSource(33))
+			for range min(238, sparse.Len()/3) {
+				sparse.Set(setRng.Intn(sparse.Len()))
+			}
+			b.Run("FilterSet/sparse/"+name, func(b *testing.B) {
+				perValue(b, n, func() { bm.Reset(); blk.FilterSet(sparse, vmin, 0, bm) })
 			})
 
 			dst := make([]int32, 0, n)

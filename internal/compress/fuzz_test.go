@@ -286,8 +286,11 @@ func FuzzFilter(f *testing.F) {
 	// bit-pack width class (1, 7, 8, 31, 32 bits), a 65-value block (one
 	// full group and a one-value tail), inverted intervals, one over a
 	// block with a negative minimum, and 130-value blocks at widths 15 and
-	// 18 (two full groups) under an interval straddling one end; these two
-	// add the empty block and a low-cardinality one every encoding accepts.
+	// 18 (two full groups) under an interval straddling one end, and set
+	// windows that reach BitPackBlock.FilterSet's membership table: one
+	// straddling each end of a 130-value width-8 block, one covering a
+	// 70-value width-3 block (a full group and a tail); these two add the
+	// empty block and a low-cardinality one every encoding accepts.
 	f.Add([]byte{0}, uint8(OpEq), int32(0), int32(0), uint16(0), uint64(0))
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}, uint8(OpIn), int32(0), int32(2), uint16(64), ^uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, opRaw uint8, a, b int32, baseRaw uint16, prefill uint64) {

@@ -1,7 +1,8 @@
 //go:build ignore
 
-// gen_unpack writes unpack_gen.go, the width-specialized interval kernels
-// (see package kernelgen). Run it with `go generate ./internal/compress`.
+// gen_unpack writes unpack_gen.go, the width-specialized interval and set
+// kernels (see package kernelgen). Run it with `go generate
+// ./internal/compress`.
 package main
 
 import (

@@ -224,6 +224,17 @@ func checkDecoders(t *testing.T, label string, blk IntBlock, vals []int32) {
 		t.Fatalf("%s: GatherSelect(nil) disagrees with the values", label)
 	}
 	checkKernelOracle(t, label, blk, vals, nil, 0)
+	// A bit-packed block's last few fields end less than 8 bytes from the
+	// end of its words: gather each of the last indexes alone, and select
+	// them for AggSelect and GatherSelect.
+	last := bitmap.New(len(vals))
+	for i := max(len(vals)-9, 0); i < len(vals); i++ {
+		if got := blk.Gather([]int32{int32(i)}, nil); len(got) != 1 || got[0] != vals[i] {
+			t.Fatalf("%s: Gather at index %d of %d = %v, want %d", label, i, len(vals), got, vals[i])
+		}
+		last.Set(i)
+	}
+	checkKernelOracle(t, label, blk, vals, last, 0)
 }
 
 func TestKernelContract(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/compress/kernelgen"
 )
 
@@ -77,4 +78,78 @@ func TestIntervalKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSetKernels holds every width's generated set routine, over the table
+// BitPackBlock.memberTable builds, to unpack64 and a membership oracle on
+// random groups holding the lowest and the highest (all-ones) code. The
+// set windows are anchored below, at, inside and above the block's
+// minimum; one holds only the largest code, one is empty. A block too
+// wide for the table rule is checked through FilterSet, which then keeps
+// the per-value set test.
+func TestSetKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const vmin = -1000
+	for width := uint(1); width <= kernelgen.MaxSetWidth; width++ {
+		top := int32(1<<width - 1)
+		for range 16 {
+			vals := make([]int32, groupLen)
+			for i := range vals {
+				vals[i] = vmin + int32(rng.Int63n(int64(top)+1))
+			}
+			lowest := rng.Intn(groupLen)
+			vals[lowest], vals[(lowest+1+rng.Intn(groupLen-1))%groupLen] = vmin, vmin+top
+			blk := NewBitPackBlock(vals)
+			if blk.width != width || blk.min != vmin {
+				t.Fatalf("width %d: packed at width %d from %d", width, blk.width, blk.min)
+			}
+			var codes group
+			unpack64((*[groupBytes]byte)(append(blk.words, make([]byte, groupBytes)...)), width, 0, codes[:])
+			for i, c := range codes {
+				if vmin+c != vals[i] {
+					t.Fatalf("width %d: unpack64 field %d = %d, packed %d", width, i, c, vals[i]-vmin)
+				}
+			}
+			half := randomBitmap(rng, int(top/2)+9)
+			largest := bitmap.New(1)
+			largest.Set(0)
+			for _, w := range []struct {
+				name   string
+				set    *bitmap.Bitmap
+				setMin int32
+			}{
+				{"below", half, vmin - 8},
+				{"at", randomBitmap(rng, int(top)+1), vmin},
+				{"inside", half, vmin + top/2},
+				{"above", randomBitmap(rng, 64), vmin + top + 1},
+				{"largest", largest, vmin + top},
+				{"empty", bitmap.New(0), vmin},
+			} {
+				var want uint64
+				for i, c := range codes {
+					if setContains(w.set, w.setMin, vmin+c) {
+						want |= 1 << i
+					}
+				}
+				var got uint64
+				if tbl := blk.memberTable(new([]byte), w.set, w.setMin); tbl != nil {
+					got = setGroup(blk.words, width, tbl)
+				}
+				if got != want {
+					t.Fatalf("width %d: set %s = %#x, oracle %#x", width, w.name, got, want)
+				}
+			}
+		}
+	}
+
+	// 64 values at width 9: a 512-byte table would be 8 bytes per value.
+	vals := make([]int32, groupLen)
+	for i := range vals {
+		vals[i] = int32(rng.Intn(512))
+	}
+	vals[0], vals[1] = 0, 511
+	set := randomBitmap(rng, 600)
+	sel := setSelection("too wide for the table", set, -40)
+	blk := NewBitPackBlock(vals)
+	checkSelection(t, "width 9", blk, sel, sel.oracle(vals), bitmap.New(groupLen), 0)
 }

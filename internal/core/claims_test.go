@@ -68,6 +68,7 @@ func TestPaperClaims(t *testing.T) {
 		{"Figure 8", "PJ, Max C reads less than the invisible join (tICL)", mb(fig8[3], 0) < mb(fig8[0], 0)},
 		{"Figure 8", "PJ, No C reads more than the invisible join", mb(fig8[1], 0) > mb(fig8[0], 0)},
 		{"Figure 8", "PJ, Int C reads more than the invisible join", mb(fig8[2], 0) > mb(fig8[0], 0)},
+		{"Figure 8", "PJ, Int C reads less than PJ, No C", mb(fig8[2], 0) < mb(fig8[1], 0)},
 	} {
 		if !c.holds {
 			t.Errorf("%s: no longer holds: %s", c.figure, c.claim)
