@@ -46,9 +46,12 @@ func uniformVals(rng *rand.Rand, n int, vmin int32, span int64) []int32 {
 var benchSink int
 
 // BenchmarkFilterKernels is the in-package kernel table: every encoding at
-// five value widths (11, 15 and 18 are the SF=1 store's suppkey, custkey and
-// partkey), Filter at three selectivities (flat across them is the
-// evidence that a kernel has no data-dependent branch), FilterSet against a
+// seven value widths (11, 15, 18 and 21 are the SF=1 store's suppkey,
+// custkey, partkey and orderkey; 25 is the widest the AVX2 interval loop
+// serves), Filter at three selectivities (flat across them is the evidence
+// that a kernel has no data-dependent branch; on a bit-packed block a
+// …/go row beside each runs it with the AVX2 loop off, the generated Go
+// routines alone), FilterSet against a
 // one-in-three dense set and a sparse one (flat across them too), whole-block
 // decode, and a one-in-sixteen gather — all in ns per value.
 func BenchmarkFilterKernels(b *testing.B) {
@@ -59,7 +62,7 @@ func BenchmarkFilterKernels(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nVals), "ns/value")
 	}
 	for _, shape := range benchShapes {
-		for _, width := range []uint{4, 11, 15, 18, 32} {
+		for _, width := range []uint{4, 11, 15, 18, 21, 25, 32} {
 			span := int64(1)<<width - 1
 			vmin := int32(-span/2 - 1)
 			vals := shape.vals(rand.New(rand.NewSource(int64(width))), benchBlockLen, vmin, span)
@@ -68,11 +71,19 @@ func BenchmarkFilterKernels(b *testing.B) {
 			bm := bitmap.New(n)
 			name := fmt.Sprintf("%s/w%d", shape.name, width)
 
+			_, packed := blk.(*BitPackBlock)
 			for _, pct := range []int64{1, 50, 99} {
 				p := Between(vmin, int32(int64(vmin)+span*pct/100))
 				b.Run(fmt.Sprintf("Filter/%s/sel%d", name, pct), func(b *testing.B) {
 					perValue(b, n, func() { bm.Reset(); blk.Filter(p, 0, bm) })
 				})
+				if packed {
+					b.Run(fmt.Sprintf("Filter/%s/sel%d/go", name, pct), func(b *testing.B) {
+						defer func(on bool) { useAVX2 = on }(useAVX2)
+						useAVX2 = false
+						perValue(b, n, func() { bm.Reset(); blk.Filter(p, 0, bm) })
+					})
+				}
 			}
 
 			// Every third value of the first 2^20 of the span is a member.

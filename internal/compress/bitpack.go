@@ -111,8 +111,8 @@ func (b *BitPackBlock) Get(i int) int32 { return int32(int64(b.min) + int64(b.ge
 // filter is the block's one selection loop: unpack a group, test and pack
 // it, OR one result word into bm. An interval is first moved into code
 // space and clamped to the block's codes: one that misses them all returns
-// at once, and each full group is tested in place by its width's generated
-// routine (unpack_gen.go); only the tail group is unpacked.
+// at once; full groups are tested in place (intervalSIMD, then the width's
+// generated routine in unpack_gen.go) and only the tail group is unpacked.
 func (b *BitPackBlock) filter(t groupTest, base int, bm *bitmap.Bitmap) {
 	if t.kind == testNone {
 		return
@@ -124,7 +124,8 @@ func (b *BitPackBlock) filter(t groupTest, base int, bm *bitmap.Bitmap) {
 		if clo > chi {
 			return
 		}
-		for src := b.words; pos+groupLen <= b.n; pos += groupLen {
+		pos = b.intervalSIMD(uint32(clo), uint32(chi-clo), base, bm) * groupLen
+		for src := b.words[uint(pos/groupLen)*b.width*8:]; pos+groupLen <= b.n; pos += groupLen {
 			bm.OrWord(base+pos, intervalGroup(src, b.width, uint32(clo), uint64(chi-clo)))
 			src = src[b.width*8:]
 		}

@@ -290,7 +290,14 @@ func FuzzFilter(f *testing.F) {
 	// windows that reach BitPackBlock.FilterSet's membership table: one
 	// straddling each end of a 130-value width-8 block, one covering a
 	// 70-value width-3 block (a full group and a tail); these two add the
-	// empty block and a low-cardinality one every encoding accepts.
+	// empty block and a low-cardinality one every encoding accepts. The
+	// simd-* seeds reach the AVX2 interval loop: 197-value blocks (three
+	// full groups and a tail) at widths 5, 16, 17 and 25, each under an
+	// interval straddling the low end at base 0 and one straddling the high
+	// end at base 13. At width 5 the loop's last load would pass the block's
+	// words, so it hands the third group to the generated routine; at widths
+	// 16–25 the tail's word covers that load and it takes all three, so a
+	// 192-value width-25 block without a tail (base 64) hands one back.
 	f.Add([]byte{0}, uint8(OpEq), int32(0), int32(0), uint16(0), uint64(0))
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}, uint8(OpIn), int32(0), int32(2), uint16(64), ^uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, opRaw uint8, a, b int32, baseRaw uint16, prefill uint64) {

@@ -9,9 +9,9 @@ import "repro/internal/bitmap"
 // unpack, whatever the selectivity. The commonest selections on a
 // bit-packed block skip the stack: its width's generated routines
 // (unpack_gen.go) test the packed codes in place, against an interval for
-// each full group, and against a membership table for every group of a
-// dense set (BitPackBlock.FilterSet: 0.6–1.2 ns per value at widths 4–15,
-// against 3–5 for the per-value set test in pack). unpack64 serves an
+// each full group (0.65–0.9 ns per value, 0.14–0.2 in the AVX2 loop), and
+// against a membership table for every group of a dense set (FilterSet:
+// 0.6–1.2 ns per value at widths 4–15, 3–5 in pack). unpack64 serves an
 // interval's tail group, every other test and the decoders, and is the
 // routines' oracle.
 const groupLen = 64

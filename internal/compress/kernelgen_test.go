@@ -2,9 +2,11 @@ package compress
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -152,4 +154,92 @@ func TestSetKernels(t *testing.T) {
 	sel := setSelection("too wide for the table", set, -40)
 	blk := NewBitPackBlock(vals)
 	checkSelection(t, "width 9", blk, sel, sel.oracle(vals), bitmap.New(groupLen), 0)
+}
+
+// TestIntervalSIMD holds the AVX2 interval loop to the interval oracle, with
+// the loop on and forced off, at every width it serves: blocks of 2, 3, 17
+// and 1024 full groups with tails of 0, 1 and 63 values, resident and as
+// wire views whose words start at odd byte offsets, at an aligned base and
+// an unaligned one. The intervals are TestIntervalKernels'. Each case also
+// calls the loop alone and requires that it took all but at most the last
+// two full groups (those whose loads would end past the block's words) and
+// set exactly the oracle's bits for them.
+func TestIntervalSIMD(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("the CPU lacks AVX2: the generated Go routines serve every group")
+	}
+	defer func() { useAVX2 = true }()
+	rng := rand.New(rand.NewSource(46))
+	const vmin = -1 << 20
+	for width := uint(1); width <= maxAVX2Width; width++ {
+		top := int32(1<<width - 1)
+		for _, groups := range []int{2, 3, 17, 1024} {
+			for _, tail := range []int{0, 1, 63} {
+				n := groups*groupLen + tail
+				vals := make([]int32, n)
+				for i := range vals {
+					c := int32(rng.Int63n(int64(top) + 1))
+					switch rng.Intn(8) {
+					case 0:
+						c = 0
+					case 1, 2:
+						c = top
+					}
+					vals[i] = vmin + c
+				}
+				vals[rng.Intn(n)], vals[rng.Intn(n)] = vmin, vmin+top
+				resident := NewBitPackBlock(vals)
+				blocks := map[string]*BitPackBlock{
+					"resident": resident,
+					"wire@13":  wireViewAt(t, resident, 0),
+					"wire@19":  wireViewAt(t, resident, 6),
+				}
+				mid := vals[rng.Intn(n)] - vmin
+				a, b := int32(rng.Int63n(int64(top)+1)), int32(rng.Int63n(int64(top)+1))
+				for _, iv := range [][2]int32{{0, top}, {0, 0}, {top, top}, {mid, mid}, {0, mid}, {mid, top}, {min(a, b), max(a, b)}} {
+					sel := predSelection(Between(vmin+iv[0], vmin+iv[1]))
+					matches := sel.oracle(vals)
+					for name, blk := range blocks {
+						if blk.width != width {
+							t.Fatalf("width %d: packed at width %d", width, blk.width)
+						}
+						label := fmt.Sprintf("%s width=%d n=%d", name, width, n)
+						for _, base := range []int{0, 13} {
+							pre := randomBitmap(rng, base+n+70)
+							checkSelection(t, label+" loop on", blk, sel, matches, pre, base)
+							useAVX2 = false
+							checkSelection(t, label+" loop off", blk, sel, matches, pre, base)
+							useAVX2 = true
+
+							got, want := bitmap.New(base+n), bitmap.New(base+n)
+							took := blk.intervalSIMD(uint32(iv[0]), uint32(iv[1]-iv[0]), base, got)
+							if took < groups-2 || took > groups {
+								t.Fatalf("%s base %d: the loop took %d of %d full groups", label, base, took, groups)
+							}
+							for i := range took * groupLen {
+								if matches.Get(i) {
+									want.Set(base + i)
+								}
+							}
+							if !slices.Equal(got.Words(), want.Words()) {
+								t.Fatalf("%s base %d: the loop alone disagrees with the oracle on %s", label, base, sel.name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// wireViewAt decodes blk from a copy of its wire payload placed off bytes
+// into an exact-size buffer: its words then start at byte off+13.
+func wireViewAt(t *testing.T, blk *BitPackBlock, off int) *BitPackBlock {
+	t.Helper()
+	wire := AppendBlock(blk, make([]byte, off))
+	dec, err := DecodeBlock(BitPack, blk.Len(), wire[off:len(wire):len(wire)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.(*BitPackBlock)
 }

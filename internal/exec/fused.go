@@ -61,15 +61,15 @@ const fusedWorkerDenseLimit = 1 << 20
 //
 // The gate is deliberately unchanged, though the bit-packed kernels moved
 // its premise: a whole-block interval Filter over a bit-packed block costs
-// 0.7–1.2 ns per position at any selectivity (BenchmarkFilterKernels,
-// bitpack-wire, w4–w32) against 2.5–3.0 ns per survivor for Gather, so a
-// selection denser than about one in three is already cheaper to re-filter
-// with an interval than to gather; with a dense set, one denser than about
-// one in two (FilterSet costs 0.6–1.2 ns per position at w4–w15 and up to
-// 1.9 at w18, its table build included; a block too wide or too short for
-// the table rule keeps the 3–5 ns per-value set test). Widening the gate or
-// reordering probes changes which bytes are read and charged — the iostats
-// goldens — and is its own change.
+// 0.14–0.2 ns per position at any selectivity (BenchmarkFilterKernels,
+// bitpack-wire, w4–w25 on AVX2; 0.65–1.1 without) against 2.4–2.6 per
+// survivor for Gather, so a selection denser than about one in fifteen is
+// cheaper to re-filter with an interval than to gather; with a dense set,
+// one denser than about one in two (FilterSet costs 0.6–1.2 ns per position
+// at w4–w15 and up to 1.9 at w18, its table build included; a block too
+// wide or too short for the table rule keeps the 3–5 ns per-value set
+// test). Widening the gate or reordering probes changes which bytes are
+// read and charged — the iostats goldens — and is its own change.
 func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
 
 // fusedWorkersFor returns the worker count the fused scan actually uses:
