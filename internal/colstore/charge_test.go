@@ -122,3 +122,90 @@ func TestChargePositionsRange(t *testing.T) {
 		}
 	}
 }
+
+// TestSelChargesWholeBlock holds the late-probe rule's page test to the
+// charge it stands for: SelChargesWholeBlock is true exactly when
+// chargePositionalSel charges the block's CompressedBytes. Selections run
+// from one position in 1024 to every position, plus each page's first
+// position alone and every page but one, on plain, bit-packed and
+// run-length blocks of 64K, 1000 and 1 values. A run-length block of 2731
+// distinct values is the corner the page count cannot reach: 32 772 bytes
+// whose last value starts on the first page, so every page is touched but
+// one page's 32 KiB falls short of the size, and the test must refuse.
+func TestSelChargesWholeBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var blocks []compress.IntBlock
+	for _, n := range []int{BlockSize, 1000, 1} {
+		for _, width := range []int{1, 4, 11, 17, 25, 32} {
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(rng.Int63n(1 << width))
+			}
+			blocks = append(blocks, compress.NewBitPackBlock(vals), compress.NewPlainBlock(vals))
+		}
+		for _, runs := range []int{1, 16, 2000, n} {
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(i * runs / n)
+			}
+			blocks = append(blocks, compress.NewRLEBlock(vals))
+		}
+	}
+	straddle := make([]int32, 2731)
+	for i := range straddle {
+		straddle[i] = int32(i)
+	}
+	blocks = append(blocks, compress.NewRLEBlock(straddle))
+
+	for _, blk := range blocks {
+		n, size := blk.Len(), blk.CompressedBytes()
+		col := &Column{blocks: []compress.IntBlock{blk}, n: n}
+		bytesPerVal := bytesPerValue(n, size)
+		var firsts []int // each page's first position
+		for i := range n {
+			if i == 0 || pageOf(i, bytesPerVal) != pageOf(i-1, bytesPerVal) {
+				firsts = append(firsts, i)
+			}
+		}
+		var sels []*bitmap.Bitmap
+		for density := 1024; density >= 1; density /= 2 {
+			sel := bitmap.New(n)
+			for i := range n {
+				if rng.Intn(density) == 0 {
+					sel.Set(i)
+				}
+			}
+			sels = append(sels, sel)
+		}
+		pageFirsts := bitmap.New(n)
+		for _, i := range firsts {
+			pageFirsts.Set(i)
+		}
+		sels = append(sels, pageFirsts)
+		for skip := range firsts {
+			sel := bitmap.New(n)
+			for p, i := range firsts {
+				if p != skip {
+					sel.Set(i)
+				}
+			}
+			sels = append(sels, sel)
+		}
+		for _, sel := range sels {
+			var st iosim.Stats
+			chargePositionalSel(blk, sel, &st)
+			want := st.BytesRead == size
+			if got := col.SelChargesWholeBlock(0, sel); got != want {
+				t.Fatalf("%v block of %d values in %d bytes, %d selected: SelChargesWholeBlock %v, but the positional charge is %d",
+					blk.Encoding(), n, size, sel.Count(), got, st.BytesRead)
+			}
+		}
+		if blk.Len() == len(straddle) && blk.Encoding() == compress.RLE {
+			all := bitmap.New(n)
+			all.SetRange(0, n)
+			if len(firsts) != 1 || size <= ioPageBytes || col.SelChargesWholeBlock(0, all) {
+				t.Fatalf("straddling block: %d pages of %d bytes, every position selected: want one page short of the size and a refusal", len(firsts), size)
+			}
+		}
+	}
+}

@@ -476,6 +476,33 @@ func selPages(sel *bitmap.Bitmap, end int, bytesPerVal float64) int64 {
 	return pages
 }
 
+// SelChargesWholeBlock reports whether a positional read of block bi at the
+// set bits of sel is charged the block's whole size — whether its pages, at
+// ioPageBytes each, add up to BlockBytes(bi). It reads only the zone map,
+// never the block, and stops at the first page sel misses: the positions'
+// pages are numbered 0..last in order, so the charge reaches the size
+// exactly when sel touches every one of them and last+1 pages cover it.
+// The pages fall short when the last value straddles a page boundary.
+func (c *Column) SelChargesWholeBlock(bi int, sel *bitmap.Bitmap) bool {
+	n, size := c.BlockLen(bi), c.BlockBytes(bi)
+	bytesPerVal := bytesPerValue(n, size)
+	last := pageOf(n-1, bytesPerVal)
+	if (last+1)*ioPageBytes < size {
+		return false
+	}
+	var page int64
+	for i := sel.NextSet(0); i >= 0 && i < n; i = sel.NextSet(pageEnd(i, bytesPerVal)) {
+		if pageOf(i, bytesPerVal) != page {
+			return false
+		}
+		if page == last {
+			return true
+		}
+		page++
+	}
+	return false
+}
+
 // bytesPerValue is the page rule's bytes per value of n values stored in
 // size bytes.
 func bytesPerValue(n int, size int64) float64 { return float64(size) / float64(n) }

@@ -53,7 +53,9 @@ var benchSink int
 // …/go row beside each runs it with the AVX2 loop off, the generated Go
 // routines alone), FilterSet against a
 // one-in-three dense set and a sparse one (flat across them too), whole-block
-// decode, and a one-in-sixteen gather — all in ns per value.
+// decode, and a one-in-sixteen gather — all in ns per value — and, at the
+// probed widths, the fused scan's gather arm in ns per survivor at three
+// densities (GatherArm; the late-probe rule's c_gather).
 func BenchmarkFilterKernels(b *testing.B) {
 	perValue := func(b *testing.B, nVals int, fn func()) {
 		for i := 0; i < b.N; i++ {
@@ -120,6 +122,34 @@ func BenchmarkFilterKernels(b *testing.B) {
 			b.Run("Gather/"+name, func(b *testing.B) {
 				perValue(b, len(idx), func() { benchSink += len(blk.Gather(idx, dst[:0])) })
 			})
+
+			// The fused scan's gather arm for a late interval probe, in ns
+			// per survivor: the selection bitmap's positions, the gather
+			// at them and the in-place compaction, as fusedBlock runs it.
+			if shape.name != "bitpack-wire" || (width != 11 && width != 15 && width != 18) {
+				continue
+			}
+			ulo, uspan := uint32(vmin), uint32(span/2)
+			for _, density := range []int{64, 16, 4} {
+				sel := bitmap.New(n)
+				for i := 0; i < n; i++ {
+					if idxRng.Intn(density) == 0 {
+						sel.Set(i)
+					}
+				}
+				var pos []int32
+				b.Run(fmt.Sprintf("GatherArm/%s/d%d", name, density), func(b *testing.B) {
+					perValue(b, sel.Count(), func() {
+						pos = sel.AppendPositions(pos[:0])
+						vals, k := blk.Gather(pos, dst[:0]), 0
+						for j, v := range vals {
+							pos[k] = pos[j]
+							k += int(b2u(uint32(v)-ulo <= uspan))
+						}
+						benchSink += k
+					})
+				})
+			}
 		}
 	}
 }

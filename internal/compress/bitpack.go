@@ -27,11 +27,7 @@ type BitPackBlock struct {
 // max(vals)-min(vals).
 func NewBitPackBlock(vals []int32) *BitPackBlock {
 	mn, mx := minMax(vals)
-	span := uint64(int64(mx) - int64(mn))
-	width := uint(bits.Len64(span))
-	if width == 0 {
-		width = 1
-	}
+	width := PackWidth(mn, mx)
 	words := make([]byte, 0, 8*((uint(len(vals))*width+63)/64))
 	// Fields accumulate in a register and each full word is stored once: cur
 	// holds the pending bits, low first, and have (< 64) counts them.
@@ -51,6 +47,13 @@ func NewBitPackBlock(vals []int32) *BitPackBlock {
 		words = binary.LittleEndian.AppendUint64(words, cur)
 	}
 	return &BitPackBlock{words: words, width: width, n: len(vals), min: mn, max: mx}
+}
+
+// PackWidth is the field width of a bit-packed block whose values span
+// [mn, mx]: the bits of mx-mn, at least one. It needs only a block's zone
+// map, so a caller can price the block's kernels without acquiring it.
+func PackWidth(mn, mx int32) uint {
+	return uint(max(bits.Len64(uint64(int64(mx)-int64(mn))), 1))
 }
 
 // field returns the i-th width-bit field of a packed word array: the
@@ -147,13 +150,19 @@ func (b *BitPackBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) { b.filter(pr
 // keeps that test.
 const setTableRatio = 4
 
+// SetTableFits reports the table rule for a bit-packed block of n values of
+// the given width.
+func SetTableFits(width uint, n int) bool {
+	return width <= maxSetWidth && int64(1)<<width <= setTableRatio*int64(n)
+}
+
 // FilterSet implements IntBlock. Under the table rule the set window is
 // first turned into one byte per code of the block's width — 1 for a
 // member — so that each group, the tail included, is tested in place by its
 // width's generated routine (unpack_gen.go): one table load per value, no
 // range test and no branch.
 func (b *BitPackBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap) {
-	if b.width > maxSetWidth || int64(1)<<b.width > setTableRatio*int64(b.n) {
+	if !SetTableFits(b.width, b.n) {
 		b.filter(setTest(set, setMin), base, bm)
 		return
 	}

@@ -66,10 +66,12 @@ type Config struct {
 	// NoKernels disables the encoding-native aggregation and selection
 	// kernels (AggSelect/GatherSelect/FilterFunc): membership probes decode
 	// blocks before testing, aggregation always gathers its inputs, and
-	// the fused pipeline degrades its selection to an index list at the
-	// first non-run-length probe. The zero value (kernels ON) is the
-	// production path; set this for the operate-on-compressed ablation
-	// (Section 5) and for the kernels-on/off differential harness.
+	// the fused pipeline's late-probe rule prices every block that is not
+	// run-length out of the whole-block kernel, so the selection becomes
+	// an index list at the first such probe after the first. The zero
+	// value (kernels ON) is the production path; set this for the
+	// operate-on-compressed ablation (Section 5) and for the kernels-on/off
+	// differential harness.
 	NoKernels bool
 }
 

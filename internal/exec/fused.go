@@ -30,8 +30,11 @@ import (
 //     (RLE tests one bit per run, bit-packed blocks 64 codes per result
 //     word) — into a block-local selection bitmap, word-ANDed into the
 //     running selection while it stays dense.
-//  3. Once the selection is sparse, probes switch to gather-and-test over
-//     the explicit survivor index list.
+//  3. Each later probe runs the same way and is ANDed into the selection
+//     while that costs no more bytes and less time than gathering at the
+//     survivors (lateWholeBlock); otherwise it gathers and tests at them,
+//     and the selection becomes an explicit index list that every further
+//     probe gathers at.
 //  4. Group-by codes (direct array extraction; date keys resolve through a
 //     dense key->position array rather than a map) and aggregate inputs
 //     are gathered for survivors only and accumulated into the worker's
@@ -52,25 +55,75 @@ import (
 // degrades to one worker rather than multiplying a huge array per worker.
 const fusedWorkerDenseLimit = 1 << 20
 
-// wholeBlockCheap reports whether filtering the entire block directly on
-// its compressed representation is cheaper than gathering at the current
-// survivor list: true for run-length blocks, whose Filter is O(runs)
-// word-level work rather than O(block length) per-value decode. It takes the
-// encoding tag (available from the zone map without loading the block) so
-// the decision costs no I/O.
+// The late-probe rule's costs, in tenths of a nanosecond per value, each
+// beside the BenchmarkFilterKernels rows it comes from (bitpack-wire unless
+// named, 65 536 values, a 2-core AVX2 host). They are code, not run-time
+// measurements: no CPU-feature flag and no clock reaches the rule, so which
+// probes run whole-block, and with them every iosim count, is the same on
+// every host, worker count and storage backend.
+const (
+	// gatherCost (c_gather) is Gather at the survivors
+	// (Gather/bitpack-wire/w{11,15,18}: 2.4–4.5 ns per survivor). The whole
+	// arm, AppendPositions and the interval compaction included, reads 5–9
+	// (GatherArm/bitpack-wire/w{11,15,18}/d{64,16,4}), but a c_gather of 7
+	// costs the same CPU as 2.5: late-probe densities sit far from either
+	// break-even. The lower one moves the fewest probes off the gather.
+	gatherCost = 25
+	// intervalCost is an interval Filter at a width the AVX2 loop serves
+	// (Filter/bitpack-wire/w{4..25}/sel*: 0.13–0.23).
+	intervalCost, intervalWidth = 2, 25
+	// setCost and wideSetCost are FilterSet under the table rule, its table
+	// build included, up to setWidth and past it
+	// (FilterSet/bitpack-wire/w{4,11,15}: 0.76–1.1, w18: 1.3–1.5).
+	setCost, wideSetCost, setWidth = 10, 20, 15
+	// perValueCost is every other test, priced as the per-value set test
+	// past the table rule (FilterSet/bitpack-wire/w{21,25}: 4.0–5.2). It
+	// overprices an interval on a plain block (Filter/plain: 0.8–1.3) or
+	// past intervalWidth (Filter/bitpack-wire/w32: 0.7–0.9), which keeps
+	// those probes on the gather.
+	perValueCost = 40
+)
+
+// lateWholeBlock decides how probe p runs on block bi of col while the
+// selection sel is still a bitmap narrowed by an earlier probe: true runs
+// the probe over the whole compressed block and ANDs the result into sel,
+// as the invisible join does (Section 5.4); false gathers p's column at
+// sel's survivors. It consults the zone map (mn, mx and the encoding), never
+// the block.
 //
-// The gate is deliberately unchanged, though the bit-packed kernels moved
-// its premise: a whole-block interval Filter over a bit-packed block costs
-// 0.14–0.2 ns per position at any selectivity (BenchmarkFilterKernels,
-// bitpack-wire, w4–w25 on AVX2; 0.65–1.1 without) against 2.4–2.6 per
-// survivor for Gather, so a selection denser than about one in fifteen is
-// cheaper to re-filter with an interval than to gather; with a dense set,
-// one denser than about one in two (FilterSet costs 0.6–1.2 ns per position
-// at w4–w15 and up to 1.9 at w18, its table build included; a block too
-// wide or too short for the table rule keeps the 3–5 ns per-value set
-// test). Widening the gate or reordering probes changes which bytes are
-// read and charged — the iostats goldens — and is its own change.
-func wholeBlockCheap(enc compress.Encoding) bool { return enc == compress.RLE }
+// A run-length block always runs whole: its kernel is O(runs), so c_kernel
+// is 0. Any other block runs whole only when the kernels are on and two
+// things hold. First, the survivors' positional read is already charged the
+// whole block (SelChargesWholeBlock), so the bytes read are the same either
+// way. Second, survivors × c_gather ≥ n × c_kernel, with c_kernel priced by
+// encoding, width and test. With the kernels ablated (Config.NoKernels)
+// c_kernel is infinite for every block that is not run-length.
+func (p *factProbe) lateWholeBlock(col *colstore.Column, bi int, mn, mx int32, sel *bitmap.Bitmap, kernels bool) bool {
+	enc := col.BlockEncoding(bi)
+	if enc == compress.RLE {
+		return true
+	}
+	if !kernels {
+		return false
+	}
+	n := col.BlockLen(bi)
+	cost := int64(perValueCost)
+	if enc == compress.BitPack {
+		w := compress.PackWidth(mn, mx)
+		switch {
+		case p.isPred:
+			if _, _, ok := p.pred.Bounds(); ok && w <= intervalWidth {
+				cost = intervalCost
+			}
+		case p.dense != nil && compress.SetTableFits(w, n):
+			cost = setCost
+			if w > setWidth {
+				cost = wideSetCost
+			}
+		}
+	}
+	return int64(sel.Count())*gatherCost >= int64(n)*cost && col.SelChargesWholeBlock(bi, sel)
+}
 
 // fusedWorkersFor returns the worker count the fused scan actually uses:
 // cfgWorkers clamped to at least one, degraded to one when the composite
@@ -286,20 +339,9 @@ func fusedBlock(m *morsel, plan *Plan, ws *fusedWorker) {
 			ws.sel.Reset()
 			applyBlockProbe(p, col, bi, ws.sel, ws)
 			full, onBitmap = false, true
-		case onBitmap && (wholeBlockCheap(col.BlockEncoding(bi)) ||
-			(plan.foldsBlocks() && pi == len(plan.probes)-1 &&
-				2*ws.sel.Count() >= blkLen)):
+		case onBitmap && p.lateWholeBlock(col, bi, mn, mx, ws.sel, plan.kernels):
 			// Word-level fused selection: filter the compressed block
-			// and AND into the running selection vector. When the plan
-			// ends in a decode-free fold and this is the final probe, a
-			// dense selection (≥ half the block) also stays on the bitmap
-			// for any encoding: the block then aggregates via AggSelect
-			// with no position list at all. Earlier probes don't take that
-			// gamble — a later probe would usually drop the density below
-			// the gate and degrade to an index list anyway, leaving the
-			// whole-block filter's cost (every position charged) with no
-			// fold to pay for it. Plans that must gather their aggregate
-			// inputs likewise gain nothing from the bitmap shape.
+			// and AND into the running selection vector.
 			ws.tmp.Reset()
 			applyBlockProbe(p, col, bi, ws.tmp, ws)
 			ws.sel.And(ws.tmp)

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/obs"
@@ -199,5 +201,106 @@ func TestProbeSetMinMaxPruning(t *testing.T) {
 	}
 	if full := col.CompressedBytes(); st.BytesRead >= full {
 		t.Fatalf("pruned probe read %d of %d column bytes", st.BytesRead, full)
+	}
+}
+
+// TestFusedNoKernelsStats pins the fused pipeline under the kernels
+// ablation (Config.NoKernels) at SF=0.01: only a run-length block runs a
+// probe after the first over the whole block, so every other late probe
+// gathers, and the iosim counts of the 13 queries stay those of the
+// run-length-only gate the late-probe cost rule replaced. No iostats golden
+// cell covers this configuration.
+func TestFusedNoKernelsStats(t *testing.T) {
+	want := map[string]iosim.Stats{
+		"1.1": {BytesRead: 189508, BlocksFetched: 8, DecodedBytes: 53712, KernelFolds: 2, Gathers: 4},
+		"1.2": {BytesRead: 157664, BlocksFetched: 8, DecodedBytes: 4156, KernelFolds: 2, Gathers: 4},
+		"1.3": {BytesRead: 158676, BlocksFetched: 9, DecodedBytes: 900, KernelFolds: 2, Gathers: 5},
+		"2.1": {BytesRead: 384016, BlocksFetched: 9, DecodedBytes: 40640, KernelFolds: 2, Gathers: 7},
+		"2.2": {BytesRead: 388732, BlocksFetched: 9, DecodedBytes: 29468, KernelFolds: 2, Gathers: 7},
+		"2.3": {BytesRead: 388732, BlocksFetched: 9, DecodedBytes: 26984, KernelFolds: 2, Gathers: 7},
+		"3.1": {BytesRead: 386860, BlocksFetched: 15, DecodedBytes: 289652, KernelFolds: 3, Gathers: 10},
+		"3.2": {BytesRead: 387128, BlocksFetched: 15, DecodedBytes: 227124, KernelFolds: 4, Gathers: 9},
+		"3.3": {BytesRead: 96952, BlocksFetched: 9, BlocksPruned: 2, DecodedBytes: 219296, KernelFolds: 3, Gathers: 4},
+		"3.4": {BytesRead: 65108, BlocksFetched: 9, BlocksPruned: 1, DecodedBytes: 14480, KernelFolds: 3, Gathers: 4},
+		"4.1": {BytesRead: 545476, BlocksFetched: 12, DecodedBytes: 67684, KernelFolds: 3, Gathers: 9},
+		"4.2": {BytesRead: 465156, BlocksFetched: 18, DecodedBytes: 113968, KernelFolds: 4, Gathers: 12},
+		"4.3": {BytesRead: 404584, BlocksFetched: 18, DecodedBytes: 108544, KernelFolds: 5, Gathers: 11},
+	}
+	data := ssb.Generate(0.01)
+	db := BuildDB(data, true)
+	cfg := FusedOpt
+	cfg.NoKernels = true
+	for _, q := range ssb.Queries() {
+		var st iosim.Stats
+		if got := db.Run(q, cfg, &st); !got.Equal(ssb.Reference(data, q)) {
+			t.Errorf("Q%s fused without kernels diverges from reference", q.ID)
+		}
+		if st != want[q.ID] {
+			t.Errorf("Q%s fused without kernels: stats\n got  %+v\n want %+v", q.ID, st, want[q.ID])
+		}
+	}
+}
+
+// TestLateProbeRule drives the late-probe rule (lateWholeBlock) on a
+// crafted one-block fact table. tax = 1 keeps k rows spread evenly over the
+// block, so the late interval probe on supplycost (bit-packed, width 17)
+// sees k survivors on every page: it runs whole-block once k × gatherCost
+// reaches n × intervalCost and gathers one survivor below that. A year of
+// orderdate, the sort key, keeps a contiguous quarter of the block: far
+// denser than the break-even, but its survivors miss pages of supplycost,
+// so a whole-block read would charge bytes the gather does not, and the
+// probe gathers. The choice shows in the counters: a whole-block probe
+// keeps the selection a bitmap and the sum folds on it, a gather leaves an
+// index list that the sum gathers at. (With the year, phase 1's filter on
+// the date dimension adds one fold.)
+func TestLateProbeRule(t *testing.T) {
+	const n = colstore.BlockSize
+	breakEven := (n*intervalCost + gatherCost - 1) / gatherCost // fewest survivors that run whole-block
+	data := ssb.Generate(0.02)
+	line := reflect.ValueOf(&data.Line).Elem()
+	for i := range line.NumField() {
+		line.Field(i).Set(line.Field(i).Slice(0, n))
+	}
+	for i := range data.Line.SupplyCost {
+		data.Line.SupplyCost[i] = int32(i*7919) % 100_000
+	}
+	setTax := func(k int) {
+		for i := range data.Line.Tax {
+			data.Line.Tax[i] = int32(2 + i%7)
+		}
+		for j := range k {
+			data.Line.Tax[j*n/k] = 1
+		}
+	}
+	sumRevenue := []ssb.AggSpec{{Func: ssb.FuncSum, Expr: ssb.AggExpr{ColA: "revenue"}}}
+	cost := ssb.FactFilter{Col: "supplycost", Pred: compress.Between(10_000, 90_000)}
+	for _, c := range []struct {
+		name        string
+		k           int
+		q           *ssb.Query
+		folds, gath int64
+	}{
+		{"above break-even", breakEven, &ssb.Query{ID: "above", Aggs: sumRevenue,
+			FactFilters: []ssb.FactFilter{{Col: "tax", Pred: compress.Eq(1)}, cost}}, 3, 0},
+		{"below break-even", breakEven - 1, &ssb.Query{ID: "below", Aggs: sumRevenue,
+			FactFilters: []ssb.FactFilter{{Col: "tax", Pred: compress.Eq(1)}, cost}}, 1, 2},
+		{"pages missed", breakEven, &ssb.Query{ID: "pages", Aggs: sumRevenue,
+			DimFilters:  []ssb.DimFilter{{Dim: ssb.DimDate, Col: "year", Op: compress.OpEq, IsInt: true, IntA: 1993}},
+			FactFilters: []ssb.FactFilter{cost}}, 2, 2},
+	} {
+		setTax(c.k)
+		db := BuildDB(data, true)
+		if enc := db.Fact.MustColumn("supplycost").BlockEncoding(0); enc != compress.BitPack {
+			t.Fatalf("supplycost block encodes as %v, want bit-packed", enc)
+		}
+		var st iosim.Stats
+		got := db.Run(c.q, FusedOpt, &st)
+		if want := ssb.Reference(data, c.q); !got.Equal(want) {
+			t.Errorf("%s: diverges from reference:\n%s", c.name, want.Diff(got))
+		}
+		if st.KernelFolds != c.folds || st.Gathers != c.gath {
+			t.Errorf("%s (%d tax survivors): %d kernel folds and %d gathers, want %d and %d",
+				c.name, c.k, st.KernelFolds, st.Gathers, c.folds, c.gath)
+		}
 	}
 }

@@ -26,8 +26,9 @@ type Plan struct {
 	// extractors, strides.
 	*aggShape
 	// kernels enables the encoding-native aggregation/selection kernels
-	// (Config.KernelsActive): the selection stays bitmap-shaped through
-	// dense non-RLE probes, deletion masking is word-wise, and measure
+	// (Config.KernelsActive): late probes on blocks that are not run-length
+	// may run whole-block and keep the selection bitmap-shaped
+	// (lateWholeBlock), deletion masking is word-wise, and measure
 	// extraction runs GatherSelect/AggSelect directly on compressed blocks.
 	kernels bool
 	// slots names the fact columns the block routine reads, one slot per
@@ -106,8 +107,7 @@ func (plan *Plan) bind(column func(name string) *colstore.Column) []*colstore.Co
 }
 
 // foldsBlocks reports whether surviving blocks end in a decode-free
-// AggSelect fold (no gather of aggregate inputs), which is when keeping a
-// dense selection bitmap-shaped through the probe chain pays for itself.
+// AggSelect fold (no gather of aggregate inputs).
 func (plan *Plan) foldsBlocks() bool {
 	return plan.kernels && plan.kernelable && len(plan.exs) == 0
 }

@@ -490,7 +490,7 @@ func (db *DB) tupleFilter(ctx context.Context, col *colstore.Column, pred compre
 			blk, release := col.AcquireBlock(bi)
 			st.BlockFetched()
 			st.Read(blk.CompressedBytes())
-			if !cfg.NoKernels && wholeBlockCheap(blk.Encoding()) {
+			if !cfg.NoKernels && blk.Encoding() == compress.RLE {
 				// Run-length blocks filter natively in O(runs): paying a
 				// getNext call per value on top of that would simulate
 				// work the storage never does. The ablation's per-value
