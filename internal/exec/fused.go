@@ -64,13 +64,14 @@ const fusedWorkerDenseLimit = 1 << 20
 const (
 	// gatherCost (c_gather) is Gather at the survivors
 	// (Gather/bitpack-wire/w{11,15,18}: 2.4–4.5 ns per survivor). The whole
-	// arm, AppendPositions and the interval compaction included, reads 5–9
-	// (GatherArm/bitpack-wire/w{11,15,18}/d{64,16,4}), but a c_gather of 7
-	// costs the same CPU as 2.5: late-probe densities sit far from either
-	// break-even. The lower one moves the fewest probes off the gather.
+	// arm, AppendPositions and the interval compaction included, reads 5–10
+	// (GatherArm/bitpack-wire/w{11,15,18}/d{64,16,4}). A c_gather of 7
+	// costs the same CPU as 2.5, because late-probe densities cluster at
+	// ~0.2, ~0.04 and below 0.01, and the lower one moves the fewest
+	// probes off the gather.
 	gatherCost = 25
 	// intervalCost is an interval Filter at a width the AVX2 loop serves
-	// (Filter/bitpack-wire/w{4..25}/sel*: 0.13–0.23).
+	// (Filter/bitpack-wire/w{4..25}/sel*: 0.15–0.23).
 	intervalCost, intervalWidth = 2, 25
 	// setCost and wideSetCost are FilterSet under the table rule, its table
 	// build included, up to setWidth and past it
